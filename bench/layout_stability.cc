@@ -90,10 +90,11 @@ main()
 
         // Scatter everything (a fresh static layout ignores history).
         viva::support::Rng rng(7);
-        for (auto id : fresh.layoutGraph().liveNodeIds()) {
+        for (const viva::layout::Node &n :
+             fresh.layoutGraph().rawNodes()) {
             fresh.mutableLayoutGraph().setPosition(
-                id, {rng.uniform(-extent, extent),
-                     rng.uniform(-extent, extent)});
+                n.id, {rng.uniform(-extent, extent),
+                       rng.uniform(-extent, extent)});
         }
         fresh.stabilizeLayout(600).value();
         auto after =

@@ -22,11 +22,17 @@
  * surface (load / save / checkpoint / restore / layout / render): no
  * operation may crash, every rejection must carry a contextful error,
  * and the session must come back healthy once the storm passes.
+ *
+ * A third, longevity phase drives one Grid'5000 session through 200
+ * seeded cut gestures: its layout graph may never hold more nodes than
+ * the cut shows, and at the end its working set must equal that of a
+ * fresh session brought to the same cut.
  */
 
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -41,6 +47,8 @@
 #include "agg/timeslice.hh"
 #include "app/checkpoint.hh"
 #include "app/session.hh"
+#include "platform/builders.hh"
+#include "platform/platform_trace.hh"
 #include "support/error.hh"
 #include "support/fault.hh"
 #include "support/random.hh"
@@ -48,6 +56,7 @@
 #include "trace/io.hh"
 
 namespace vap = viva::app;
+namespace vp = viva::platform;
 namespace vs = viva::support;
 namespace vt = viva::trace;
 
@@ -313,6 +322,78 @@ runFaultStormPhase(const Options &opt)
     return 0;
 }
 
+/** The longevity phase. @return 0 on success, 1 on failure */
+int
+runLongevityPhase(const Options &opt)
+{
+    constexpr std::size_t kGestures = 200;
+    vt::Trace t;
+    vp::TraceMirror mirror = vp::mirrorPlatform(vp::makeGrid5000(), t);
+    std::vector<std::string> groups;
+    for (vt::ContainerId id : mirror.groupContainer)
+        groups.push_back(t.fullName(id));
+    vap::Session s(std::move(t));
+
+    vs::Rng rng(opt.seed);
+    std::size_t most_visible = 0;
+    for (std::size_t gesture = 0; gesture < kGestures; ++gesture) {
+        const std::string &group = groups[rng.index(groups.size())];
+        bool found = true;
+        switch (rng.index(5)) {
+        case 0:
+            found = s.aggregate(group);
+            break;
+        case 1:
+            found = s.disaggregate(group);
+            break;
+        case 2:
+            found = s.focus(group);
+            break;
+        case 3:
+            s.resetAggregation();
+            break;
+        default:
+            s.aggregateToDepth(std::uint16_t(rng.index(4)));
+            break;
+        }
+        if (!found)
+            return fail("longevity", gesture, "unknown group " + group);
+        const std::size_t slots = s.layoutGraph().rawNodes().size();
+        const std::size_t visible = s.cut().visibleCount();
+        if (slots > visible)
+            return fail("longevity", gesture,
+                        std::to_string(slots) + " layout slots for " +
+                            std::to_string(visible) + " visible nodes");
+        most_visible = std::max(most_visible, visible);
+    }
+
+    // A fresh session starts fully expanded; collapsing the long
+    // session's aggregated nodes brings it to the same cut.
+    vap::Session fresh{vt::Trace(s.trace())};
+    for (vt::ContainerId id : s.cut().visibleNodes())
+        if (s.cut().isCollapsed(id) &&
+            !fresh.aggregate(s.trace().fullName(id)))
+            return fail("longevity", kGestures,
+                        "fresh session cannot aggregate " +
+                            s.trace().fullName(id));
+    if (fresh.cut().visibleNodes() != s.cut().visibleNodes())
+        return fail("longevity", kGestures,
+                    "fresh session did not reach the same cut");
+    if (fresh.workingSetBytes() != s.workingSetBytes())
+        return fail("longevity", kGestures,
+                    "working set " + std::to_string(s.workingSetBytes()) +
+                        " bytes vs " +
+                        std::to_string(fresh.workingSetBytes()) +
+                        " for a fresh session at the same cut");
+
+    std::printf("longevity: %zu cut gestures (up to %zu visible nodes), "
+                "working set %llu bytes, equal to a fresh session at "
+                "the same cut\n",
+                kGestures, most_visible,
+                static_cast<unsigned long long>(s.workingSetBytes()));
+    return 0;
+}
+
 } // namespace
 
 int
@@ -359,6 +440,9 @@ main(int argc, char **argv)
     if (rc != 0)
         return rc;
     rc = runFaultStormPhase(opt);
+    if (rc != 0)
+        return rc;
+    rc = runLongevityPhase(opt);
     if (rc != 0)
         return rc;
     std::printf("soak_session PASS\n");

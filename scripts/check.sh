@@ -36,9 +36,10 @@
 #              extraction/cache unit tests
 #   soak       RelWithDebInfo, -fsanitize=address,undefined; the
 #              kill/restart chaos soak alone: >= 200 seeded SIGKILL
-#              cycles against the checkpoint writer plus the
-#              all-points fault storm, so crash recovery is proven
-#              clean of memory errors and UB
+#              cycles against the checkpoint writer, the all-points
+#              fault storm and the 200-gesture longevity phase, so
+#              crash recovery is proven clean of memory errors and UB
+#              and a long session's layout costs what a fresh one does
 #
 # Usage: check.sh [stage ...]   -- default: every stage, failing fast.
 # Per-stage build trees live in build-<stage>/ and are reused. A

@@ -163,20 +163,18 @@ Session::stateDigest() const
     mix(nThreads);
     mix(memBudgetBytes);
     mix(opDeadlineNanos);
-    // Sorted by key, not slot order: a restored graph re-inserts nodes
-    // in cut preorder, which need not match the insertion history of
-    // the session that wrote the checkpoint -- the digest must agree
+    // Sorted by key, not slot order: slots follow the cut's preorder,
+    // an implementation detail of the graph -- the digest must agree
     // whenever the observable state (key, position, velocity) does.
-    std::vector<const layout::Node *> alive;
-    alive.reserve(graph.nodeCount());
+    std::vector<const layout::Node *> sorted;
+    sorted.reserve(graph.nodeCount());
     for (const layout::Node &n : graph.rawNodes())
-        if (n.alive)
-            alive.push_back(&n);
-    std::sort(alive.begin(), alive.end(),
+        sorted.push_back(&n);
+    std::sort(sorted.begin(), sorted.end(),
               [](const layout::Node *a, const layout::Node *b) {
                   return a->key < b->key;
               });
-    for (const layout::Node *n : alive) {
+    for (const layout::Node *n : sorted) {
         mix(n->key);
         mixDouble(n->position.x);
         mixDouble(n->position.y);
@@ -275,36 +273,40 @@ Session::resetAggregation()
 void
 Session::syncLayout()
 {
-    std::vector<ContainerId> desired = hierCut.visibleNodes();
-    std::unordered_set<std::uint64_t> desired_set;
-    desired_set.reserve(desired.size());
-    for (ContainerId id : desired)
-        desired_set.insert(id.value());
-
-    // Current nodes by container id.
-    layout::Snapshot current = layout::snapshotPositions(graph);
-
-    // Positions for incoming nodes, decided before removals.
-    std::vector<std::pair<ContainerId, layout::Vec2>> to_add;
+    // Rebuild the graph densely in cut order. Nodes already laid out
+    // carry their state over by key; nodes entering the view are
+    // placed from the old graph only, never from one another.
+    std::vector<ContainerId> visible = hierCut.visibleNodes();
+    layout::LayoutGraph next;
     std::size_t ring_index = 0;
     std::unordered_map<std::uint64_t, std::size_t> child_index;
 
-    for (ContainerId id : desired) {
-        if (current.count(id.value()))
+    for (ContainerId id : visible) {
+        const double charge =
+            double(std::max<std::size_t>(tr.leavesUnder(id).size(), 1));
+        layout::NodeId prev = graph.findKey(id.value());
+        if (prev != layout::kNoNode) {
+            const layout::Node &old = graph.node(prev);
+            layout::NodeId n = next.addNode(id.value(), old.position,
+                                            charge);
+            layout::Node &kept = next.mutableNodes()[n.index()];
+            kept.velocity = old.velocity;
+            kept.pinned = old.pinned;
             continue;
+        }
 
         // Aggregation: absorb the centroid of current descendants.
         layout::Vec2 centroid;
         std::size_t absorbed = 0;
         for (ContainerId d : tr.subtree(id)) {
-            auto it = current.find(d.value());
-            if (it != current.end() && d != id) {
-                centroid += it->second;
+            layout::NodeId desc = graph.findKey(d.value());
+            if (desc != layout::kNoNode && d != id) {
+                centroid += graph.node(desc).position;
                 ++absorbed;
             }
         }
         if (absorbed > 0) {
-            to_add.emplace_back(id, centroid / double(absorbed));
+            next.addNode(id.value(), centroid / double(absorbed), charge);
             continue;
         }
 
@@ -313,13 +315,14 @@ Session::syncLayout()
         bool placed = false;
         while (anc != tr.root()) {
             anc = tr.container(anc).parent;
-            auto it = current.find(anc.value());
-            if (it != current.end()) {
+            layout::NodeId a = graph.findKey(anc.value());
+            if (a != layout::kNoNode) {
                 std::size_t k = child_index[anc.value()]++;
                 double radius =
                     std::max(force.params().restLength * 0.5, 10.0);
-                to_add.emplace_back(id,
-                                    it->second + fanOffset(k, radius));
+                next.addNode(id.value(),
+                             graph.node(a).position + fanOffset(k, radius),
+                             charge);
                 placed = true;
                 break;
             }
@@ -328,51 +331,29 @@ Session::syncLayout()
             continue;
 
         // Fresh node (initial build): deterministic ring placement.
-        double n = double(desired.size());
+        double n = double(visible.size());
         double radius = std::max(force.params().restLength, 20.0) *
                         std::sqrt(n) * 0.5;
         double angle = 2.0 * M_PI * double(ring_index) /
                        std::max(n, 1.0);
         // Stagger radius a little so rings of equal size do not alias.
         double r = radius * (0.8 + 0.2 * ((ring_index % 7) / 7.0));
-        to_add.emplace_back(
-            id, layout::Vec2{r * std::cos(angle), r * std::sin(angle)});
+        next.addNode(id.value(),
+                     layout::Vec2{r * std::cos(angle), r * std::sin(angle)},
+                     charge);
         ++ring_index;
     }
 
-    // Remove nodes that left the view, in node-id order (the snapshot
-    // is an unordered map; walking it would make the removal order
-    // nondeterministic).
-    std::vector<layout::NodeId> to_remove;
-    for (const layout::Node &n : graph.rawNodes())
-        if (n.alive && !desired_set.count(n.key))
-            to_remove.push_back(n.id);
-    for (layout::NodeId node_id : to_remove)
-        graph.removeNode(node_id);
-
-    // Insert the new nodes.
-    for (const auto &[id, pos] : to_add) {
-        double charge = double(
-            std::max<std::size_t>(tr.leavesUnder(id).size(), 1));
-        graph.addNode(id.value(), pos, charge);
-    }
-
-    // Refresh charges of surviving aggregates (cut may have changed the
-    // leaves they cover) and rebuild the visible edges.
-    graph.clearEdges();
-    for (ContainerId id : desired) {
-        layout::NodeId n = graph.findKey(id.value());
-        graph.setCharge(n, double(std::max<std::size_t>(
-                               tr.leavesUnder(id).size(), 1)));
-    }
     for (const agg::ViewEdge &e : agg::visibleEdges(tr, hierCut)) {
-        layout::NodeId a = graph.findKey(e.a.value());
-        layout::NodeId b = graph.findKey(e.b.value());
+        layout::NodeId a = next.findKey(e.a.value());
+        layout::NodeId b = next.findKey(e.b.value());
         VIVA_ASSERT(a != layout::kNoNode && b != layout::kNoNode,
                     "visible edge endpoint missing from layout");
         double strength = 1.0 + std::log2(double(e.multiplicity));
-        graph.addEdge(a, b, strength);
+        next.addEdge(a, b, strength);
     }
+    // Assign in place: `force` borrows `graph` by reference.
+    graph = std::move(next);
 
     obs::Registry &reg = obs::Registry::global();
     static const obs::GaugeId visible_nodes =
@@ -798,7 +779,7 @@ Session::workingSetBytes() const
     bytes += std::uint64_t(tr.pointCount()) * 16;
     bytes += std::uint64_t(tr.states().size()) * 64;
     bytes += std::uint64_t(tr.relations().size()) * 16;
-    // The shed-able part scales with the cut: layout slots plus the
+    // The shed-able part scales with the cut: layout nodes plus the
     // aggregated view (one row of every referenced metric per visible
     // node) the interactive loop keeps rebuilding.
     bytes += std::uint64_t(graph.rawNodes().size()) *
@@ -871,14 +852,11 @@ Session::checkpoint(const std::string &path) const
     image.sliders = typeScaling.touchedSliders();
     image.memBudgetBytes = memBudgetBytes;
     image.opDeadlineNanos = opDeadlineNanos;
-    for (const layout::Node &n : graph.rawNodes()) {
-        if (!n.alive)
-            continue;
+    for (const layout::Node &n : graph.rawNodes())
         image.nodes.push_back({n.key, n.position.x, n.position.y,
                                n.velocity.x, n.velocity.y, n.pinned});
-    }
     // Sorted by key so the same observable state always serializes to
-    // the same bytes, whatever insertion history produced it.
+    // the same bytes, whatever the slot order.
     std::sort(image.nodes.begin(), image.nodes.end(),
               [](const CheckpointNode &a, const CheckpointNode &b) {
                   return a.key < b.key;

@@ -171,13 +171,18 @@ class Session
     /** Pin a visible node in place (true) or release it (false). */
     bool pinNode(const std::string &path, bool pinned);
 
-    /** The layout graph (read access for metrics and tests). */
+    /**
+     * The layout graph (read access for metrics and tests). Every cut
+     * change replaces it, so node ids are valid only until the next
+     * aggregate/disaggregate/focus/depth/reset; hold keys instead.
+     */
     const layout::LayoutGraph &layoutGraph() const { return graph; }
 
     /**
      * Mutable layout graph, for advanced uses (custom placements,
      * benchmarks). Node/edge membership is owned by the session --
-     * only positions, pins and charges should be touched.
+     * only positions and pins should be touched; the next cut change
+     * recomputes charges.
      */
     layout::LayoutGraph &mutableLayoutGraph() { return graph; }
 
@@ -364,9 +369,12 @@ class Session
 
   private:
     /**
-     * Reconcile the layout graph with the current cut: carry positions
-     * of surviving nodes, place aggregates at absorbed centroids,
-     * fan disaggregated children around their parent, rebuild edges.
+     * Rebuild the layout graph densely from the current cut, in cut
+     * order: carry the state of surviving nodes over by key, place
+     * aggregates at absorbed centroids, fan disaggregated children
+     * around their parent, then add the visible edges. The result
+     * depends on the cut and the previous positions only, never on
+     * the session's earlier history.
      */
     void syncLayout();
 

@@ -1,11 +1,11 @@
 /**
  * @file
  * The layout graph: the nodes and edges whose positions the
- * force-directed algorithm evolves. Supports the dynamic operations the
- * paper's interactivity needs -- adding and removing nodes while others
- * keep their positions (aggregation/disaggregation), pinning (the
- * analyst dragging a node), and per-node charge (an aggregated node
- * carries the summed charge of everything it groups, Section 4.2).
+ * force-directed algorithm evolves, plus pinning (the analyst dragging a
+ * node) and per-node charge (an aggregated node carries the summed
+ * charge of everything it groups, Section 4.2). The graph is dense and
+ * append-only: the session rebuilds it from the hierarchy cut whenever
+ * the cut changes, carrying surviving nodes' state over by key.
  */
 
 #pragma once
@@ -38,7 +38,6 @@ struct Node
     Vec2 velocity;
     double charge = 1.0;     ///< Coulomb repulsion strength
     bool pinned = false;     ///< dragged / fixed by the analyst
-    bool alive = true;
 };
 
 /** One spring between two nodes. */
@@ -47,12 +46,13 @@ struct Edge
     NodeId a = kNoNode;
     NodeId b = kNoNode;
     double strength = 1.0;   ///< Hooke stiffness multiplier
-    bool alive = true;
 };
 
 /**
- * Mutable graph with stable node ids (slots are never reused within one
- * graph's lifetime, so external references cannot dangle silently).
+ * Dense graph: node ids index the node vector (id == slot), so every
+ * slot holds a node. Ids stay valid until the owner replaces the graph;
+ * the session does so on every cut change, so external references must
+ * go through keys (findKey), not ids, across a sync.
  */
 class LayoutGraph
 {
@@ -60,20 +60,10 @@ class LayoutGraph
     /** Add a node at a position. @return its id */
     NodeId addNode(std::uint64_t key, Vec2 position, double charge = 1.0);
 
-    /** Remove a node and every edge touching it. */
-    void removeNode(NodeId id);
-
-    /** Add a spring between two live nodes. */
+    /** Add a spring between two distinct nodes. */
     void addEdge(NodeId a, NodeId b, double strength = 1.0);
 
-    /** Drop every edge (positions are untouched); used when a cut
-     * change re-derives the visible edges from scratch. */
-    void clearEdges();
-
-    /** True when the id refers to a live node. */
-    bool alive(NodeId id) const;
-
-    /** Access a live node. */
+    /** Access a node. */
     const Node &node(NodeId id) const;
 
     /** Node id carrying the caller key, or kNoNode. */
@@ -85,26 +75,18 @@ class LayoutGraph
     /** Pin (true) or release (false) a node. */
     void setPinned(NodeId id, bool pinned);
 
-    /** Update a node's charge (e.g. after re-aggregation). */
-    void setCharge(NodeId id, double charge);
+    /** Node count. */
+    std::size_t nodeCount() const { return nodes.size(); }
 
-    /** Live node count. */
-    std::size_t nodeCount() const { return liveNodes; }
+    /** Edge count. */
+    std::size_t edgeCount() const { return edges.size(); }
 
-    /** Live edge count. */
-    std::size_t edgeCount() const { return liveEdges; }
-
-    /** All slots, dead included: callers filter on alive. */
+    /** Every node, in id order. */
     const std::vector<Node> &rawNodes() const { return nodes; }
+    /** Every edge, in insertion order. */
     const std::vector<Edge> &rawEdges() const { return edges; }
 
-    /** Ids of live nodes, ascending. */
-    std::vector<NodeId> liveNodeIds() const;
-
-    /** Ids of live neighbours of a node. */
-    std::vector<NodeId> neighbors(NodeId id) const;
-
-    /** Centroid of the live nodes (origin when empty). */
+    /** Centroid of the nodes (origin when empty). */
     Vec2 centroid() const;
 
     // Internal mutable access for the force stepper.
@@ -112,34 +94,29 @@ class LayoutGraph
 
     /**
      * Deep structural audit: node ids match their slots, the key index
-     * maps exactly the live nodes, live/edge counters match the slots,
-     * no live edge dangles off a dead or out-of-range node, and no node
-     * carries a non-positive charge.
+     * maps exactly the nodes, every edge joins two distinct in-range
+     * nodes, and no node carries a non-positive charge.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
 
     /**
-     * Fault injection for audit tests: desynchronise the live-node
-     * counter, breaking the counter/slot invariant. Never call outside
-     * tests.
+     * Fault injection for audit tests: drop a key from the key index,
+     * breaking the index/slot invariant. Never call outside tests.
      */
-    void debugCorruptLiveCount() { ++liveNodes; }
+    void debugDropKey(std::uint64_t key) { keyIndex.erase(key); }
 
   private:
     std::vector<Node> nodes;
     std::vector<Edge> edges;
     std::unordered_map<std::uint64_t, NodeId> keyIndex;
-    std::size_t liveNodes = 0;
-    std::size_t liveEdges = 0;
 };
 
 /**
- * Audit that every live node's position and velocity are finite -- the
+ * Audit that every node's position and velocity are finite -- the
  * first thing a divergent or mis-parallelised force step destroys.
  * @return the violated invariants; empty when well-formed
  */
 support::AuditLog auditFinitePositions(const LayoutGraph &graph);
 
 } // namespace viva::layout
-

@@ -18,8 +18,7 @@ snapshotPositions(const LayoutGraph &graph)
 {
     Snapshot snap;
     for (const Node &n : graph.rawNodes())
-        if (n.alive)
-            snap.emplace(n.key, n.position);
+        snap.emplace(n.key, n.position);
     return snap;
 }
 
@@ -47,11 +46,9 @@ edgeLengths(const LayoutGraph &graph)
 {
     support::RunningStats stats;
     const auto &nodes = graph.rawNodes();
-    for (const Edge &e : graph.rawEdges()) {
-        if (!e.alive || !nodes[e.a.index()].alive || !nodes[e.b.index()].alive)
-            continue;
-        stats.add(distance(nodes[e.a.index()].position, nodes[e.b.index()].position));
-    }
+    for (const Edge &e : graph.rawEdges())
+        stats.add(distance(nodes[e.a.index()].position,
+                           nodes[e.b.index()].position));
     return stats;
 }
 
@@ -61,8 +58,6 @@ boundingBoxArea(const LayoutGraph &graph)
     bool any = false;
     Vec2 lo{0, 0}, hi{0, 0};
     for (const Node &n : graph.rawNodes()) {
-        if (!n.alive)
-            continue;
         if (!any) {
             lo = hi = n.position;
             any = true;
@@ -109,16 +104,12 @@ std::size_t
 edgeCrossings(const LayoutGraph &graph)
 {
     const auto &nodes = graph.rawNodes();
-    std::vector<const Edge *> live;
-    for (const Edge &e : graph.rawEdges())
-        if (e.alive && nodes[e.a.index()].alive && nodes[e.b.index()].alive)
-            live.push_back(&e);
-
+    const auto &edges = graph.rawEdges();
     std::size_t crossings = 0;
-    for (std::size_t i = 0; i < live.size(); ++i) {
-        for (std::size_t j = i + 1; j < live.size(); ++j) {
-            const Edge &e1 = *live[i];
-            const Edge &e2 = *live[j];
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        for (std::size_t j = i + 1; j < edges.size(); ++j) {
+            const Edge &e1 = edges[i];
+            const Edge &e2 = edges[j];
             if (e1.a == e2.a || e1.a == e2.b || e1.b == e2.a ||
                 e1.b == e2.b)
                 continue;  // edges sharing a node never "cross"
@@ -139,8 +130,6 @@ barnesHutError(const LayoutGraph &graph, double theta)
 
     Vec2 lo{1e300, 1e300}, hi{-1e300, -1e300};
     for (const Node &n : nodes) {
-        if (!n.alive)
-            continue;
         lo.x = std::min(lo.x, n.position.x);
         lo.y = std::min(lo.y, n.position.y);
         hi.x = std::max(hi.x, n.position.x);
@@ -149,17 +138,14 @@ barnesHutError(const LayoutGraph &graph, double theta)
     double pad = std::max({hi.x - lo.x, hi.y - lo.y, 1.0}) * 0.05;
     QuadTree tree({lo.x - pad, lo.y - pad}, {hi.x + pad, hi.y + pad});
     for (const Node &n : nodes)
-        if (n.alive)
-            tree.insert(n.position, n.charge);
+        tree.insert(n.position, n.charge);
 
     support::RunningStats rel;
     for (const Node &a : nodes) {
-        if (!a.alive)
-            continue;
         Vec2 approx = tree.forceAt(a.position, theta);
         Vec2 exact;
         for (const Node &b : nodes) {
-            if (!b.alive || b.id == a.id)
+            if (b.id == a.id)
                 continue;
             Vec2 d = a.position - b.position;
             double dist = d.norm();

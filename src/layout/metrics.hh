@@ -22,7 +22,7 @@ namespace viva::layout
 /** A position snapshot keyed by the caller's node keys. */
 using Snapshot = std::unordered_map<std::uint64_t, Vec2>;
 
-/** Capture the live nodes' positions keyed by node key. */
+/** Capture the nodes' positions keyed by node key. */
 Snapshot snapshotPositions(const LayoutGraph &graph);
 
 /**
@@ -35,7 +35,7 @@ support::RunningStats displacement(const Snapshot &before,
 /** Edge length statistics of the current layout. */
 support::RunningStats edgeLengths(const LayoutGraph &graph);
 
-/** Area of the bounding box of the live nodes. */
+/** Area of the bounding box of the nodes. */
 double boundingBoxArea(const LayoutGraph &graph);
 
 /**
@@ -46,7 +46,7 @@ std::size_t edgeCrossings(const LayoutGraph &graph);
 
 /**
  * Mean relative error of Barnes-Hut repulsion versus the exact sum at
- * the live node positions, for a given theta (accuracy metric used by
+ * the node positions, for a given theta (accuracy metric used by
  * the property tests and the scalability bench).
  */
 double barnesHutError(const LayoutGraph &graph, double theta);

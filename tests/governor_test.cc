@@ -200,6 +200,24 @@ TEST(Governor, BudgetAppliesToCutMutationsToo)
     EXPECT_TRUE(s.auditInvariants().empty());
 }
 
+TEST(Governor, CutCyclesDoNotDegradeAFittingBudget)
+{
+    vt::Trace t;
+    viva::platform::mirrorPlatform(viva::platform::makeGrid5000(), t);
+    vap::Session s(std::move(t));
+    const std::size_t host_level = s.cut().visibleCount();
+
+    // Room for the host-level view and half again: coming back to it
+    // must fit every time, however many cut changes came before.
+    s.setMemoryBudget(s.workingSetBytes() * 3 / 2);
+    for (int cycle = 0; cycle < 10; ++cycle) {
+        s.aggregateToDepth(0);
+        s.resetAggregation();
+    }
+    EXPECT_EQ(s.degradationCount(), 0u);
+    EXPECT_EQ(s.cut().visibleCount(), host_level);
+}
+
 TEST(Governor, ZeroBudgetDisablesDegradation)
 {
     vap::Session s = makePlatformSession();

@@ -2,23 +2,29 @@
  * @file
  * Cross-cutting property tests on randomized inputs: conservation laws
  * of the simulator, determinism, partition invariants of hierarchy
- * cuts, treemap geometry, and routing consistency. These pin down the
- * global invariants that unit tests of single modules cannot.
+ * cuts, treemap geometry, routing consistency, and the layout of a
+ * long interactive session. These pin down the global invariants that
+ * unit tests of single modules cannot.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <sstream>
 
 #include "agg/aggregate.hh"
 #include "agg/hierarchy_cut.hh"
+#include "app/session.hh"
 #include "platform/builders.hh"
+#include "platform/platform_trace.hh"
+#include "trace/builder.hh"
 #include "sim/tracer.hh"
 #include "support/random.hh"
 #include "trace/io.hh"
 #include "viz/treemap.hh"
 
 namespace va = viva::agg;
+namespace vap = viva::app;
 namespace vp = viva::platform;
 namespace vs = viva::sim;
 namespace vt = viva::trace;
@@ -319,3 +325,71 @@ TEST_P(RoutingConsistency, RoutesAreConnectedPaths)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingConsistency,
                          ::testing::Range(1, 4));
+
+// --- long sessions behave like fresh ones ------------------------------------------
+
+class GestureSequence : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(GestureSequence, LayoutMatchesARestoredSessionAfterEveryGesture)
+{
+    viva::support::Rng rng(GetParam());
+    vt::Trace t;
+    vp::TraceMirror mirror = vp::mirrorPlatform(vp::makeGrid5000(), t);
+    std::vector<std::string> groups;
+    for (vt::ContainerId id : mirror.groupContainer)
+        groups.push_back(t.fullName(id));
+    vap::Session s(std::move(t));
+    s.setThreads(1);
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("viva_gesture_sequence_" + std::to_string(GetParam()) +
+          ".ckpt"))
+            .string();
+    vap::Session restored(vt::makeFigure1Trace());
+    for (int gesture = 0; gesture < 12; ++gesture) {
+        const std::string &group = groups[rng.index(groups.size())];
+        switch (rng.index(6)) {
+        case 0:
+            ASSERT_TRUE(s.aggregate(group));
+            break;
+        case 1:
+            ASSERT_TRUE(s.disaggregate(group));
+            break;
+        case 2:
+            ASSERT_TRUE(s.focus(group));
+            break;
+        case 3:
+            s.resetAggregation();
+            break;
+        case 4:
+            s.aggregateToDepth(std::uint16_t(rng.index(4)));
+            break;
+        default:
+            ASSERT_TRUE(s.stepLayout(1 + rng.index(3)).ok());
+            break;
+        }
+        // The graph holds exactly the visible nodes: no dead slots.
+        const viva::layout::LayoutGraph &g = s.layoutGraph();
+        ASSERT_EQ(g.rawNodes().size(), g.nodeCount());
+        ASSERT_EQ(g.nodeCount(), s.cut().visibleCount());
+
+        // A restore rebuilds the graph from scratch at the same cut;
+        // the long session must cost exactly what that one does.
+        ASSERT_TRUE(s.checkpoint(path).ok());
+        ASSERT_TRUE(restored.restore(path).ok());
+        ASSERT_EQ(s.workingSetBytes(), restored.workingSetBytes())
+            << "after gesture " << gesture;
+        ASSERT_EQ(s.stateDigest(), restored.stateDigest());
+    }
+
+    // Same slot order, same edges: both evolve bitwise identically.
+    ASSERT_TRUE(s.stepLayout(20).ok());
+    ASSERT_TRUE(restored.stepLayout(20).ok());
+    EXPECT_EQ(s.stateDigest(), restored.stateDigest());
+    std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GestureSequence, ::testing::Range(1, 5));
