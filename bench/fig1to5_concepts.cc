@@ -167,7 +167,7 @@ figure5()
         viva::layout::ForceLayout layout(g);
         layout.params().charge = charge;
         layout.params().spring = spring;
-        layout.stabilize(1500, 1e-6);
+        layout.stabilize(1500, 1e-6).value();
         return std::pair{std::sqrt(viva::layout::boundingBoxArea(g)),
                          viva::layout::edgeLengths(g).mean()};
     };

@@ -40,6 +40,11 @@
 #              fault storm and the 200-gesture longevity phase, so
 #              crash recovery is proven clean of memory errors and UB
 #              and a long session's layout costs what a fresh one does
+#   bench      python3 perfbench/test_bench.py (~2 minutes): builds the
+#              analyst-gesture benchmark against src/ in Release and
+#              runs its self-tests (generator determinism, metric
+#              units, failure counting, 1- vs 4-thread digest), so a
+#              src/ API change cannot break the benchmark unnoticed
 #
 # Usage: check.sh [stage ...]   -- default: every stage, failing fast.
 # Per-stage build trees live in build-<stage>/ and are reused. A
@@ -51,7 +56,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 GEN=""
 command -v ninja >/dev/null 2>&1 && GEN="-G Ninja"
 
-STAGES="${*:-release validate tsan asan fault lint obs analyze check graph soak}"
+STAGES="${*:-release validate tsan asan fault lint obs analyze check graph soak bench}"
 
 configure_flags() {
     case "$1" in
@@ -70,9 +75,13 @@ configure_flags() {
     lint|analyze|check|graph)
         echo "-DCMAKE_BUILD_TYPE=Release"
         ;;
+    bench)
+        # perfbench/run.py configures its own Release tree.
+        echo ""
+        ;;
     *)
         echo "check.sh: unknown stage '$1'" >&2
-        echo "usage: $0 [release|validate|tsan|asan|fault|lint|obs|analyze|check|graph|soak ...]" >&2
+        echo "usage: $0 [release|validate|tsan|asan|fault|lint|obs|analyze|check|graph|soak|bench ...]" >&2
         exit 2
         ;;
     esac
@@ -85,6 +94,12 @@ run_stage() {
 
     # Explicit `|| return` on every step: `set -e` is suspended inside
     # the `if run_stage` caller, so failures must propagate by hand.
+    if [ "$stage" = bench ]; then
+        echo "=== stage bench: perfbench/test_bench.py"
+        (cd "$ROOT" && CARGO_TARGET_DIR="$BUILD" \
+            python3 perfbench/test_bench.py) || return 1
+        return 0
+    fi
     echo "=== stage $stage: cmake $FLAGS"
     # shellcheck disable=SC2086
     cmake -B "$BUILD" -S "$ROOT" $GEN $FLAGS || return 1

@@ -271,22 +271,11 @@ View::valueOf(ContainerId id, MetricId m) const
     return 0.0;
 }
 
-namespace
-{
-
-/**
- * The shared view build. With `abort` null this is the historical
- * ungoverned pass (zero polls). With `abort` set, every worker checks
- * the governor deadline once per visible node -- the per-ThreadPool-
- * chunk cancellation checkpoint -- latches the flag and skips the
- * rest of its range; the caller discards the partial view.
- */
-View
-buildViewImpl(const trace::Trace &trace, const HierarchyCut &cut,
-              const TimeSlice &slice,
-              const std::vector<MetricRequest> &requests,
-              bool with_stats, std::size_t threads,
-              std::atomic<bool> *abort)
+support::Expected<View>
+buildView(const trace::Trace &trace, const HierarchyCut &cut,
+          const TimeSlice &slice,
+          const std::vector<MetricRequest> &requests, bool with_stats,
+          std::size_t threads, support::Deadline deadline)
 {
     obs::Registry &reg = obs::Registry::global();
     static const obs::HistogramId phase = reg.histogram("agg.build_view");
@@ -307,15 +296,18 @@ buildViewImpl(const trace::Trace &trace, const HierarchyCut &cut,
     std::vector<ContainerId> visible = cut.visibleNodes();
     view.nodes.resize(visible.size());
     Aggregator agg(trace);
+    // The per-node cancellation checkpoint: the first worker to see
+    // the deadline passed latches the flag, and every worker then
+    // skips the rest of its range.
+    std::atomic<bool> aborted{false};
     support::ThreadPool::global().parallelFor(
         0, visible.size(), 1, threads,
         [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
-                if (abort &&
-                    (abort->load(std::memory_order_relaxed) ||
-                     support::ResourceGovernor::global()
-                         .deadlineExpired())) {
-                    abort->store(true, std::memory_order_relaxed);
+                if (deadline.armed() &&
+                    (aborted.load(std::memory_order_relaxed) ||
+                     deadline.expired())) {
+                    aborted.store(true, std::memory_order_relaxed);
                     return;
                 }
                 ContainerId id = visible[i];
@@ -348,20 +340,17 @@ buildViewImpl(const trace::Trace &trace, const HierarchyCut &cut,
             }
         });
 
+    // A deadline that trips after the last node but before the edge
+    // projection still aborts: the caller wants the budget honoured,
+    // not a lucky partial result.
+    if (aborted.load(std::memory_order_relaxed) || deadline.expired()) {
+        support::noteDeadlineAbort();
+        return VIVA_ERROR(support::Errc::Deadline,
+                          "aggregation over ", cut.visibleCount(),
+                          " visible nodes ran past its deadline");
+    }
     view.edges = visibleEdges(trace, cut);
     return view;
-}
-
-} // namespace
-
-View
-buildView(const trace::Trace &trace, const HierarchyCut &cut,
-          const TimeSlice &slice,
-          const std::vector<MetricRequest> &requests, bool with_stats,
-          std::size_t threads)
-{
-    return buildViewImpl(trace, cut, slice, requests, with_stats,
-                         threads, nullptr);
 }
 
 View
@@ -374,47 +363,8 @@ buildView(const trace::Trace &trace, const HierarchyCut &cut,
     requests.reserve(metrics.size());
     for (trace::MetricId m : metrics)
         requests.emplace_back(m, op);
-    return buildView(trace, cut, slice, requests, with_stats, threads);
-}
-
-support::Expected<View>
-buildViewGoverned(const trace::Trace &trace, const HierarchyCut &cut,
-                  const TimeSlice &slice,
-                  const std::vector<MetricRequest> &requests,
-                  bool with_stats, std::size_t threads)
-{
-    std::atomic<bool> aborted{false};
-    View view = buildViewImpl(trace, cut, slice, requests, with_stats,
-                              threads, &aborted);
-    // A deadline that trips after the last node but before the edge
-    // projection still aborts: a governed caller wants the budget
-    // honoured, not a lucky partial result.
-    if (aborted.load(std::memory_order_relaxed) ||
-        support::ResourceGovernor::global().deadlineExpired()) {
-        support::ResourceGovernor::global().noteDeadlineAbort();
-        return VIVA_ERROR(support::Errc::Deadline,
-                          "aggregation over ", cut.visibleCount(),
-                          " visible nodes ran past its deadline");
-    }
-    return view;
-}
-
-support::Expected<View>
-buildViewGoverned(const trace::Trace &trace, const HierarchyCut &cut,
-                  const TimeSlice &slice,
-                  const std::vector<trace::MetricId> &metrics,
-                  SpatialOp op, bool with_stats, std::size_t threads)
-{
-    std::vector<MetricRequest> requests;
-    requests.reserve(metrics.size());
-    for (trace::MetricId m : metrics)
-        requests.emplace_back(m, op);
-    support::Expected<View> view = buildViewGoverned(
-        trace, cut, slice, requests, with_stats, threads);
-    if (!view)
-        return VIVA_ERROR_CONTEXT(view.error(),
-                                  "buildViewGoverned defaults overload");
-    return view;
+    return buildView(trace, cut, slice, requests, with_stats, threads)
+        .value();
 }
 
 void

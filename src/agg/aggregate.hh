@@ -24,6 +24,7 @@
 #include "agg/hierarchy_cut.hh"
 #include "agg/timeslice.hh"
 #include "support/error.hh"
+#include "support/governor.hh"
 #include "support/obs.hh"
 #include "support/stats.hh"
 #include "trace/trace.hh"
@@ -195,44 +196,34 @@ struct View
  * worker fills its own node slots, so the view is bitwise identical to
  * the serial build for every thread count).
  *
+ * Cancellable: with a `deadline`, every worker polls it once per
+ * visible node, and once it has passed the build aborts with
+ * Errc::Deadline and discards the partial view. Without one the build
+ * cannot fail, so audits and read-only recomputation stay exact.
+ *
  * @param trace the trace to aggregate
  * @param cut the spatial scale
  * @param slice the temporal scale
  * @param requests the metrics to aggregate, each with its operators
  * @param with_stats also compute the statistical indicators
  * @param threads worker count; 1 serial, 0 hardware_concurrency
+ * @param deadline when the build gives up; none by default
  */
-View buildView(const trace::Trace &trace, const HierarchyCut &cut,
-               const TimeSlice &slice,
-               const std::vector<MetricRequest> &requests,
-               bool with_stats = false, std::size_t threads = 1);
+support::Expected<View> buildView(
+    const trace::Trace &trace, const HierarchyCut &cut,
+    const TimeSlice &slice, const std::vector<MetricRequest> &requests,
+    bool with_stats = false, std::size_t threads = 1,
+    support::Deadline deadline = {});
 
-/** Convenience overload: Equation-1 defaults (or `op`) per metric. */
+/**
+ * Convenience overload: Equation-1 defaults (or `op`) per metric, no
+ * deadline.
+ */
 View buildView(const trace::Trace &trace, const HierarchyCut &cut,
                const TimeSlice &slice,
                const std::vector<trace::MetricId> &metrics,
                SpatialOp op = SpatialOp::Sum, bool with_stats = false,
                std::size_t threads = 1);
-
-/**
- * buildView with cooperative cancellation: every worker polls the
- * process-wide governor deadline once per visible node and the build
- * aborts with Errc::Deadline when it has passed, discarding the
- * partial view (the caller's state is untouched -- the view is the
- * staged object). Ungoverned buildView never polls, so audits and
- * read-only recomputation stay exact under an armed deadline.
- */
-support::Expected<View> buildViewGoverned(
-    const trace::Trace &trace, const HierarchyCut &cut,
-    const TimeSlice &slice, const std::vector<MetricRequest> &requests,
-    bool with_stats = false, std::size_t threads = 1);
-
-/** Governed convenience overload mirroring the MetricId buildView. */
-support::Expected<View> buildViewGoverned(
-    const trace::Trace &trace, const HierarchyCut &cut,
-    const TimeSlice &slice, const std::vector<trace::MetricId> &metrics,
-    SpatialOp op = SpatialOp::Sum, bool with_stats = false,
-    std::size_t threads = 1);
 
 /**
  * Write a view as CSV (one row per node, one column per metric, plus

@@ -6,6 +6,7 @@
 #include "app/commands.hh"
 
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "support/obs.hh"
@@ -189,7 +190,13 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
             std::size_t ms;
             if (!count(2, ms))
                 return false;
-            sess.setOperationDeadline(std::uint64_t(ms) * 1000000ull);
+            constexpr std::uint64_t ns_per_ms = 1000000ull;
+            if (ms > std::numeric_limits<std::uint64_t>::max() / ns_per_ms) {
+                out << "error: deadline-ms " << ms
+                    << " overflows a nanosecond deadline\n";
+                return false;
+            }
+            sess.setOperationDeadline(std::uint64_t(ms) * ns_per_ms);
             out << "deadline-ms = " << ms << "\n";
             return true;
         }

@@ -364,60 +364,59 @@ Session::syncLayout()
     reg.set(layout_edges, std::int64_t(graph.edgeCount()));
 }
 
+template <typename T, typename Run>
+support::Expected<T>
+Session::runLayout(const char *what, Run run)
+{
+    const support::Deadline deadline =
+        support::Deadline::after(opDeadlineNanos);
+    // All-or-nothing: a layout run changes node state only, never the
+    // graph's structure, so the node vector is the whole undo log.
+    // Nothing can abort without a deadline, so nothing is saved then.
+    std::vector<layout::Node> entry;
+    if (deadline.armed())
+        entry = graph.rawNodes();
+    support::Expected<T> done = run(deadline);
+    if (!done) {
+        ++deadlineAborts;
+        graph.mutableNodes() = std::move(entry);
+        return VIVA_ERROR_CONTEXT(done.error(), what);
+    }
+    maybeAudit(what);
+    return done;
+}
+
 support::Expected<std::size_t>
 Session::stabilizeLayout(std::size_t max_iters)
 {
-    if (opDeadlineNanos == 0) {
-        std::size_t done = force.stabilize(max_iters);
-        maybeAudit("Session::stabilizeLayout");
-        return done;
-    }
-    // Whole-operation atomicity: the governed iterations run on a
-    // staged copy of the graph driven by a scratch engine, so a
-    // deadline abort after some committed iterations still leaves the
-    // session's graph bitwise untouched. The swap keeps `force`'s
-    // borrowed reference valid by assigning in place.
-    support::OperationScope scope(opDeadlineNanos);
-    layout::LayoutGraph staged = graph;
-    layout::ForceLayout scratch(staged, force.params());
-    support::Expected<std::size_t> done =
-        scratch.stabilizeGoverned(max_iters);
-    if (!done) {
-        ++deadlineAborts;
-        return VIVA_ERROR_CONTEXT(done.error(),
-                                  "Session::stabilizeLayout");
-    }
-    graph = std::move(staged);
-    force.absorbCounters(scratch);
-    maybeAudit("Session::stabilizeLayout");
-    return done;
+    return runLayout<std::size_t>(
+        "Session::stabilizeLayout",
+        [&](support::Deadline deadline) -> support::Expected<std::size_t> {
+            support::Expected<std::size_t> done =
+                force.stabilize(max_iters, 1e-3, deadline);
+            if (!done)
+                return VIVA_ERROR_CONTEXT(done.error(), "at most ",
+                                          max_iters, " iterations");
+            return done;
+        });
 }
 
 support::Expected<void>
 Session::stepLayout(std::size_t n)
 {
-    if (opDeadlineNanos == 0) {
-        for (std::size_t i = 0; i < n; ++i)
-            force.step();
-        maybeAudit("Session::stepLayout");
-        return {};
-    }
-    support::OperationScope scope(opDeadlineNanos);
-    layout::LayoutGraph staged = graph;
-    layout::ForceLayout scratch(staged, force.params());
-    for (std::size_t i = 0; i < n; ++i) {
-        support::Expected<double> stepped = scratch.stepGoverned();
-        if (!stepped) {
-            ++deadlineAborts;
-            return VIVA_ERROR_CONTEXT(stepped.error(),
-                                      "Session::stepLayout at iteration ",
-                                      i, " of ", n);
-        }
-    }
-    graph = std::move(staged);
-    force.absorbCounters(scratch);
-    maybeAudit("Session::stepLayout");
-    return {};
+    return runLayout<void>(
+        "Session::stepLayout",
+        [&](support::Deadline deadline) -> support::Expected<void> {
+            for (std::size_t i = 0; i < n; ++i) {
+                support::Expected<double> stepped =
+                    force.step(1.0, deadline);
+                if (!stepped)
+                    return VIVA_ERROR_CONTEXT(stepped.error(),
+                                              "at iteration ", i,
+                                              " of ", n);
+            }
+            return {};
+        });
 }
 
 layout::NodeId
@@ -438,7 +437,7 @@ Session::moveNode(const std::string &path, double x, double y)
     if (n == layout::kNoNode)
         return false;
     force.dragNode(n, {x, y});
-    force.stabilize(40);
+    force.stabilize(40).value();
     force.releaseNode(n);
     maybeAudit("Session::moveNode");
     return true;
@@ -455,21 +454,42 @@ Session::pinNode(const std::string &path, bool pinned)
     return true;
 }
 
+support::Expected<agg::View>
+Session::viewWithin(bool with_stats, support::Deadline deadline) const
+{
+    // The mapping's metrics under Equation 1's default sum.
+    std::vector<agg::MetricRequest> requests;
+    for (trace::MetricId m : visMapping.referencedMetrics())
+        requests.emplace_back(m);
+    support::Expected<agg::View> v = agg::buildView(
+        tr, hierCut, slice, requests, with_stats, nThreads, deadline);
+    if (!v)
+        return VIVA_ERROR_CONTEXT(v.error(), "Session view");
+    return v;
+}
+
 agg::View
 Session::view(bool with_stats) const
 {
-    return agg::buildView(tr, hierCut, slice,
-                          visMapping.referencedMetrics(),
-                          agg::SpatialOp::Sum, with_stats, nThreads);
+    return viewWithin(with_stats, {}).value();
+}
+
+support::Expected<viz::Scene>
+Session::sceneWithin(const viz::SceneOptions &options, bool with_stats,
+                     support::Deadline deadline)
+{
+    support::Expected<agg::View> v = viewWithin(with_stats, deadline);
+    if (!v)
+        return VIVA_ERROR_CONTEXT(v.error(), "Session scene");
+    layout::Snapshot positions = layout::snapshotPositions(graph);
+    return viz::composeScene(*v, tr, positions, visMapping, typeScaling,
+                             options);
 }
 
 viz::Scene
 Session::scene(const viz::SceneOptions &options, bool with_stats)
 {
-    agg::View v = view(with_stats);
-    layout::Snapshot positions = layout::snapshotPositions(graph);
-    return viz::composeScene(v, tr, positions, visMapping, typeScaling,
-                             options);
+    return sceneWithin(options, with_stats, {}).value();
 }
 
 support::Expected<void>
@@ -480,33 +500,19 @@ Session::renderSvg(const std::string &path, const std::string &title)
         reg.histogram("session.render");
     obs::ScopedPhase timer(phase);
 
+    // The aggregation (the dominant cost on large cuts) runs under the
+    // operation deadline and discards its partial view on abort.
+    // Rendering never mutates session state, so nothing is rolled back.
+    support::Expected<viz::Scene> sc = sceneWithin(
+        {}, false, support::Deadline::after(opDeadlineNanos));
+    if (!sc) {
+        ++deadlineAborts;
+        return VIVA_ERROR_CONTEXT(sc.error(), "Session::renderSvg");
+    }
     viz::SvgOptions options;
     options.title = title;
-    if (opDeadlineNanos == 0) {
-        support::Expected<void> written =
-            viz::writeSvgFile(scene(), path, options);
-        if (!written)
-            return VIVA_ERROR_CONTEXT(written.error(),
-                                      "Session::renderSvg");
-        return written;
-    }
-
-    // Governed: the aggregation (the dominant cost on large cuts) runs
-    // under the deadline and discards its partial view on abort.
-    // Rendering never mutates session state, so no staging is needed.
-    support::OperationScope scope(opDeadlineNanos);
-    support::Expected<agg::View> v = agg::buildViewGoverned(
-        tr, hierCut, slice, visMapping.referencedMetrics(),
-        agg::SpatialOp::Sum, /*with_stats=*/false, nThreads);
-    if (!v) {
-        ++deadlineAborts;
-        return VIVA_ERROR_CONTEXT(v.error(), "Session::renderSvg");
-    }
-    layout::Snapshot positions = layout::snapshotPositions(graph);
-    viz::Scene sc = viz::composeScene(*v, tr, positions, visMapping,
-                                      typeScaling, {});
     support::Expected<void> written =
-        viz::writeSvgFile(sc, path, options);
+        viz::writeSvgFile(*sc, path, options);
     if (!written)
         return VIVA_ERROR_CONTEXT(written.error(),
                                   "Session::renderSvg");
@@ -714,12 +720,13 @@ Session::animate(std::size_t frames, const std::string &dir,
     // mid-animation rolls the slice and the layout back to their
     // pre-call state, so the caller never sees a half-animated
     // session. Frames already written stay on disk; they are plain
-    // output, not session state.
+    // output, not session state. Nothing inside changes the cut, so
+    // the node vector is the whole layout undo log.
     const agg::TimeSlice entry_slice = slice;
-    const layout::LayoutGraph entry_graph = graph;
+    const std::vector<layout::Node> entry_nodes = graph.rawNodes();
     auto rollback = [&] {
         slice = entry_slice;
-        graph = entry_graph;
+        graph.mutableNodes() = entry_nodes;
         maybeAudit("Session::animate rollback");
     };
     for (std::size_t f = 0; f < frames; ++f) {
@@ -816,7 +823,7 @@ Session::enforceBudget()
         hierCut.aggregateToDepth(std::uint16_t(deepest - 1));
         syncLayout();
         ++degradations;
-        support::ResourceGovernor::global().noteDegradation();
+        support::noteDegradation();
         support::warnLimited(
             "governor.degrade", "Session::enforceBudget",
             "working set over the ", memBudgetBytes,

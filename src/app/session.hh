@@ -12,6 +12,10 @@
  * disaggregated children fan out around their parent's old position,
  * then the force-directed algorithm smoothly relaxes -- the paper's
  * "smooth evolution of nodes position".
+ *
+ * One gesture can be bounded in time (setOperationDeadline): the
+ * layout and render operations pass a support::Deadline down to the
+ * one cancellable body of each layer and abort all or nothing.
  */
 
 #pragma once
@@ -25,6 +29,7 @@
 #include "layout/force.hh"
 #include "layout/graph.hh"
 #include "support/error.hh"
+#include "support/governor.hh"
 #include "support/obs.hh"
 #include "support/retry.hh"
 #include "trace/io.hh"
@@ -145,11 +150,10 @@ class Session
     /**
      * Run the force-directed algorithm until it settles (or the
      * iteration budget runs out). When an operation deadline is set
-     * (setOperationDeadline), the iterations run on a staged copy of
-     * the graph under the governor: a deadline abort returns
-     * Errc::Deadline and leaves every position and velocity bitwise
-     * unchanged; on success the staged graph is swapped in. Without a
-     * deadline this cannot fail.
+     * (setOperationDeadline), the session's engine runs under it and
+     * the node vector is saved first: a deadline abort restores it and
+     * returns Errc::Deadline, so every position and velocity is
+     * bitwise unchanged. Without a deadline this cannot fail.
      * @return iterations performed
      */
     support::Expected<std::size_t>
@@ -315,10 +319,12 @@ class Session
 
     /**
      * Set the per-operation deadline in nanoseconds (0 disables).
-     * While set, stabilizeLayout / stepLayout / renderSvg / animate
-     * run under the process-wide governor: work past the deadline is
-     * cooperatively cancelled and the operation returns Errc::Deadline
-     * with the session state bitwise unchanged.
+     * While set, each stabilizeLayout / stepLayout / renderSvg call
+     * (and so each frame of animate) builds a support::Deadline from
+     * it and passes it down: work past the deadline is cooperatively
+     * cancelled and the operation returns Errc::Deadline with the
+     * session state bitwise unchanged. view(), scene() and
+     * auditInvariants() never take a deadline.
      */
     void setOperationDeadline(std::uint64_t nanos);
 
@@ -336,7 +342,7 @@ class Session
     /** Cut coarsenings forced by the memory budget so far. */
     std::uint64_t degradationCount() const { return degradations; }
 
-    /** Operations aborted by the deadline governor so far. */
+    /** Operations aborted by their deadline so far. */
     std::uint64_t deadlineAbortCount() const { return deadlineAborts; }
 
     // --- observability ----------------------------------------------------
@@ -377,6 +383,23 @@ class Session
      * the session's earlier history.
      */
     void syncLayout();
+
+    /**
+     * Run one layout operation under the operation deadline, all or
+     * nothing: on a deadline abort the node vector is restored and the
+     * abort counted; on success the session is audited.
+     */
+    template <typename T, typename Run>
+    support::Expected<T> runLayout(const char *what, Run run);
+
+    /** The current view; cancellable by `deadline`. */
+    support::Expected<agg::View>
+    viewWithin(bool with_stats, support::Deadline deadline) const;
+
+    /** view -> position snapshot -> scene; cancellable by `deadline`. */
+    support::Expected<viz::Scene>
+    sceneWithin(const viz::SceneOptions &options, bool with_stats,
+                support::Deadline deadline);
 
     /** In a validate build, audit everything and panic on violations. */
     void maybeAudit(const char *what) const;

@@ -26,25 +26,8 @@ ForceLayout::ForceLayout(LayoutGraph &graph, ForceParams params)
 {
 }
 
-double
-ForceLayout::step(double timestep_scale)
-{
-    // Ungoverned: stepImpl never polls and cannot fail.
-    return stepImpl(timestep_scale, false).value();
-}
-
 support::Expected<double>
-ForceLayout::stepGoverned(double timestep_scale)
-{
-    support::Expected<double> stepped = stepImpl(timestep_scale, true);
-    if (!stepped)
-        return VIVA_ERROR_CONTEXT(stepped.error(),
-                                  "ForceLayout::stepGoverned");
-    return stepped;
-}
-
-support::Expected<double>
-ForceLayout::stepImpl(double timestep_scale, bool governed)
+ForceLayout::step(double timestep_scale, support::Deadline deadline)
 {
     obs::Registry &reg = obs::Registry::global();
     static const obs::HistogramId step_phase =
@@ -77,20 +60,21 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
 
     // Cooperative cancellation: each chunk polls once on entry and
     // latches the verdict, so an expired deadline costs one clock read
-    // total, not one per chunk. The ungoverned step never polls.
+    // total, not one per chunk. Without a deadline no poll reads the
+    // clock.
     std::atomic<bool> aborted{false};
     auto expired = [&]() {
-        if (!governed)
+        if (!deadline.armed())
             return false;
         if (aborted.load(std::memory_order_relaxed))
             return true;
-        if (!support::ResourceGovernor::global().deadlineExpired())
+        if (!deadline.expired())
             return false;
         aborted.store(true, std::memory_order_relaxed);
         return true;
     };
     auto abortError = [&]() {
-        support::ResourceGovernor::global().noteDeadlineAbort();
+        support::noteDeadlineAbort();
         return VIVA_ERROR(support::Errc::Deadline, "force step over ",
                           g.nodeCount(),
                           " nodes ran past its deadline");
@@ -231,35 +215,16 @@ ForceLayout::stepImpl(double timestep_scale, bool governed)
     return energy;
 }
 
-std::size_t
-ForceLayout::stabilize(std::size_t max_iters, double energy_per_node)
-{
-    // Ungoverned: stabilizeImpl never polls and cannot fail.
-    return stabilizeImpl(max_iters, energy_per_node, false).value();
-}
-
 support::Expected<std::size_t>
-ForceLayout::stabilizeGoverned(std::size_t max_iters,
-                               double energy_per_node)
-{
-    support::Expected<std::size_t> done =
-        stabilizeImpl(max_iters, energy_per_node, true);
-    if (!done)
-        return VIVA_ERROR_CONTEXT(done.error(),
-                                  "ForceLayout::stabilizeGoverned");
-    return done;
-}
-
-support::Expected<std::size_t>
-ForceLayout::stabilizeImpl(std::size_t max_iters,
-                           double energy_per_node, bool governed)
+ForceLayout::stabilize(std::size_t max_iters, double energy_per_node,
+                       support::Deadline deadline)
 {
     std::size_t done = 0;
     std::size_t n = std::max<std::size_t>(g.nodeCount(), 1);
     double cooling = 1.0;
     double prev = std::numeric_limits<double>::infinity();
     while (done < max_iters) {
-        support::Expected<double> stepped = stepImpl(cooling, governed);
+        support::Expected<double> stepped = step(cooling, deadline);
         if (!stepped) {
             return VIVA_ERROR_CONTEXT(stepped.error(),
                                       "stabilize aborted after ", done,

@@ -5,7 +5,9 @@
  * along edges, and a damping factor -- the three analyst-facing sliders
  * (Charge, Spring, Damping). The algorithm keeps iterating as nodes are
  * added, removed or dragged, so the layout evolves smoothly instead of
- * being recomputed from scratch.
+ * being recomputed from scratch. step() and stabilize() are the one
+ * code path with or without a time budget: an optional
+ * support::Deadline cancels them cooperatively.
  */
 
 #pragma once
@@ -16,6 +18,7 @@
 #include "layout/graph.hh"
 #include "layout/quadtree.hh"
 #include "support/error.hh"
+#include "support/governor.hh"
 #include "support/scratch.hh"
 
 namespace viva::layout
@@ -82,42 +85,32 @@ class ForceLayout
 
     /**
      * Advance one iteration.
+     *
+     * Cancellable: with a `deadline`, every repulsion chunk and each
+     * serial pass boundary polls it, and once it has passed the step
+     * aborts with Errc::Deadline *before* the integration commit --
+     * positions and velocities are exactly as before the call. Without
+     * one the step cannot fail.
      * @param timestep_scale multiplies the configured timestep (the
      *        cooling schedule of stabilize() uses this)
      * @return kinetic energy after the step
      */
-    double step(double timestep_scale = 1.0);
+    support::Expected<double> step(double timestep_scale = 1.0,
+                                   support::Deadline deadline = {});
 
     /**
      * Iterate until the average kinetic energy per node drops below
      * `energy_per_node` or `max_iters` is reached. A cooling schedule
      * shrinks the timestep whenever the energy stops decreasing, so
-     * near-equilibrium oscillation is damped out.
+     * near-equilibrium oscillation is damped out. A deadline abort
+     * propagates the step's error; iterations committed before it
+     * remain (Session rolls the node vector back for whole-operation
+     * atomicity).
      * @return iterations actually performed
      */
-    std::size_t stabilize(std::size_t max_iters = 500,
-                          double energy_per_node = 1e-3);
-
-    /**
-     * step() with cooperative cancellation: every repulsion chunk (and
-     * each serial pass boundary) polls the process-wide governor
-     * deadline, and when it has passed the step aborts with
-     * Errc::Deadline *before* the integration commit -- positions and
-     * velocities are exactly as before the call. The ungoverned step()
-     * never polls and never pays for the check beyond one branch.
-     */
-    support::Expected<double> stepGoverned(double timestep_scale = 1.0);
-
-    /**
-     * stabilize() with cooperative cancellation. A deadline abort
-     * propagates the stepGoverned error; iterations committed before
-     * the abort remain (callers wanting whole-operation atomicity run
-     * this on a staged graph copy and swap on success, as Session
-     * does).
-     */
     support::Expected<std::size_t>
-    stabilizeGoverned(std::size_t max_iters = 500,
-                      double energy_per_node = 1e-3);
+    stabilize(std::size_t max_iters = 500, double energy_per_node = 1e-3,
+              support::Deadline deadline = {});
 
     /** Kinetic energy of the system (sum of v^2 per node). */
     double kineticEnergy() const;
@@ -133,7 +126,10 @@ class ForceLayout
     /** Release a dragged node back to the solver. */
     void releaseNode(NodeId id);
 
-    /** Iterations performed since construction. */
+    /**
+     * Iterations performed since construction, including those a
+     * caller later rolled back after a deadline abort.
+     */
     std::size_t iterations() const { return iters; }
 
     /**
@@ -144,26 +140,7 @@ class ForceLayout
      */
     std::size_t quarantineCount() const { return quarantined; }
 
-    /**
-     * Fold another layout's iteration/quarantine counters into this
-     * one -- used after a staged graph copy (driven by a scratch
-     * ForceLayout) is swapped in, so the session-visible counters
-     * still account for the work actually performed.
-     */
-    void
-    absorbCounters(const ForceLayout &other)
-    {
-        iters += other.iters;
-        quarantined += other.quarantined;
-    }
-
   private:
-    support::Expected<double> stepImpl(double timestep_scale,
-                                       bool governed);
-    support::Expected<std::size_t> stabilizeImpl(std::size_t max_iters,
-                                                 double energy_per_node,
-                                                 bool governed);
-
     LayoutGraph &g;
     ForceParams prm;
     std::size_t iters = 0;

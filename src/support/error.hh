@@ -40,7 +40,7 @@ enum class Errc
     Budget,    ///< a parse budget (line length, containers, ...) hit
     NotFound,  ///< a named entity does not exist
     Invalid,   ///< a valid-looking request cannot be satisfied
-    Deadline,  ///< a governed operation ran past its time budget
+    Deadline,  ///< an operation ran past its support::Deadline
 };
 
 /** Stable lower-case name of an error code ("io", "parse", ...). */
@@ -176,7 +176,7 @@ class [[nodiscard]] Expected<void>
     /**
      * Assert success (the std::expected<void, E>::value() analogue);
      * the idiom for call sites where failure is impossible by
-     * construction, e.g. a governed operation with no deadline armed.
+     * construction, e.g. a cancellable operation given no deadline.
      */
     void
     value() const

@@ -1,9 +1,11 @@
 /**
  * @file
- * Implementation of the resource governor's deadline channel.
+ * Implementation of the operation deadline and the governor counters.
  */
 
 #include "support/governor.hh"
+
+#include <limits>
 
 #include "support/clock.hh"
 #include "support/obs.hh"
@@ -11,27 +13,27 @@
 namespace viva::support
 {
 
-ResourceGovernor &
-ResourceGovernor::global()
+Deadline
+Deadline::after(std::uint64_t budget_nanos)
 {
-    static ResourceGovernor instance;
-    return instance;
+    Deadline d;
+    if (budget_nanos == 0)
+        return d;
+    std::uint64_t now = clock().nowNanos();
+    constexpr std::uint64_t latest =
+        std::numeric_limits<std::uint64_t>::max();
+    d.at = budget_nanos > latest - now ? latest : now + budget_nanos;
+    return d;
 }
 
 bool
-ResourceGovernor::deadlineExpired() const
+Deadline::passed() const
 {
-    // Disarmed fast path: one relaxed load, no clock read. The clock
-    // is only consulted while a scope is armed, so ungoverned runs
-    // stay bitwise-deterministic under FakeClock.
-    std::uint64_t at = deadlineAt.load(std::memory_order_relaxed);
-    if (at == 0)
-        return false;
     return clock().nowNanos() >= at;
 }
 
 void
-ResourceGovernor::noteDeadlineAbort()
+noteDeadlineAbort()
 {
     // Aborts are rare; registering the name on each one is a map
     // lookup, not a hot-path cost (same policy as fault.fired.*).
@@ -40,37 +42,10 @@ ResourceGovernor::noteDeadlineAbort()
 }
 
 void
-ResourceGovernor::noteDegradation()
+noteDegradation()
 {
     obs::Registry &reg = obs::Registry::global();
     reg.add(reg.counter("governor.degradations"));
-}
-
-OperationScope::OperationScope(std::uint64_t budget_nanos)
-{
-    if (budget_nanos == 0)
-        return;
-    ResourceGovernor &gov = ResourceGovernor::global();
-    std::uint64_t expected = 0;
-    std::uint64_t at = clock().nowNanos() + budget_nanos;
-    // Outermost-wins: only arm when nothing is armed. Single-writer in
-    // practice (operations are driven from the session thread), but
-    // the CAS keeps nested arming well-defined regardless.
-    armed = gov.deadlineAt.compare_exchange_strong(
-        expected, at, std::memory_order_relaxed);
-}
-
-OperationScope::~OperationScope()
-{
-    if (armed)
-        ResourceGovernor::global().deadlineAt.store(
-            0, std::memory_order_relaxed);
-}
-
-bool
-OperationScope::expired() const
-{
-    return ResourceGovernor::global().deadlineExpired();
 }
 
 } // namespace viva::support

@@ -494,8 +494,10 @@ TEST(ParallelStress, RandomCutsViewIdentically)
         std::vector<va::MetricRequest> req{
             va::MetricRequest(rt.metric, va::SpatialOp::Average,
                               va::TemporalOp::Integral)};
-        va::View v1 = va::buildView(rt.trace, cut, slice, req, true, 1);
-        va::View v8 = va::buildView(rt.trace, cut, slice, req, true, 8);
+        va::View v1 =
+            va::buildView(rt.trace, cut, slice, req, true, 1).value();
+        va::View v8 =
+            va::buildView(rt.trace, cut, slice, req, true, 8).value();
         ASSERT_EQ(v1.nodes.size(), v8.nodes.size()) << "seed " << seed;
         for (std::size_t i = 0; i < v1.nodes.size(); ++i) {
             ASSERT_EQ(v1.nodes[i].id, v8.nodes[i].id);

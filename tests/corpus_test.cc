@@ -417,8 +417,15 @@ pristineCkpt()
     session.stabilizeLayout(30).value();
     session.pinNode("HostA", true);
     return vap::serializeCheckpoint([&] {
+        // One file per test: ctest runs the tests that call this in
+        // parallel processes, which must not write one shared path.
         auto dir = corpusDir();
-        auto path = (dir / "pristine.ckpt").string();
+        auto path = (dir / ("pristine-" +
+                            std::string(::testing::UnitTest::GetInstance()
+                                            ->current_test_info()
+                                            ->name()) +
+                            ".ckpt"))
+                        .string();
         EXPECT_TRUE(session.checkpoint(path).ok());
         auto image = vap::readCheckpointFile(path);
         EXPECT_TRUE(image.ok());

@@ -101,7 +101,8 @@ TEST(TemporalOps, MixedRequestsInOneView)
         va::MetricRequest(power, va::SpatialOp::Max),
         va::MetricRequest(used, va::SpatialOp::Average),
     };
-    va::View view = va::buildView(trace, cut, {0.0, 1.0}, requests);
+    va::View view =
+        va::buildView(trace, cut, {0.0, 1.0}, requests).value();
     ASSERT_EQ(view.nodes.size(), 1u);
     EXPECT_DOUBLE_EQ(view.nodes[0].values[0], 40.0);  // sum
     EXPECT_DOUBLE_EQ(view.nodes[0].values[1], 30.0);  // max

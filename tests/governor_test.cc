@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -68,7 +69,44 @@ struct ExpiredClockFixture
 
 TEST(Governor, DisarmedPollIsFalse)
 {
-    EXPECT_FALSE(vs::ResourceGovernor::global().deadlineExpired());
+    // No deadline (default or zero budget) never expires, and its poll
+    // never reads the clock: the 1 ms-per-read fake stays put.
+    vs::FakeClock fake(0, 1'000'000);
+    vs::ClockOverride guard(fake);
+    for (vs::Deadline none : {vs::Deadline(), vs::Deadline::after(0)}) {
+        EXPECT_FALSE(none.armed());
+        EXPECT_FALSE(none.expired());
+    }
+    EXPECT_EQ(fake.nowNanos(), 0u);
+}
+
+TEST(Governor, DeadlineArithmeticSaturates)
+{
+    // 1 + UINT64_MAX wraps to exactly 0, which would mean "none".
+    vs::FakeClock fake(1, 0);
+    vs::ClockOverride guard(fake);
+    vs::Deadline far = vs::Deadline::after(UINT64_MAX);
+    EXPECT_TRUE(far.armed());
+    EXPECT_FALSE(far.expired());
+}
+
+TEST(Governor, HugeDeadlineCommitsTheIdenticalResult)
+{
+    // now + UINT64_MAX must saturate: a wrapped sum lands in the past
+    // and aborts the first poll of an operation that has all the time
+    // in the world.
+    vs::FakeClock fake(5'000'000'000, 1000);
+    vs::ClockOverride guard(fake);
+    vap::Session governed(vt::makeFigure1Trace());
+    vap::Session plain(vt::makeFigure1Trace());
+    governed.setOperationDeadline(UINT64_MAX);
+
+    auto done = governed.stabilizeLayout(50);
+    ASSERT_TRUE(done.ok()) << done.error().toString();
+    EXPECT_EQ(*done, plain.stabilizeLayout(50).value());
+    EXPECT_EQ(governed.deadlineAbortCount(), 0u);
+    governed.setOperationDeadline(0);
+    EXPECT_EQ(governed.stateDigest(), plain.stateDigest());
 }
 
 TEST(Governor, StabilizeAbortLeavesStateBitwiseUnchanged)
@@ -128,6 +166,68 @@ TEST(Governor, AnimateAbortRollsTheWholeOperationBack)
     EXPECT_EQ(frames.error().code(), vs::Errc::Deadline);
     // The rollback covers the slice and the layout: bitwise identical.
     EXPECT_EQ(s.stateDigest(), digest);
+}
+
+TEST(Governor, MidOperationAbortRollsBackCommittedIterations)
+{
+    // The Grid'5000 session at four threads: dozens of repulsion
+    // chunks per step race to latch the abort, and the deadline trips
+    // only after several iterations have committed.
+    vt::Trace t;
+    viva::platform::mirrorPlatform(viva::platform::makeGrid5000(), t);
+    vap::Session s(std::move(t));
+    s.setThreads(4);
+    vs::FakeClock fake(0, 1000);
+    vs::ClockOverride guard(fake);
+
+    // Measure the clock reads of one step under an armed deadline,
+    // then give the operation room for three and a half of them.
+    s.setOperationDeadline(1ull << 60);
+    std::uint64_t before = fake.nowNanos();
+    ASSERT_TRUE(s.stepLayout(1).ok());
+    const std::uint64_t per_step = fake.nowNanos() - before;
+    s.setOperationDeadline(per_step * 7 / 2);
+
+    namespace obs = vs::obs;
+    obs::Registry &reg = obs::Registry::global();
+    const obs::CounterId iterations = reg.counter("layout.force.iterations");
+    const std::uint64_t digest = s.stateDigest();
+    const std::uint64_t aborts = s.deadlineAbortCount();
+    const std::uint64_t engine_before = s.layoutEngine().iterations();
+    const std::uint64_t registry_before = reg.counterValue(iterations);
+
+    auto done = s.stabilizeLayout(300);
+    ASSERT_FALSE(done.ok());
+    EXPECT_EQ(done.error().code(), vs::Errc::Deadline);
+    const std::uint64_t performed =
+        reg.counterValue(iterations) - registry_before;
+    EXPECT_GE(performed, 1u) << "the abort must follow committed work";
+    EXPECT_EQ(s.layoutEngine().iterations() - engine_before, performed);
+    EXPECT_EQ(s.deadlineAbortCount(), aborts + 1);
+    EXPECT_EQ(s.stateDigest(), digest);
+}
+
+TEST(Governor, ExpiredDeadlineCancelsNothingReadOnly)
+{
+    vap::Session plain(vt::makeFigure1Trace());
+    const viva::agg::View expected = plain.view(true);
+    const std::size_t expected_shapes = plain.scene().nodes.size();
+
+    ExpiredClockFixture clock;
+    vap::Session s(vt::makeFigure1Trace());
+    s.setOperationDeadline(1);
+
+    viva::agg::View v = s.view(true);
+    ASSERT_EQ(v.nodes.size(), s.cut().visibleCount());
+    ASSERT_EQ(v.nodes.size(), expected.nodes.size());
+    EXPECT_EQ(v.edges.size(), expected.edges.size());
+    for (std::size_t i = 0; i < v.nodes.size(); ++i) {
+        EXPECT_EQ(v.nodes[i].id, expected.nodes[i].id);
+        EXPECT_EQ(v.nodes[i].values, expected.nodes[i].values);
+    }
+    EXPECT_EQ(s.scene().nodes.size(), expected_shapes);
+    EXPECT_TRUE(s.auditInvariants().empty());
+    EXPECT_EQ(s.deadlineAbortCount(), 0u);
 }
 
 TEST(Governor, GenerousDeadlineCommitsTheIdenticalResult)
@@ -272,6 +372,11 @@ TEST(GovernorCommands, SettingsAndStatusRoundTrip)
     std::ostringstream err;
     EXPECT_FALSE(cli.execute("set mem-budget", err));
     EXPECT_FALSE(cli.execute("set deadline-ms nope", err));
+    // 18446744073710 ms is past UINT64_MAX ns: rejected, not wrapped.
+    EXPECT_FALSE(cli.execute("set deadline-ms 18446744073710", err));
+    EXPECT_NE(err.str().find("error: deadline-ms 18446744073710"),
+              std::string::npos);
+    EXPECT_EQ(s.operationDeadline(), 250ull * 1000000ull);
 }
 
 TEST(GovernorCommands, StabilizeCommandSurfacesTheDeadlineError)

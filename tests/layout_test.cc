@@ -328,7 +328,7 @@ TEST(ForceLayout, TwoConnectedNodesApproachRestLength)
     g.addEdge(a, b);
     vl::ForceLayout layout(g);
     layout.params().restLength = 40.0;
-    layout.stabilize(3000, 1e-10);
+    layout.stabilize(3000, 1e-10).value();
 
     double d = vl::distance(g.node(a).position, g.node(b).position);
     // Equilibrium: spring pull equals charge push, so distance settles
@@ -350,7 +350,7 @@ TEST(ForceLayout, DisconnectedNodesRepel)
     vl::ForceLayout layout(g);
     double before = vl::distance(g.node(a).position, g.node(b).position);
     for (int i = 0; i < 50; ++i)
-        layout.step();
+        layout.step().value();
     double after = vl::distance(g.node(a).position, g.node(b).position);
     EXPECT_GT(after, before);
 }
@@ -367,7 +367,7 @@ TEST(ForceLayout, StabilizeConverges)
         g.addEdge(ids[i], ids[rng.index(i)]);  // random tree
 
     vl::ForceLayout layout(g);
-    std::size_t iters = layout.stabilize(2000, 1e-4);
+    std::size_t iters = layout.stabilize(2000, 1e-4).value();
     EXPECT_LT(iters, 2000u);
     EXPECT_LT(layout.kineticEnergy() / 30.0, 1e-4);
 }
@@ -380,7 +380,7 @@ TEST(ForceLayout, PinnedNodeStaysPut)
     g.addEdge(a, b);
     g.setPinned(a, true);
     vl::ForceLayout layout(g);
-    layout.stabilize(500);
+    layout.stabilize(500).value();
     EXPECT_DOUBLE_EQ(g.node(a).position.x, 5.0);
     EXPECT_DOUBLE_EQ(g.node(a).position.y, 5.0);
     EXPECT_NE(g.node(b).position.x, 6.0);  // b moved away
@@ -397,11 +397,11 @@ TEST(ForceLayout, DragPullsNeighborsAlong)
         g.addEdge(n[i], n[i + 1]);
 
     vl::ForceLayout layout(g);
-    layout.stabilize(500);
+    layout.stabilize(500).value();
     double before = g.node(n[1]).position.x;
 
     layout.dragNode(n[0], {-500.0, 0.0});
-    layout.stabilize(800);
+    layout.stabilize(800).value();
     layout.releaseNode(n[0]);
     EXPECT_DOUBLE_EQ(g.node(n[0]).position.x, -500.0);  // held while pinned
     EXPECT_LT(g.node(n[1]).position.x, before - 50.0);  // followed left
@@ -420,7 +420,7 @@ TEST(ForceLayout, ChargeSliderSpreadsLayout)
             g.addEdge(ids[i], ids[(i - 1) / 2]);  // binary tree
         vl::ForceLayout layout(g);
         layout.params().charge = charge;
-        layout.stabilize(1500, 1e-6);
+        layout.stabilize(1500, 1e-6).value();
         return vl::boundingBoxArea(g);
     };
     // Higher charge, more disperse nodes (Section 4.2).
@@ -440,7 +440,7 @@ TEST(ForceLayout, SpringSliderTightensEdges)
             g.addEdge(ids[i], ids[(i - 1) / 2]);
         vl::ForceLayout layout(g);
         layout.params().spring = spring;
-        layout.stabilize(1500, 1e-6);
+        layout.stabilize(1500, 1e-6).value();
         return vl::edgeLengths(g).mean();
     };
     EXPECT_LT(mean_edge(0.5), mean_edge(0.02));
@@ -460,7 +460,7 @@ TEST(ForceLayout, BarnesHutMatchesExactStepClosely)
         vl::ForceLayout layout(g);
         layout.params().useBarnesHut = use_bh;
         layout.params().theta = 0.5;
-        layout.stabilize(400, 1e-8);
+        layout.stabilize(400, 1e-8).value();
         return vl::snapshotPositions(g);
     };
     auto exact = run(false);
@@ -484,14 +484,14 @@ TEST(ForceLayout, DynamicInsertKeepsOthersNear)
     for (int i = 1; i < 25; ++i)
         g.addEdge(ids[i], ids[(i - 1) / 2]);
     vl::ForceLayout layout(g);
-    layout.stabilize(2000, 1e-6);
+    layout.stabilize(2000, 1e-6).value();
     auto before = vl::snapshotPositions(g);
     double extent = std::sqrt(vl::boundingBoxArea(g));
 
     // Insert a node connected to node 0, near it.
     auto fresh = g.addNode(1000, g.node(ids[0]).position + vl::Vec2{5, 5});
     g.addEdge(fresh, ids[0]);
-    layout.stabilize(2000, 1e-6);
+    layout.stabilize(2000, 1e-6).value();
 
     auto after = vl::snapshotPositions(g);
     viva::support::RunningStats d = vl::displacement(before, after);

@@ -204,7 +204,7 @@ layoutWith(std::size_t threads, bool barnes_hut, std::size_t steps,
     layout.params().useBarnesHut = barnes_hut;
     layout.params().threads = threads;
     for (std::size_t s = 0; s < steps; ++s)
-        layout.step();
+        layout.step().value();
     std::vector<vl::Vec2> out;
     for (const vl::Node &node : g.rawNodes())
         out.push_back(node.position);
@@ -247,7 +247,8 @@ TEST(ParallelLayout, StabilizeIsBitwiseThreadCountInvariant)
         vl::LayoutGraph g = makeGraph(200, 7);
         vl::ForceLayout layout(g);
         layout.params().threads = threads;
-        std::size_t iters = layout.stabilize(400, 1e-4);
+        std::size_t iters =
+            layout.stabilize(400, 1e-4).value();
         std::vector<vl::Vec2> out;
         for (const vl::Node &node : g.rawNodes())
             out.push_back(node.position);
@@ -351,9 +352,11 @@ TEST(ParallelAggregation, BuildViewIsBitwiseThreadCountInvariant)
                           va::TemporalOp::Max)};
     for (bool with_stats : {false, true}) {
         va::View v1 = va::buildView(f.trace, cut, {0.3, 2.9}, requests,
-                                    with_stats, 1);
+                                    with_stats, 1)
+                            .value();
         va::View v8 = va::buildView(f.trace, cut, {0.3, 2.9}, requests,
-                                    with_stats, 8);
+                                    with_stats, 8)
+                            .value();
         ASSERT_EQ(v1.nodes.size(), v8.nodes.size());
         for (std::size_t i = 0; i < v1.nodes.size(); ++i) {
             ASSERT_EQ(v1.nodes[i].id, v8.nodes[i].id);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <functional>
+#include <locale>
 #include <map>
 #include <regex>
 #include <set>
@@ -631,6 +632,14 @@ std::vector<Finding>
 runLint(const std::vector<FileInput> &files, std::size_t jobs)
 {
     const std::size_t n = files.size();
+
+    // std::regex narrows pattern characters through the global
+    // locale's ctype<char>, whose narrow() fills a lazy per-character
+    // cache on first use. Fill it here, before workers compile
+    // patterns concurrently, so no two of them write one cache slot.
+    const auto &ctype = std::use_facet<std::ctype<char>>(std::locale());
+    for (int c = 0; c < 256; ++c)
+        (void)ctype.narrow(static_cast<char>(c), '\0');
 
     // Chunk bodies write only their own index's slot, so parallel
     // passes merge into the same state serial ones produce.
