@@ -59,7 +59,10 @@ BM_VariableValueAt(benchmark::State &state)
     state.SetComplexityN(state.range(0));
 }
 
-/** The mirrored Grid'5000 trace with one utilization point per host. */
+/**
+ * The mirrored Grid'5000 trace with one utilization point per host,
+ * query-accelerated as a Session's trace is.
+ */
 const vt::Trace &
 gridTrace()
 {
@@ -72,6 +75,7 @@ gridTrace()
             t.variable(c, mirror.powerUsed)
                 .set(0.0, rng.uniform(0.0, 5000.0));
         }
+        t.ensureQueryAcceleration();
         return t;
     }();
     return trace;
@@ -109,7 +113,9 @@ BM_VisibleEdges(benchmark::State &state)
 /**
  * A 10,000-host synthetic grid (10 sites x 10 clusters x 100 hosts)
  * with a short piecewise-constant utilization history per host -- the
- * input for the parallel-aggregation speedup benchmarks.
+ * input for the parallel-aggregation speedup benchmarks. Accelerated
+ * (slice indexes and closure cache), so the benchmarks time the path a
+ * Session runs rather than the stale-closure fallback.
  */
 const vt::Trace &
 bigTrace()
@@ -129,6 +135,7 @@ bigTrace()
                 time += vals.uniform(0.5, 2.0);
             }
         }
+        t.ensureQueryAcceleration();
         return t;
     }();
     return trace;

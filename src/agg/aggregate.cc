@@ -86,17 +86,53 @@ fold(Partial &p, double v, SpatialOp op)
     }
 }
 
-/** Chunk-order partial combiner (shared by both fold paths). */
-Partial
-combinePartials(Partial a, Partial b, SpatialOp op)
+/**
+ * The Eq.-1 spatial reduction of `term(0) .. term(n - 1)`: left to right
+ * inside kLeafChunk-sized chunks, partials combined in ascending chunk
+ * order. The one fold behind every aggregated value, so value() and
+ * the with-stats view agree to the bit for every thread count.
+ */
+template <class Term>
+double
+spatialFold(std::size_t n, SpatialOp op, std::size_t threads,
+            Term &&term)
 {
-    if (!b.any)
-        return a;
-    if (!a.any)
-        return b;
-    fold(a, b.acc, op);
-    a.count += b.count - 1;  // fold counted b as one value
-    return a;
+    Partial total = support::ThreadPool::global().reduceOrdered<Partial>(
+        0, n, kLeafChunk, threads, Partial{},
+        [&](std::size_t lo, std::size_t hi) {
+            Partial p;
+            for (std::size_t i = lo; i < hi; ++i)
+                fold(p, term(i), op);
+            return p;
+        },
+        [op](Partial a, Partial b) {
+            if (!b.any)
+                return a;
+            if (!a.any)
+                return b;
+            fold(a, b.acc, op);
+            a.count += b.count - 1;  // fold counted b as one value
+            return a;
+        });
+    if (!total.any)
+        return 0.0;
+    if (op == SpatialOp::Average)
+        return total.acc / double(total.count);
+    return total.acc;
+}
+
+/**
+ * The carrier list an Eq.-1 query reduces: the closure's cached span
+ * when fresh, otherwise the same list recomputed into `stale`.
+ */
+std::span<const trace::Variable *const>
+carrierList(const trace::Trace &trace, ContainerId node, MetricId m,
+            std::vector<const trace::Variable *> &stale)
+{
+    if (trace.closureFresh())
+        return trace.carriers(node, m);
+    stale = trace.collectCarriers(node, m);
+    return stale;
 }
 
 } // namespace
@@ -119,110 +155,26 @@ Aggregator::value(ContainerId node, MetricId m, const TimeSlice &slice,
     // here would dominate the quantity being measured. buildView()
     // times the enclosing pass instead.
     obs::Registry &reg = obs::Registry::global();
-    const bool armed = reg.enabled();
-    if (armed)
+    if (reg.enabled()) {
         reg.add(valuesCounter);
-
-    support::ThreadPool &pool = support::ThreadPool::global();
-    auto combine = [op](Partial a, Partial b) {
-        return combinePartials(a, b, op);
-    };
-
-    Partial total;
-    if (tr->closureFresh()) {
-        // The cached Eq.-1 fold: no subtree materialization, no
-        // findVariable hash lookups -- just the precomputed carrier
-        // list, reduced over the same fixed-size chunks.
-        if (armed)
-            reg.add(closureHits);
-        std::span<const trace::Variable *const> carried =
-            tr->carriers(node, m);
-        total = pool.reduceOrdered<Partial>(
-            0, carried.size(), kLeafChunk, nthreads, Partial{},
-            [&](std::size_t lo, std::size_t hi) {
-                Partial p;
-                for (std::size_t i = lo; i < hi; ++i)
-                    fold(p, reduce(*carried[i], slice, top), op);
-                return p;
-            },
-            combine);
-    } else {
-        // Every container in the subtree that carries the variable
-        // contributes -- not just leaves, since traces may attach
-        // measurements at any level (hosts with process children, say).
-        if (armed)
-            reg.add(closureMisses);
-        std::vector<ContainerId> members = tr->subtree(node);
-        total = pool.reduceOrdered<Partial>(
-            0, members.size(), kLeafChunk, nthreads, Partial{},
-            [&](std::size_t lo, std::size_t hi) {
-                Partial p;
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const trace::Variable *var =
-                        tr->findVariable(members[i], m);
-                    if (!var || var->empty())
-                        continue;
-                    fold(p, reduce(*var, slice, top), op);
-                }
-                return p;
-            },
-            combine);
+        reg.add(tr->closureFresh() ? closureHits : closureMisses);
     }
-    if (!total.any)
-        return 0.0;
-    if (op == SpatialOp::Average)
-        return total.acc / double(total.count);
-    return total.acc;
+    std::vector<const trace::Variable *> stale;
+    std::span<const trace::Variable *const> carried =
+        carrierList(*tr, node, m, stale);
+    return spatialFold(carried.size(), op, nthreads, [&](std::size_t i) {
+        return reduce(*carried[i], slice, top);
+    });
 }
 
 support::Samples
 Aggregator::distribution(ContainerId node, MetricId m,
                          const TimeSlice &slice, TemporalOp top) const
 {
-    // Per-chunk sample vectors concatenated in chunk order: the sample
-    // sequence equals the serial traversal for every thread count --
-    // and for both fold paths, since the carrier list holds exactly
-    // the non-empty subtree variables in preorder.
-    support::ThreadPool &pool = support::ThreadPool::global();
-    std::vector<double> all;
-    auto concat = [](std::vector<double> a, std::vector<double> b) {
-        a.insert(a.end(), b.begin(), b.end());
-        return a;
-    };
-    if (tr->closureFresh()) {
-        std::span<const trace::Variable *const> carried =
-            tr->carriers(node, m);
-        all = pool.reduceOrdered<std::vector<double>>(
-            0, carried.size(), kLeafChunk, nthreads,
-            std::vector<double>{},
-            [&](std::size_t lo, std::size_t hi) {
-                std::vector<double> part;
-                part.reserve(hi - lo);
-                for (std::size_t i = lo; i < hi; ++i)
-                    part.push_back(reduce(*carried[i], slice, top));
-                return part;
-            },
-            concat);
-    } else {
-        std::vector<ContainerId> members = tr->subtree(node);
-        all = pool.reduceOrdered<std::vector<double>>(
-            0, members.size(), kLeafChunk, nthreads,
-            std::vector<double>{},
-            [&](std::size_t lo, std::size_t hi) {
-                std::vector<double> part;
-                for (std::size_t i = lo; i < hi; ++i) {
-                    const trace::Variable *var =
-                        tr->findVariable(members[i], m);
-                    if (var && !var->empty())
-                        part.push_back(reduce(*var, slice, top));
-                }
-                return part;
-            },
-            concat);
-    }
+    std::vector<const trace::Variable *> stale;
     support::Samples samples;
-    for (double v : all)
-        samples.add(v);
+    for (const trace::Variable *var : carrierList(*tr, node, m, stale))
+        samples.add(reduce(*var, slice, top));
     return samples;
 }
 
@@ -265,8 +217,8 @@ View::valueOf(ContainerId id, MetricId m) const
     std::size_t node = indexOf(id);
     if (node == npos)
         return 0.0;
-    for (std::size_t k = 0; k < metrics.size(); ++k)
-        if (metrics[k] == m)
+    for (std::size_t k = 0; k < requests.size(); ++k)
+        if (requests[k].metric == m)
             return nodes[node].values[k];
     return 0.0;
 }
@@ -284,9 +236,6 @@ buildView(const trace::Trace &trace, const HierarchyCut &cut,
     View view;
     view.slice = slice;
     view.requests = requests;
-    view.metrics.reserve(requests.size());
-    for (const MetricRequest &r : requests)
-        view.metrics.push_back(r.metric);
 
     // One slot per visible node, filled by exactly one worker: the
     // parallel build writes the same bits the serial one would, in the
@@ -319,16 +268,14 @@ buildView(const trace::Trace &trace, const HierarchyCut &cut,
                 node.values.reserve(requests.size());
                 for (const MetricRequest &r : requests) {
                     if (with_stats) {
+                        // The value folds the distribution's samples
+                        // exactly as value() folds the carriers.
                         support::Samples s = agg.distribution(
                             id, r.metric, slice, r.temporal);
-                        double v = 0.0;
-                        switch (r.spatial) {
-                          case SpatialOp::Sum: v = s.sum(); break;
-                          case SpatialOp::Average: v = s.mean(); break;
-                          case SpatialOp::Max: v = s.max(); break;
-                          case SpatialOp::Min: v = s.min(); break;
-                        }
-                        node.values.push_back(v);
+                        const std::vector<double> &xs = s.data();
+                        node.values.push_back(spatialFold(
+                            xs.size(), r.spatial, 1,
+                            [&](std::size_t j) { return xs[j]; }));
                         node.stats.push_back({s.variance(), s.median(),
                                               s.min(), s.max()});
                     } else {
@@ -377,8 +324,8 @@ writeViewCsv(const View &view, const trace::Trace &trace,
         !view.nodes.empty() && !view.nodes[0].stats.empty();
 
     out << "container,kind,aggregated,leaves,slice_begin,slice_end";
-    for (trace::MetricId m : view.metrics) {
-        const std::string &name = trace.metric(m).name;
+    for (const MetricRequest &r : view.requests) {
+        const std::string &name = trace.metric(r.metric).name;
         out << ',' << name;
         if (with_stats)
             out << ',' << name << "_variance," << name << "_median,"
@@ -411,22 +358,8 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
           const View &view)
 {
     using support::auditFail;
-    using support::nearlyEqual;
-
-    // Equation-1 conservation tolerance: the serial recomputation must
-    // reproduce every aggregated value to full double precision.
-    constexpr double kTol = 1e-12;
 
     support::AuditLog log;
-    if (view.metrics.size() != view.requests.size())
-        auditFail(log, "view lists ", view.metrics.size(),
-                  " metrics for ", view.requests.size(), " requests");
-    for (std::size_t k = 0;
-         k < std::min(view.metrics.size(), view.requests.size()); ++k)
-        if (view.metrics[k] != view.requests[k].metric)
-            auditFail(log, "metric column ", k,
-                      " disagrees with its request");
-
     std::vector<ContainerId> visible = cut.visibleNodes();
     if (view.nodes.size() != visible.size()) {
         auditFail(log, "view holds ", view.nodes.size(),
@@ -470,11 +403,12 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
             }
             double expect = serial.value(node.id, r.metric, view.slice,
                                          r.spatial, r.temporal);
-            if (!nearlyEqual(node.values[k], expect, kTol))
+            if (node.values[k] != expect)
                 auditFail(log, "node ", i, " ('",
                           trace.fullName(node.id), "') metric ", k,
-                          ": value ", node.values[k],
-                          " != serial recomputation ", expect,
+                          ": value ", support::formatDouble(node.values[k]),
+                          " != serial recomputation ",
+                          support::formatDouble(expect),
                           " (Equation-1 conservation)");
         }
     }

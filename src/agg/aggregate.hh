@@ -8,7 +8,10 @@
  * combination (sum by default) of the time-averages of every leaf below
  * it, so a cluster node's "power" is the cluster's total power and its
  * "power_used" the cluster's total consumption -- directly comparable as
- * size and proportional fill.
+ * size and proportional fill. The "leaves" are the node's carrier list
+ * (trace::Trace::carriers): every container of the subtree with a
+ * non-empty variable, in preorder. One chunked fold over that list
+ * yields every aggregated value, with or without statistics.
  *
  * The statistical indicators (variance, median, extrema) implement the
  * paper's stated future-work extension: they flag aggregated nodes whose
@@ -73,10 +76,13 @@ struct MetricRequest
  * Computes aggregated values against one trace. Stateless apart from
  * the borrowed trace and the thread knob; cheap to construct.
  *
- * Reductions over a subtree run over fixed-size leaf chunks whose
- * partials combine in ascending chunk order, so the result is bitwise
- * identical for every thread count (the chunk decomposition never
- * depends on it).
+ * Every query reads one carrier list -- the trace's cached
+ * carriers(node, m) when its closure is fresh, otherwise the same list
+ * from collectCarriers(node, m) -- so a stale closure changes the cost
+ * of a query, never its bits. value() reduces that list over
+ * fixed-size chunks whose partials combine in ascending chunk order,
+ * so the result is bitwise identical for every thread count (the chunk
+ * decomposition never depends on it).
  */
 class Aggregator
 {
@@ -106,9 +112,10 @@ class Aggregator
                  TemporalOp top = TemporalOp::Average) const;
 
     /**
-     * The per-leaf temporal reductions under a node (the distribution
-     * an aggregated value summarizes). Leaves without the variable are
-     * skipped.
+     * The temporal reductions of the node's carrier list, in carrier
+     * order (the distribution an aggregated value summarizes).
+     * Containers without the variable are skipped. Serial: buildView
+     * already runs it inside its workers.
      */
     support::Samples distribution(
         trace::ContainerId node, trace::MetricId m,
@@ -173,10 +180,8 @@ struct ViewNode
 struct View
 {
     TimeSlice slice;
-    /** What was requested, operators included. */
+    /** What was requested, operators included; column k of every node. */
     std::vector<MetricRequest> requests;
-    /** requests[k].metric, kept flat for fast lookups. */
-    std::vector<trace::MetricId> metrics;
     std::vector<ViewNode> nodes;
     std::vector<ViewEdge> edges;
 
@@ -194,7 +199,10 @@ struct View
  *
  * Visible nodes are aggregated in parallel when `threads > 1` (each
  * worker fills its own node slots, so the view is bitwise identical to
- * the serial build for every thread count).
+ * the serial build for every thread count). With `with_stats` each
+ * value folds the distribution's samples through the same chunked
+ * reduction as Aggregator::value, so it is bitwise equal to the value
+ * of the plain build.
  *
  * Cancellable: with a `deadline`, every worker polls it once per
  * visible node, and once it has passed the build aborts with
@@ -238,8 +246,8 @@ void writeViewCsv(const View &view, const trace::Trace &trace,
  * built from: the nodes are exactly the cut's visible nodes in order,
  * every value vector matches the requests, the edges equal an
  * independent re-projection of the relations, and -- the Equation-1
- * conservation check -- every aggregated value equals a serial
- * recomputation within a 1e-12 relative tolerance.
+ * conservation check -- every aggregated value is bitwise equal to a
+ * serial recomputation (one fold, so there is no tolerance).
  * @return the violated invariants; empty when well-formed
  */
 support::AuditLog auditView(const trace::Trace &trace,

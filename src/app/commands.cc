@@ -461,8 +461,8 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
         for (const agg::ViewNode &n : v.nodes) {
             out << (n.aggregated ? "* " : "  ")
                 << sess.trace().fullName(n.id);
-            for (std::size_t k = 0; k < v.metrics.size(); ++k) {
-                out << ' ' << sess.trace().metric(v.metrics[k]).name
+            for (std::size_t k = 0; k < v.requests.size(); ++k) {
+                out << ' ' << sess.trace().metric(v.requests[k].metric).name
                     << '=' << n.values[k];
             }
             out << "\n";

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the atomic-replace shim.
+ * Implementation of the file-output helpers.
  */
 
 #include "support/atomic_file.hh"
@@ -8,9 +8,33 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+
+#include "support/fault.hh"
 
 namespace viva::support
 {
+
+Expected<void>
+writeOutputFile(const std::string &path, const char *fault_point,
+                obs::CounterId errors,
+                const std::function<void(std::ostream &)> &write)
+{
+    obs::Registry &reg = obs::Registry::global();
+    std::ofstream out(path);
+    if (!out) {
+        reg.add(errors);
+        return VIVA_ERROR(Errc::Io, "cannot open '", path,
+                          "' for writing");
+    }
+    write(out);
+    out.flush();
+    if (!out || faultAt(fault_point)) {
+        reg.add(errors);
+        return VIVA_ERROR(Errc::Io, "write failed for '", path, "'");
+    }
+    return {};
+}
 
 Expected<void>
 atomicReplace(const std::string &temp_path,

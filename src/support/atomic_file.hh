@@ -1,6 +1,8 @@
 /**
  * @file
- * support::atomicReplace -- the one audited atomic-rename code path.
+ * File output: support::writeOutputFile, the one open-write-flush path
+ * of every trace and SVG writer, and support::atomicReplace, the one
+ * audited atomic-rename code path.
  *
  * Durable writers follow write-temp -> flush -> atomic-rename so a
  * crash at any byte leaves either the old file or the new one, never
@@ -12,12 +14,25 @@
 
 #pragma once
 
+#include <functional>
+#include <iosfwd>
 #include <string>
 
 #include "support/error.hh"
+#include "support/obs.hh"
 
 namespace viva::support
 {
+
+/**
+ * Write `path` (truncating) through `write`, then flush. A failed
+ * open, a failed stream or the injected `fault_point` firing returns
+ * an Errc::Io error and adds one to the `errors` counter.
+ */
+Expected<void> writeOutputFile(
+    const std::string &path, const char *fault_point,
+    obs::CounterId errors,
+    const std::function<void(std::ostream &)> &write);
 
 /**
  * Atomically replace `final_path` with `temp_path` (same filesystem;

@@ -10,6 +10,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "support/atomic_file.hh"
 #include "support/fault.hh"
 #include "support/logging.hh"
 #include "support/obs.hh"
@@ -89,22 +90,14 @@ writeTrace(const Trace &trace, std::ostream &out)
 support::Expected<void>
 writeTraceFile(const Trace &trace, const std::string &path)
 {
-    obs::Registry &reg = obs::Registry::global();
-    static const obs::CounterId errors = reg.counter("trace.write.errors");
-
-    std::ofstream out(path);
-    if (!out) {
-        reg.add(errors);
-        return VIVA_ERROR(Errc::Io, "cannot open '", path,
-                          "' for writing");
-    }
-    writeTrace(trace, out);
-    out.flush();
-    if (!out || support::faultAt("trace.write.stream")) {
-        reg.add(errors);
-        return VIVA_ERROR(Errc::Io, "write failed for '", path, "'");
-    }
-    return {};
+    static const obs::CounterId errors =
+        obs::Registry::global().counter("trace.write.errors");
+    support::Expected<void> written = support::writeOutputFile(
+        path, "trace.write.stream", errors,
+        [&](std::ostream &out) { writeTrace(trace, out); });
+    if (!written)
+        return VIVA_ERROR_CONTEXT(written.error(), "writeTraceFile");
+    return written;
 }
 
 namespace

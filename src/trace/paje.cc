@@ -22,6 +22,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "support/atomic_file.hh"
 #include "support/fault.hh"
 #include "support/logging.hh"
 #include "support/obs.hh"
@@ -608,22 +609,14 @@ writePajeTrace(const Trace &trace, std::ostream &out)
 support::Expected<void>
 writePajeTraceFile(const Trace &trace, const std::string &path)
 {
-    obs::Registry &reg = obs::Registry::global();
-    static const obs::CounterId errors = reg.counter("trace.write.errors");
-
-    std::ofstream out(path);
-    if (!out) {
-        reg.add(errors);
-        return VIVA_ERROR(Errc::Io, "cannot open '", path,
-                          "' for writing");
-    }
-    writePajeTrace(trace, out);
-    out.flush();
-    if (!out || support::faultAt("trace.write.stream")) {
-        reg.add(errors);
-        return VIVA_ERROR(Errc::Io, "write failed for '", path, "'");
-    }
-    return {};
+    static const obs::CounterId errors =
+        obs::Registry::global().counter("trace.write.errors");
+    support::Expected<void> written = support::writeOutputFile(
+        path, "trace.write.stream", errors,
+        [&](std::ostream &out) { writePajeTrace(trace, out); });
+    if (!written)
+        return VIVA_ERROR_CONTEXT(written.error(), "writePajeTraceFile");
+    return written;
 }
 
 } // namespace viva::trace

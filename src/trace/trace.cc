@@ -440,26 +440,19 @@ Trace::ensureClosure()
         closure.subtreeSize[id.index()] = size;
     }
 
-    // Per (container, metric): the non-empty carrying variables of the
-    // subtree, in preorder-member order -- exactly the sequence the
-    // Eq.-1 fold visits, so the cached fold reduces the same values in
-    // the same order as the uncached one.
+    // Per (container, metric): the carrier list of the subtree slab.
     const std::size_t metrics = metricTable.size();
     closure.carrierVars.clear();
     closure.carrierOff.assign(nodes.size() * metrics + 1, 0);
     for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
-        const std::uint32_t base = closure.preIndex[ni];
-        const std::uint32_t size = closure.subtreeSize[ni];
+        std::span<const ContainerId> members{
+            closure.preorder.data() + closure.preIndex[ni],
+            closure.subtreeSize[ni]};
         for (std::size_t mi = 0; mi < metrics; ++mi) {
             closure.carrierOff[ni * metrics + mi] =
                 std::uint32_t(closure.carrierVars.size());
-            for (std::uint32_t k = 0; k < size; ++k) {
-                ContainerId member = closure.preorder[base + k];
-                const Variable *var =
-                    findVariable(member, MetricId::fromIndex(mi));
-                if (var && !var->empty())
-                    closure.carrierVars.push_back(var);
-            }
+            appendCarriers(members, MetricId::fromIndex(mi),
+                           closure.carrierVars);
         }
     }
     closure.carrierOff.back() =
@@ -481,6 +474,25 @@ Trace::cachedSubtree(ContainerId id) const
     VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
     return {closure.preorder.data() + closure.preIndex[id.index()],
             closure.subtreeSize[id.index()]};
+}
+
+void
+Trace::appendCarriers(std::span<const ContainerId> members, MetricId m,
+                      std::vector<const Variable *> &out) const
+{
+    for (ContainerId member : members) {
+        const Variable *var = findVariable(member, m);
+        if (var && !var->empty())
+            out.push_back(var);
+    }
+}
+
+std::vector<const Variable *>
+Trace::collectCarriers(ContainerId c, MetricId m) const
+{
+    std::vector<const Variable *> out;
+    appendCarriers(subtree(c), m, out);
+    return out;
 }
 
 std::span<const Variable *const>
@@ -647,11 +659,7 @@ Trace::auditInvariants() const
             for (std::size_t mi = 0; mi < metricTable.size(); ++mi) {
                 MetricId m = MetricId::fromIndex(mi);
                 std::vector<const Variable *> expect_vars;
-                for (ContainerId member : expect) {
-                    const Variable *var = findVariable(member, m);
-                    if (var && !var->empty())
-                        expect_vars.push_back(var);
-                }
+                appendCarriers(expect, m, expect_vars);
                 std::span<const Variable *const> cached_vars =
                     carriers(id, m);
                 if (cached_vars.size() != expect_vars.size() ||

@@ -202,8 +202,8 @@ class Trace
     /**
      * Build (or refresh) the hierarchy-closure cache: the preorder
      * subtree member list of every container plus, per (container,
-     * metric), the list of non-empty carrying variables — the exact
-     * sequence the Eq.-1 fold visits. No-op when already fresh.
+     * metric), its carrier list (see collectCarriers). No-op when
+     * already fresh.
      */
     void ensureClosure();
 
@@ -224,13 +224,22 @@ class Trace
     std::span<const ContainerId> cachedSubtree(ContainerId id) const;
 
     /**
-     * The cached non-empty variables carrying metric m inside the
-     * subtree of c, in preorder-member order. Requires a fresh closure.
-     * An out-of-range metric (e.g. a failed findMetric) yields an
-     * empty span, matching findVariable's nullptr.
+     * The cached carrier list of (c, m). Requires a fresh closure. An
+     * out-of-range metric (e.g. a failed findMetric) yields an empty
+     * span, matching findVariable's nullptr.
      */
     std::span<const Variable *const> carriers(ContainerId c,
                                               MetricId m) const;
+
+    /**
+     * The carrier list of (c, m) recomputed from the hierarchy: the
+     * non-empty variables carrying metric m inside the subtree of c,
+     * in preorder-member order -- the sequence the Eq.-1 fold reduces.
+     * Equal to carriers(c, m) whenever the closure is fresh; serves
+     * queries against a stale one.
+     */
+    std::vector<const Variable *> collectCarriers(ContainerId c,
+                                                  MetricId m) const;
 
     // --- auditing ---------------------------------------------------------
 
@@ -238,8 +247,9 @@ class Trace
      * Deep structural audit: the hierarchy is a tree rooted at 0 with
      * consistent parent/child/depth records and unique sibling names,
      * metrics and their name index agree, every variable belongs to a
-     * real (container, metric) pair with time-sorted points, and the
-     * relations are deduplicated with valid endpoints.
+     * real (container, metric) pair with time-sorted points, the
+     * relations are deduplicated with valid endpoints, and a fresh
+     * closure cache equals its recomputation from the hierarchy.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
@@ -251,6 +261,16 @@ class Trace
     Container &debugMutableContainer(ContainerId id);
 
   private:
+    /**
+     * The one definition of a carrier list: append the non-empty
+     * variables carrying m among `members` (a preorder subtree span),
+     * in member order. Every member counts, not just leaves: traces
+     * may attach measurements at any level. The closure build,
+     * collectCarriers and the audit all derive their lists here.
+     */
+    void appendCarriers(std::span<const ContainerId> members, MetricId m,
+                        std::vector<const Variable *> &out) const;
+
     static std::uint64_t
     varKey(ContainerId c, MetricId m)
     {
@@ -270,7 +290,7 @@ class Trace
      * order of the whole tree; a container's subtree is the contiguous
      * slab preorder[preIndex[c] .. preIndex[c] + subtreeSize[c]).
      * `carrierVars` holds, per (container, metric) in
-     * container-major order, the non-empty variables of that subtree
+     * container-major order, the carrier list of that subtree
      * (offsets in `carrierOff`). Pointers reference `vars` storage, so
      * copies must drop the cache; mutations invalidate it via
      * `mutations` != `builtVersion`.

@@ -7,12 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
 #include "agg/timeslice.hh"
-#include "support/fault.hh"
+#include "support/atomic_file.hh"
 #include "support/logging.hh"
+#include "support/obs.hh"
 #include "support/strings.hh"
 
 namespace viva::viz
@@ -159,16 +159,14 @@ support::Expected<void>
 writeChartSvgFile(const std::vector<ChartSeries> &series,
                   const std::string &path, const ChartOptions &options)
 {
-    std::ofstream out(path);
-    if (!out)
-        return VIVA_ERROR(support::Errc::Io, "cannot open '", path,
-                          "' for writing");
-    writeChartSvg(series, out, options);
-    out.flush();
-    if (!out || support::faultAt("viz.write.stream"))
-        return VIVA_ERROR(support::Errc::Io, "write failed for '", path,
-                          "'");
-    return {};
+    static const support::obs::CounterId errors =
+        support::obs::Registry::global().counter("viz.write.errors");
+    support::Expected<void> written = support::writeOutputFile(
+        path, "viz.write.stream", errors,
+        [&](std::ostream &out) { writeChartSvg(series, out, options); });
+    if (!written)
+        return VIVA_ERROR_CONTEXT(written.error(), "writeChartSvgFile");
+    return written;
 }
 
 } // namespace viva::viz

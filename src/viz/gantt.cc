@@ -6,11 +6,10 @@
 #include "viz/gantt.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
 #include <ostream>
 
-#include "support/fault.hh"
+#include "support/atomic_file.hh"
 #include "support/logging.hh"
 #include "support/obs.hh"
 #include "support/strings.hh"
@@ -146,21 +145,12 @@ writeGanttSvgFile(const GanttChart &chart, const std::string &path,
         reg.histogram("viz.gantt.write");
     static const obs::CounterId errors = reg.counter("viz.write.errors");
     obs::ScopedPhase timer(phase);
-
-    std::ofstream out(path);
-    if (!out) {
-        reg.add(errors);
-        return VIVA_ERROR(support::Errc::Io, "cannot open '", path,
-                          "' for writing");
-    }
-    writeGanttSvg(chart, out, options);
-    out.flush();
-    if (!out || support::faultAt("viz.write.stream")) {
-        reg.add(errors);
-        return VIVA_ERROR(support::Errc::Io, "write failed for '", path,
-                          "'");
-    }
-    return {};
+    support::Expected<void> written = support::writeOutputFile(
+        path, "viz.write.stream", errors,
+        [&](std::ostream &out) { writeGanttSvg(chart, out, options); });
+    if (!written)
+        return VIVA_ERROR_CONTEXT(written.error(), "writeGanttSvgFile");
+    return written;
 }
 
 } // namespace viva::viz

@@ -36,11 +36,11 @@ void
 TypeScaling::autoScale(const agg::View &view)
 {
     maxima.clear();
-    for (std::size_t k = 0; k < view.metrics.size(); ++k) {
+    for (std::size_t k = 0; k < view.requests.size(); ++k) {
         double best = 0.0;
         for (const agg::ViewNode &node : view.nodes)
             best = std::max(best, node.values[k]);
-        maxima[view.metrics[k]] = best;
+        maxima[view.requests[k].metric] = best;
     }
 }
 

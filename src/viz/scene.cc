@@ -26,8 +26,8 @@ namespace
 double
 metricValue(const agg::View &view, const agg::ViewNode &node, MetricId m)
 {
-    for (std::size_t k = 0; k < view.metrics.size(); ++k)
-        if (view.metrics[k] == m)
+    for (std::size_t k = 0; k < view.requests.size(); ++k)
+        if (view.requests[k].metric == m)
             return node.values[k];
     return 0.0;
 }
@@ -197,8 +197,8 @@ composeScene(const agg::View &view, const trace::Trace &trace,
             MetricId size_metric = host_rule
                                        ? host_rule->sizeMetric
                                        : trace::kNoMetric;
-            for (std::size_t k = 0; k < view.metrics.size(); ++k) {
-                if (view.metrics[k] != size_metric)
+            for (std::size_t k = 0; k < view.requests.size(); ++k) {
+                if (view.requests[k].metric != size_metric)
                     continue;
                 double mean = vnode.leafCount
                                   ? vnode.values[k] /

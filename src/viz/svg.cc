@@ -6,10 +6,9 @@
 #include "viz/svg.hh"
 
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
-#include "support/fault.hh"
+#include "support/atomic_file.hh"
 #include "support/logging.hh"
 #include "support/obs.hh"
 #include "support/strings.hh"
@@ -214,21 +213,12 @@ writeSvgFile(const Scene &scene, const std::string &path,
     static const obs::HistogramId phase = reg.histogram("viz.svg.write");
     static const obs::CounterId errors = reg.counter("viz.write.errors");
     obs::ScopedPhase timer(phase);
-
-    std::ofstream out(path);
-    if (!out) {
-        reg.add(errors);
-        return VIVA_ERROR(support::Errc::Io, "cannot open '", path,
-                          "' for writing");
-    }
-    writeSvg(scene, out, options);
-    out.flush();
-    if (!out || support::faultAt("viz.write.stream")) {
-        reg.add(errors);
-        return VIVA_ERROR(support::Errc::Io, "write failed for '", path,
-                          "'");
-    }
-    return {};
+    support::Expected<void> written = support::writeOutputFile(
+        path, "viz.write.stream", errors,
+        [&](std::ostream &out) { writeSvg(scene, out, options); });
+    if (!written)
+        return VIVA_ERROR_CONTEXT(written.error(), "writeSvgFile");
+    return written;
 }
 
 } // namespace viva::viz

@@ -8,10 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
-#include "support/fault.hh"
+#include "support/atomic_file.hh"
 #include "support/logging.hh"
 #include "support/obs.hh"
 #include "support/strings.hh"
@@ -276,21 +275,12 @@ writeTreemapSvgFile(const Treemap &treemap, const std::string &path,
         reg.histogram("viz.treemap.write");
     static const obs::CounterId errors = reg.counter("viz.write.errors");
     obs::ScopedPhase timer(phase);
-
-    std::ofstream out(path);
-    if (!out) {
-        reg.add(errors);
-        return VIVA_ERROR(support::Errc::Io, "cannot open '", path,
-                          "' for writing");
-    }
-    writeTreemapSvg(treemap, out, title);
-    out.flush();
-    if (!out || support::faultAt("viz.write.stream")) {
-        reg.add(errors);
-        return VIVA_ERROR(support::Errc::Io, "write failed for '", path,
-                          "'");
-    }
-    return {};
+    support::Expected<void> written = support::writeOutputFile(
+        path, "viz.write.stream", errors,
+        [&](std::ostream &out) { writeTreemapSvg(treemap, out, title); });
+    if (!written)
+        return VIVA_ERROR_CONTEXT(written.error(), "writeTreemapSvgFile");
+    return written;
 }
 
 } // namespace viva::viz

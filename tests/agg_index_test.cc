@@ -297,7 +297,7 @@ TEST(ClosureCache, MutationInvalidatesAndFallbackStaysCorrect)
     EXPECT_GT(f.trace.version(), before);
     EXPECT_FALSE(f.trace.closureFresh());
 
-    // The stale-cache path answers from the legacy recomputation --
+    // The stale-cache path answers from the recomputed carrier list --
     // same value for an unchanged slice.
     EXPECT_DOUBLE_EQ(agg.value(f.trace.root(), f.power, slice),
                      cached_total);

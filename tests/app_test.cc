@@ -237,7 +237,7 @@ TEST(Session, StatsViewExposesIndicators)
     for (const auto &n : v.nodes) {
         if (!n.aggregated)
             continue;
-        ASSERT_EQ(n.stats.size(), v.metrics.size());
+        ASSERT_EQ(n.stats.size(), v.requests.size());
         found = true;
     }
     EXPECT_TRUE(found);

@@ -27,6 +27,7 @@
 #include "trace/builder.hh"
 #include "trace/io.hh"
 #include "trace/paje.hh"
+#include "viz/chart.hh"
 #include "viz/svg.hh"
 
 namespace vap = viva::app;
@@ -543,6 +544,15 @@ TEST(ObservedFaults, VizWriteStream)
         vap::Session session(vt::makeFigure1Trace());
         EXPECT_FALSE(
             session.renderSvg(tempDir() + "/obs_inject.svg").ok());
+    });
+}
+
+TEST(ObservedFaults, ChartWriteStream)
+{
+    expectObservedFault("viz.write.stream", "viz.write.errors", [] {
+        EXPECT_FALSE(viva::viz::writeChartSvgFile(
+                         {}, tempDir() + "/obs_inject_chart.svg")
+                         .ok());
     });
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "agg/aggregate.hh"
@@ -300,6 +301,24 @@ TEST(ViewAudit, DetectsValueDrift)
     va::View view = va::buildView(trace, cut, {0.0, 10.0}, metrics);
     ASSERT_FALSE(view.nodes.empty());
     view.nodes[0].values[0] += 1.0;
+    vs::AuditLog log = va::auditView(trace, cut, view);
+    ASSERT_FALSE(log.empty());
+    EXPECT_NE(log[0].find("conservation"), std::string::npos);
+}
+
+TEST(ViewAudit, DetectsOneUlpDrift)
+{
+    // One fold builds and audits every value, so the conservation
+    // check is exact: even the last bit of a value must match.
+    vt::Trace trace = makeTrace();
+    va::HierarchyCut cut(trace);
+    cut.aggregate(trace.findByName("cluster"));
+    std::vector<vt::MetricId> metrics{trace.findMetric("power")};
+    va::View view = va::buildView(trace, cut, {0.0, 10.0}, metrics);
+    ASSERT_FALSE(view.nodes.empty());
+    double &value = view.nodes[0].values[0];
+    ASSERT_NE(value, 0.0);
+    value = std::nextafter(value, std::numeric_limits<double>::infinity());
     vs::AuditLog log = va::auditView(trace, cut, view);
     ASSERT_FALSE(log.empty());
     EXPECT_NE(log[0].find("conservation"), std::string::npos);

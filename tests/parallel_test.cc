@@ -382,6 +382,61 @@ TEST(ParallelAggregation, BuildViewIsBitwiseThreadCountInvariant)
     }
 }
 
+TEST(ParallelAggregation, WithStatsValuesAreBitwisePlainValues)
+{
+    // The root aggregate covers all 117 hosts, so its fold spans two
+    // 64-carrier chunks: a sequential sum or a running mean over the
+    // samples would differ from value() in the low bits.
+    GridFixture f(34);
+    va::HierarchyCut whole(f.trace);
+    whole.aggregate(f.trace.root());
+    va::HierarchyCut sites(f.trace);
+    sites.aggregateToDepth(2);
+    ASSERT_GT(f.trace.leavesUnder(f.trace.root()).size(), 64u);
+
+    const va::TimeSlice slice{0.4, 3.7};
+    // Both carrier sources: the stale closure first, then the cache.
+    for (bool accelerated : {false, true}) {
+        if (accelerated)
+            f.trace.ensureQueryAcceleration();
+        for (const va::HierarchyCut *cut : {&whole, &sites}) {
+            for (auto sop : {va::SpatialOp::Sum, va::SpatialOp::Average,
+                             va::SpatialOp::Max, va::SpatialOp::Min}) {
+                for (auto top :
+                     {va::TemporalOp::Average, va::TemporalOp::Max,
+                      va::TemporalOp::Min, va::TemporalOp::Integral}) {
+                    std::vector<va::MetricRequest> requests{
+                        va::MetricRequest(f.used, sop, top),
+                        va::MetricRequest(f.power, sop, top)};
+                    for (std::size_t threads : {1u, 4u}) {
+                        va::View plain =
+                            va::buildView(f.trace, *cut, slice, requests,
+                                          false, threads)
+                                .value();
+                        va::View stats =
+                            va::buildView(f.trace, *cut, slice, requests,
+                                          true, threads)
+                                .value();
+                        ASSERT_EQ(plain.nodes.size(), stats.nodes.size());
+                        for (std::size_t i = 0; i < plain.nodes.size();
+                             ++i)
+                            for (std::size_t k = 0; k < requests.size();
+                                 ++k)
+                                ASSERT_EQ(plain.nodes[i].values[k],
+                                          stats.nodes[i].values[k])
+                                    << "spatial " << int(sop)
+                                    << " temporal " << int(top)
+                                    << " threads " << threads << " node "
+                                    << i << " metric " << k
+                                    << (accelerated ? " cached"
+                                                    : " stale");
+                    }
+                }
+            }
+        }
+    }
+}
+
 // --- the session knob --------------------------------------------------------
 
 TEST(ParallelSession, SetThreadsCommandAndStatus)
