@@ -77,13 +77,12 @@ BM_QuadTreeBuild(benchmark::State &state)
 {
     std::size_t n = std::size_t(state.range(0));
     viva::support::Rng rng(7);
-    std::vector<viva::layout::Vec2> pts(n);
-    for (auto &p : pts)
-        p = {rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+    std::vector<viva::layout::QuadTree::Body> bodies(n);
+    for (auto &b : bodies)
+        b = {{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)}, 1.0};
     for (auto _ : state) {
-        viva::layout::QuadTree tree({-1, -1}, {1001, 1001});
-        for (const auto &p : pts)
-            tree.insert(p, 1.0);
+        viva::layout::QuadTree tree;
+        tree.build({-1, -1}, {1001, 1001}, bodies);
         benchmark::DoNotOptimize(tree.cellCount());
     }
     state.SetComplexityN(state.range(0));

@@ -1,21 +1,27 @@
 /**
  * @file
- * Microbenchmarks of the Barnes-Hut quadtree's two build paths and two
- * query paths at the paper's 2170-host scale (Grid'5000) and beyond:
+ * Microbenchmarks of the Barnes-Hut quadtree at the paper's 2170-host
+ * scale (Grid'5000), the 4432-node host level of the Grid'5000 trace,
+ * and a 20k-node view:
  *
- *  - incremental insert() into a fresh tree (the historical path: one
- *    allocation burst per cell, top-down point sifting);
- *  - the arena batch build() (Morton sort + bottom-up emission into
- *    the persistent SoA arena -- the per-iteration path of the force
- *    layout), both cold (fresh tree) and warm (arena reused);
- *  - forceAt with and without the caller-owned traversal stack.
+ *  - build(): Morton sort + bottom-up emission into the SoA arena, both
+ *    cold (fresh tree) and warm (arena reused, the per-iteration path
+ *    of the force layout);
+ *  - the grouped field: one walk per group plus the vectorised list
+ *    evaluation, for every body, reported in ns per body.
+ *
+ * The field benchmark first checks the field against the exact sum on
+ * a sample of bodies and aborts when it is off, so its ctest smoke run
+ * (bench.quadtree_build_smoke) fails on a broken field.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <vector>
 
 #include "layout/quadtree.hh"
+#include "support/logging.hh"
 #include "support/random.hh"
 
 namespace
@@ -39,19 +45,37 @@ makeBodies(std::size_t n)
     return bodies;
 }
 
+/** The field at every body, one groupField call per group. */
 void
-BM_QuadTreeBuildIncremental(benchmark::State &state)
+fieldOf(const QuadTree &tree, double theta, std::vector<Vec2> &field)
 {
-    std::size_t n = std::size_t(state.range(0));
-    std::vector<QuadTree::Body> bodies = makeBodies(n);
-    double extent = 50.0 * std::sqrt(double(n));
-    for (auto _ : state) {
-        QuadTree tree({-1.0, -1.0}, {extent + 1.0, extent + 1.0});
-        for (const auto &b : bodies)
-            tree.insert(b.position, b.charge);
-        benchmark::DoNotOptimize(tree.cellCount());
+    for (std::size_t g = 0; g < tree.groupCount(); ++g)
+        tree.groupField(g, theta, field);
+}
+
+/**
+ * Mean relative error of the field against the exact sum over every
+ * 64th body.
+ */
+double
+sampledError(const std::vector<QuadTree::Body> &bodies,
+             const std::vector<Vec2> &field)
+{
+    double sum = 0.0;
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < bodies.size(); i += 64) {
+        Vec2 exact;
+        for (const auto &b : bodies) {
+            Vec2 d = bodies[i].position - b.position;
+            double dist = d.norm();
+            if (dist < 1e-9)
+                continue;
+            exact += d * (b.charge / (dist * dist * dist));
+        }
+        sum += (field[i] - exact).norm() / exact.norm();
+        ++count;
     }
-    state.SetComplexityN(state.range(0));
+    return sum / double(count);
 }
 
 void
@@ -86,48 +110,40 @@ BM_QuadTreeBuildArenaWarm(benchmark::State &state)
 }
 
 void
-BM_QuadTreeForceAllocating(benchmark::State &state)
+BM_QuadTreeField(benchmark::State &state)
 {
+    // The force layout's repulsion pass on one thread at theta 0.8.
     std::size_t n = std::size_t(state.range(0));
     std::vector<QuadTree::Body> bodies = makeBodies(n);
     double extent = 50.0 * std::sqrt(double(n));
     QuadTree tree;
     tree.build({-1.0, -1.0}, {extent + 1.0, extent + 1.0}, bodies);
-    std::size_t i = 0;
+    std::vector<Vec2> field(n);
+    fieldOf(tree, 0.8, field);
+    const double err = sampledError(bodies, field);
+    VIVA_ASSERT(err < 0.05, "grouped field is off: mean relative error ",
+                err);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            tree.forceAt(bodies[i].position, 0.8));
-        i = (i + 1) % bodies.size();
+        fieldOf(tree, 0.8, field);
+        benchmark::DoNotOptimize(field.data());
     }
-}
-
-void
-BM_QuadTreeForceScratch(benchmark::State &state)
-{
-    std::size_t n = std::size_t(state.range(0));
-    std::vector<QuadTree::Body> bodies = makeBodies(n);
-    double extent = 50.0 * std::sqrt(double(n));
-    QuadTree tree;
-    tree.build({-1.0, -1.0}, {extent + 1.0, extent + 1.0}, bodies);
-    QuadTree::TraversalStack scratch;
-    std::size_t i = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            tree.forceAt(bodies[i].position, 0.8, scratch));
-        i = (i + 1) % bodies.size();
-    }
+    // Seconds per body, printed with an SI prefix ("484n" = 484 ns).
+    state.counters["per_body"] = benchmark::Counter(
+        double(n), benchmark::Counter::kIsIterationInvariantRate |
+                       benchmark::Counter::kInvert);
+    state.counters["groups"] = double(tree.groupCount());
+    state.counters["rel_error"] = err;
 }
 
 } // namespace
 
-// 2170 is the paper's Grid'5000 host count.
-BENCHMARK(BM_QuadTreeBuildIncremental)
-    ->Arg(512)->Arg(2170)->Arg(8192)->Complexity();
+// 2170 is the paper's Grid'5000 host count; 4432 nodes is the
+// host-level view of the Grid'5000 trace.
 BENCHMARK(BM_QuadTreeBuildArenaCold)
     ->Arg(512)->Arg(2170)->Arg(8192)->Complexity();
 BENCHMARK(BM_QuadTreeBuildArenaWarm)
     ->Arg(512)->Arg(2170)->Arg(8192)->Complexity();
-BENCHMARK(BM_QuadTreeForceAllocating)->Arg(2170);
-BENCHMARK(BM_QuadTreeForceScratch)->Arg(2170);
+BENCHMARK(BM_QuadTreeField)
+    ->Arg(2170)->Arg(4432)->Arg(20000)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

@@ -298,8 +298,14 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
         double x, y;
         if (!need(3) || !num(2, x) || !num(3, y))
             return false;
+        const std::uint64_t aborts = sess.deadlineAbortCount();
         if (!sess.moveNode(args[1], x, y)) {
-            out << "error: '" << args[1] << "' is not a visible node\n";
+            if (sess.deadlineAbortCount() != aborts)
+                out << "error: moving '" << args[1]
+                    << "' ran past the operation deadline\n";
+            else
+                out << "error: '" << args[1]
+                    << "' is not a visible node\n";
             return false;
         }
         out << "moved " << args[1] << " to (" << x << ", " << y << ")\n";

@@ -436,11 +436,18 @@ Session::moveNode(const std::string &path, double x, double y)
     layout::NodeId n = nodeOf(path);
     if (n == layout::kNoNode)
         return false;
-    force.dragNode(n, {x, y});
-    force.stabilize(40).value();
-    force.releaseNode(n);
-    maybeAudit("Session::moveNode");
-    return true;
+    // The drag is part of the operation: an abort restores the node
+    // vector saved before it, position and pin flag included.
+    return runLayout<std::size_t>(
+               "Session::moveNode",
+               [&](support::Deadline deadline) {
+                   force.dragNode(n, {x, y});
+                   support::Expected<std::size_t> settled =
+                       force.stabilize(40, 1e-3, deadline);
+                   force.releaseNode(n);
+                   return settled;
+               })
+        .ok();
 }
 
 bool

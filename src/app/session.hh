@@ -167,8 +167,11 @@ class Session
 
     /**
      * Drag the named node to a position; its neighbours follow through
-     * the springs while it is held, then it is released.
-     * @retval false when the container is not a visible node
+     * the springs while it is held, then it is released. Runs under
+     * the operation deadline like stabilizeLayout: an abort counts in
+     * deadlineAbortCount() and leaves every node bitwise unchanged.
+     * @retval false when the container is not a visible node, or the
+     *         deadline cancelled the drag
      */
     bool moveNode(const std::string &path, double x, double y);
 

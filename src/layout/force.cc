@@ -46,17 +46,9 @@ ForceLayout::step(double timestep_scale, support::Deadline deadline)
     forceBuf.assign(nodes.size(), Vec2{});
     std::vector<Vec2> &force = forceBuf;
 
-    // The repulsion pass writes only force[i] from the chunk owning
-    // slot i, so fanning chunks over workers is race-free and bitwise
-    // identical to the serial loop regardless of thread count.
     const std::size_t threads =
         prm.threads ? prm.threads : support::defaultThreadCount();
     support::ThreadPool &pool = support::ThreadPool::global();
-    // The grain is a pure function of the node count -- NOT the thread
-    // count -- so the number of chunks (and therefore the per-chunk
-    // histogram's count) is identical however many workers run them.
-    const std::size_t grain =
-        std::max<std::size_t>(32, nodes.size() / 64);
 
     // Cooperative cancellation: each chunk polls once on entry and
     // latches the verdict, so an expired deadline costs one clock read
@@ -91,35 +83,41 @@ ForceLayout::step(double timestep_scale, support::Deadline deadline)
             hi.y = std::max(hi.y, n.position.y);
         }
         double pad = std::max({hi.x - lo.x, hi.y - lo.y, 1.0}) * 0.05;
-        // One Morton-sorted batch build into the persistent arena; the
-        // arena and the body list keep their capacity across steps.
+        // One Morton-sorted build into the persistent arena; the arena
+        // and the body list keep their capacity across steps.
         bodies.clear();
         for (const Node &n : nodes)
             bodies.push_back({n.position, n.charge});
         tree.build({lo.x - pad, lo.y - pad}, {hi.x + pad, hi.y + pad},
                    bodies);
+        // Each group writes only its own bodies' field slots, each
+        // summed in an order fixed by the tree, so fanning groups over
+        // workers is race-free and bitwise identical to the serial
+        // loop. The grain is a pure function of the group count -- NOT
+        // the thread count -- so the number of chunks (and the
+        // per-chunk histogram's count) is the same for any thread
+        // count.
+        fieldBuf.resize(nodes.size());
+        const std::size_t groups = tree.groupCount();
         pool.parallelFor(
-            0, nodes.size(), grain, threads,
-            [&](std::size_t clo, std::size_t chi) {
+            0, groups, std::max<std::size_t>(1, groups / 64), threads,
+            [&](std::size_t glo, std::size_t ghi) {
                 obs::ScopedPhase chunk_timer(chunk_phase);
                 if (expired())
                     return;
-                // One pooled traversal stack per chunk: forceAt does
-                // zero heap allocation once capacities have warmed up.
-                auto stack = stacks.acquire();
-                for (std::size_t i = clo; i < chi; ++i) {
-                    const Node &n = nodes[i];
-                    // forceAt excludes the coincident self charge; the
-                    // result is the field, scale by this node's own
-                    // charge.
-                    Vec2 field =
-                        tree.forceAt(n.position, prm.theta, *stack);
-                    force[n.id.index()] += field * (prm.charge * n.charge);
-                }
+                for (std::size_t grp = glo; grp < ghi; ++grp)
+                    tree.groupField(grp, prm.theta, fieldBuf);
             });
+        // The field excludes the coincident self charge; scale it by
+        // each node's own charge (body i is node slot i).
+        for (std::size_t i = 0; i < nodes.size(); ++i)
+            force[i] += fieldBuf[i] * (prm.charge * nodes[i].charge);
     } else {
+        // The exact sum writes only force[i] from the chunk owning
+        // slot i; the grain depends on the node count only.
         pool.parallelFor(
-            0, nodes.size(), grain, threads,
+            0, nodes.size(), std::max<std::size_t>(32, nodes.size() / 64),
+            threads,
             [&](std::size_t clo, std::size_t chi) {
                 obs::ScopedPhase chunk_timer(chunk_phase);
                 if (expired())

@@ -19,7 +19,6 @@
 #include "layout/quadtree.hh"
 #include "support/error.hh"
 #include "support/governor.hh"
-#include "support/scratch.hh"
 
 namespace viva::layout
 {
@@ -148,12 +147,12 @@ class ForceLayout
 
     // Per-iteration scratch, reused across steps so a steady-state
     // iteration performs no heap allocation: the quadtree arena, the
-    // body list fed to its batch build, the force accumulator, and a
-    // pool of traversal stacks (one per in-flight repulsion chunk).
+    // body list fed to its build, the per-body Barnes-Hut field, and
+    // the force accumulator.
     QuadTree tree;
     std::vector<QuadTree::Body> bodies;
+    std::vector<Vec2> fieldBuf;
     std::vector<Vec2> forceBuf;
-    support::ScratchPool<QuadTree::TraversalStack> stacks;
 };
 
 } // namespace viva::layout

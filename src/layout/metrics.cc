@@ -136,13 +136,20 @@ barnesHutError(const LayoutGraph &graph, double theta)
         hi.y = std::max(hi.y, n.position.y);
     }
     double pad = std::max({hi.x - lo.x, hi.y - lo.y, 1.0}) * 0.05;
-    QuadTree tree({lo.x - pad, lo.y - pad}, {hi.x + pad, hi.y + pad});
+    // The field the layout steps with: one build, one walk per group.
+    std::vector<QuadTree::Body> bodies;
     for (const Node &n : nodes)
-        tree.insert(n.position, n.charge);
+        bodies.push_back({n.position, n.charge});
+    QuadTree tree;
+    tree.build({lo.x - pad, lo.y - pad}, {hi.x + pad, hi.y + pad},
+               bodies);
+    std::vector<Vec2> field(nodes.size());
+    for (std::size_t grp = 0; grp < tree.groupCount(); ++grp)
+        tree.groupField(grp, theta, field);
 
     support::RunningStats rel;
     for (const Node &a : nodes) {
-        Vec2 approx = tree.forceAt(a.position, theta);
+        Vec2 approx = field[a.id.index()];
         Vec2 exact;
         for (const Node &b : nodes) {
             if (b.id == a.id)

@@ -45,9 +45,10 @@ double boundingBoxArea(const LayoutGraph &graph);
 std::size_t edgeCrossings(const LayoutGraph &graph);
 
 /**
- * Mean relative error of Barnes-Hut repulsion versus the exact sum at
- * the node positions, for a given theta (accuracy metric used by
- * the property tests and the scalability bench).
+ * Mean relative error of the grouped Barnes-Hut field the layout
+ * steps with versus the exact sum at the node positions, for a given
+ * theta (accuracy metric used by the property tests and the
+ * scalability bench).
  */
 double barnesHutError(const LayoutGraph &graph, double theta);
 

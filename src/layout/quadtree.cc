@@ -6,6 +6,7 @@
 #include "layout/quadtree.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "support/logging.hh"
 #include "support/obs.hh"
@@ -58,13 +59,103 @@ mortonCode(Vec2 p, Vec2 lo, Vec2 hi)
     return (spreadBits(qy) << 1) | spreadBits(qx);
 }
 
-} // namespace
+/** Lanes of the list evaluation: two SSE2 vectors of doubles. */
+constexpr std::size_t kLanes = 4;
 
-QuadTree::QuadTree(Vec2 lo, Vec2 hi)
+/** Interaction-list entries evaluated per pass over a group. */
+constexpr std::size_t kListBlock = 128;
+
+/**
+ * Walk stack bound: cells sit at depth <= kMortonBits, and popping a
+ * cell leaves at most 3 siblings pending per level above it.
+ */
+constexpr std::size_t kStackDepth = 4 * (kMortonBits + 2);
+
+/** A block of interaction-list entries in SoA form. */
+struct ListBlock
 {
-    VIVA_ASSERT(lo.x < hi.x && lo.y < hi.y, "degenerate quadtree box");
-    newCell(lo, hi);
+    double x[kListBlock];
+    double y[kListBlock];
+    double q[kListBlock];
+    std::size_t size = 0;
+};
+
+/**
+ * Distance from the box [lo, hi] to a point: 0 inside it, and exactly
+ * (p - b).norm() for the degenerate box {p, p}.
+ */
+double
+boxDistance(Vec2 lo, Vec2 hi, Vec2 b)
+{
+    double dx = std::max(std::max(lo.x - b.x, b.x - hi.x), 0.0);
+    double dy = std::max(std::max(lo.y - b.y, b.y - hi.y), 0.0);
+    return std::sqrt(dx * dx + dy * dy);
 }
+
+/**
+ * Add the field of `list` at the points (px, py) into (fx, fy); n is a
+ * multiple of kLanes and no entry lies within kCoincidenceEps of a
+ * point. Each point sums the list in list order with the arithmetic of
+ * the classic per-body loop, so its result does not depend on the lane
+ * or block it lands in. The fixed lane count and the branch-free body
+ * let the compiler emit packed sqrt and divide (hence -fno-math-errno
+ * on viva_layout).
+ */
+void
+evaluateFar(const ListBlock &list, const double *px, const double *py,
+            std::size_t n, double *fx, double *fy)
+{
+    for (std::size_t b = 0; b < n; b += kLanes) {
+        double ax[kLanes], ay[kLanes], gx[kLanes], gy[kLanes];
+        for (std::size_t k = 0; k < kLanes; ++k) {
+            ax[k] = px[b + k];
+            ay[k] = py[b + k];
+            gx[k] = fx[b + k];
+            gy[k] = fy[b + k];
+        }
+        for (std::size_t j = 0; j < list.size; ++j) {
+            const double lx = list.x[j];
+            const double ly = list.y[j];
+            const double lq = list.q[j];
+            for (std::size_t k = 0; k < kLanes; ++k) {
+                double dx = ax[k] - lx;
+                double dy = ay[k] - ly;
+                double dist = std::sqrt(dx * dx + dy * dy);
+                double s = lq / (dist * dist * dist);
+                gx[k] += dx * s;
+                gy[k] += dy * s;
+            }
+        }
+        for (std::size_t k = 0; k < kLanes; ++k) {
+            fx[b + k] = gx[k];
+            fy[b + k] = gy[k];
+        }
+    }
+}
+
+/**
+ * evaluateFar for entries that may coincide with a point: each point
+ * skips the entries within kCoincidenceEps of it (itself included).
+ */
+void
+evaluateNear(const ListBlock &list, const double *px, const double *py,
+             std::size_t n, double *fx, double *fy)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < list.size; ++j) {
+            double dx = px[i] - list.x[j];
+            double dy = py[i] - list.y[j];
+            double dist = std::sqrt(dx * dx + dy * dy);
+            if (dist < kCoincidenceEps)
+                continue;
+            double s = list.q[j] / (dist * dist * dist);
+            fx[i] += dx * s;
+            fy[i] += dy * s;
+        }
+    }
+}
+
+} // namespace
 
 std::size_t
 QuadTree::newCell(Vec2 lo, Vec2 hi)
@@ -75,99 +166,8 @@ QuadTree::newCell(Vec2 lo, Vec2 hi)
     bary.push_back(Vec2{});
     cellCharge.push_back(0.0);
     kids.push_back({kNoCell, kNoCell, kNoCell, kNoCell});
-    leafPos.push_back(Vec2{});
-    leafCharge.push_back(0.0);
     flags.push_back(kLeafBit);
     return i;
-}
-
-int
-QuadTree::quadrant(std::size_t cell, Vec2 p) const
-{
-    double mx = 0.5 * (cellLo[cell].x + cellHi[cell].x);
-    double my = 0.5 * (cellLo[cell].y + cellHi[cell].y);
-    int q = 0;
-    if (p.x >= mx)
-        q |= 1;
-    if (p.y >= my)
-        q |= 2;
-    return q;
-}
-
-void
-QuadTree::subdivide(std::size_t cell)
-{
-    Vec2 lo = cellLo[cell];
-    Vec2 hi = cellHi[cell];
-    double mx = 0.5 * (lo.x + hi.x);
-    double my = 0.5 * (lo.y + hi.y);
-    const Vec2 corner[4][2] = {
-        {{lo.x, lo.y}, {mx, my}},
-        {{mx, lo.y}, {hi.x, my}},
-        {{lo.x, my}, {mx, hi.y}},
-        {{mx, my}, {hi.x, hi.y}},
-    };
-    for (int q = 0; q < 4; ++q) {
-        std::size_t child = newCell(corner[q][0], corner[q][1]);
-        kids[cell][q] = CellId::fromIndex(child);
-    }
-    flags[cell] = 0;
-}
-
-void
-QuadTree::insert(Vec2 position, double charge)
-{
-    VIVA_ASSERT(charge > 0, "charge must be positive");
-    VIVA_ASSERT(!cellLo.empty(), "insert() into a box-less tree");
-    // Clamp into the box so callers need not grow it exactly.
-    position.x = std::clamp(position.x, cellLo[0].x, cellHi[0].x);
-    position.y = std::clamp(position.y, cellLo[0].y, cellHi[0].y);
-    insertInto(0, position, charge, 0);
-    ++inserted;
-}
-
-void
-QuadTree::insertInto(std::size_t cell, Vec2 p, double charge, int depth)
-{
-    while (true) {
-        // Update the aggregate first.
-        double total = cellCharge[cell] + charge;
-        bary[cell] = (bary[cell] * cellCharge[cell] + p * charge) / total;
-        cellCharge[cell] = total;
-
-        if (flags[cell] & kLeafBit) {
-            if (!(flags[cell] & kPointBit)) {
-                leafPos[cell] = p;
-                leafCharge[cell] = charge;
-                flags[cell] |= kPointBit;
-                return;
-            }
-            // Merge coincident points instead of splitting forever.
-            if (depth >= kMaxDepth ||
-                distance(leafPos[cell], p) < kCoincidenceEps) {
-                leafCharge[cell] += charge;
-                return;
-            }
-            // Split: push the resident point down, then continue with p.
-            Vec2 old_p = leafPos[cell];
-            double old_q = leafCharge[cell];
-            flags[cell] = kLeafBit;
-            leafCharge[cell] = 0.0;
-            subdivide(cell);
-            std::size_t down =
-                kids[cell][quadrant(cell, old_p)].index();
-            // Re-seed the child leaf with the old point (its aggregate
-            // must reflect the point too).
-            leafPos[down] = old_p;
-            leafCharge[down] = old_q;
-            flags[down] = kLeafBit | kPointBit;
-            cellCharge[down] = old_q;
-            bary[down] = old_p;
-            // Fall through: re-dispatch p on this (now internal) cell.
-        }
-        cell = kids[cell][quadrant(cell, p)].index();
-        ++depth;
-    }
 }
 
 void
@@ -184,9 +184,8 @@ QuadTree::build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies)
     bary.clear();
     cellCharge.clear();
     kids.clear();
-    leafPos.clear();
-    leafCharge.clear();
     flags.clear();
+    groupStart.clear();
     inserted = bodies.size();
 
     if (bodies.empty()) {
@@ -210,35 +209,48 @@ QuadTree::build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies)
                       return codes[a] < codes[b];
                   return a < b;
               });
+    sortedX.resize(bodies.size());
+    sortedY.resize(bodies.size());
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+        sortedX[i] = bodies[order[i]].position.x;
+        sortedY[i] = bodies[order[i]].position.y;
+    }
 
-    buildRange(lo, hi, 0, bodies.size(), 2 * (kMortonBits - 1), bodies);
+    buildRange(lo, hi, 0, bodies.size(), 2 * (kMortonBits - 1), false,
+               bodies);
+    groupStart.push_back(std::uint32_t(bodies.size()));
 }
 
 std::size_t
 QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
-                     std::size_t end, int shift,
+                     std::size_t end, int shift, bool in_group,
                      const std::vector<Body> &bodies)
 {
     std::size_t cell = newCell(lo, hi);
-    if (end - begin == 1 || shift < 0) {
+    const bool opens = !in_group && end - begin <= kGroupSize;
+    if (opens)
+        groupStart.push_back(std::uint32_t(begin));
+    // The range is sorted, so equal end codes mean one Morton cell.
+    if (end - begin == 1 || shift < 0 ||
+        codes[order[begin]] == codes[order[end - 1]]) {
         // One body, or several sharing a Morton cell: a leaf at the
         // charge-weighted centroid, merged left-to-right in sorted
-        // order (deterministic).
+        // order (deterministic). An overfull merged leaf is split into
+        // groups of kGroupSize bodies.
+        if (!in_group && !opens)
+            for (std::size_t s = begin; s < end; s += kGroupSize)
+                groupStart.push_back(std::uint32_t(s));
         Vec2 p{};
         double q = 0.0;
         for (std::size_t i = begin; i < end; ++i) {
             const Body &b = bodies[order[i]];
-            // Clamp exactly like insert(), so out-of-box bodies merge
-            // at the same positions either path would produce.
+            // Out-of-box bodies merge at the clamped position.
             Vec2 bp{std::clamp(b.position.x, cellLo[0].x, cellHi[0].x),
                     std::clamp(b.position.y, cellLo[0].y, cellHi[0].y)};
             double total = q + b.charge;
             p = (p * q + bp * b.charge) / total;
             q = total;
         }
-        leafPos[cell] = p;
-        leafCharge[cell] = q;
-        flags[cell] = kLeafBit | kPointBit;
         cellCharge[cell] = q;
         bary[cell] = p;
         return cell;
@@ -265,8 +277,9 @@ QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
             ++sub;
         if (sub == cursor)
             continue;  // empty quadrant: no cell at all
-        std::size_t child = buildRange(corner[d][0], corner[d][1],
-                                       cursor, sub, shift - 2, bodies);
+        std::size_t child =
+            buildRange(corner[d][0], corner[d][1], cursor, sub,
+                       shift - 2, in_group || opens, bodies);
         kids[cell][d] = CellId::fromIndex(child);
         charge_sum += cellCharge[child];
         moment += bary[child] * cellCharge[child];
@@ -277,54 +290,134 @@ QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
     return cell;
 }
 
-Vec2
-QuadTree::forceAt(Vec2 position, double theta) const
+template <typename Visit>
+void
+QuadTree::walk(Vec2 lo, Vec2 hi, double theta, Visit &&visit) const
 {
-    TraversalStack stack;
-    return forceAt(position, theta, stack);
-}
-
-Vec2
-QuadTree::forceAt(Vec2 position, double theta,
-                  TraversalStack &scratch) const
-{
-    Vec2 total;
-    if (inserted == 0)
-        return total;
-
-    // Explicit stack to avoid recursion on deep trees.
-    scratch.clear();
-    scratch.push_back(CellId{0});
-    while (!scratch.empty()) {
-        std::size_t c = scratch.back().index();
-        scratch.pop_back();
+    // Explicit fixed-size stack: no recursion and no allocation.
+    std::array<CellId, kStackDepth> stack;
+    std::size_t top = 0;
+    stack[top++] = CellId{0};
+    while (top > 0) {
+        std::size_t c = stack[--top].index();
         if (cellCharge[c] <= 0.0)
             continue;
-
         if (flags[c] & kLeafBit) {
-            if (!(flags[c] & kPointBit))
-                continue;
-            Vec2 d = position - leafPos[c];
-            double dist = d.norm();
-            if (dist < kCoincidenceEps)
-                continue;  // self or coincident: no direction, skip
-            total += d * (leafCharge[c] / (dist * dist * dist));
+            visit(c);
             continue;
         }
-
-        Vec2 d = position - bary[c];
-        double dist = d.norm();
+        // The group test: with the box's nearest point in place of the
+        // body, it is the classic per-body test for the box {p, p}.
+        double dist = boxDistance(lo, hi, bary[c]);
         double size =
             std::max(cellHi[c].x - cellLo[c].x, cellHi[c].y - cellLo[c].y);
         if (dist > kCoincidenceEps && size / dist < theta) {
-            total += d * (cellCharge[c] / (dist * dist * dist));
+            visit(c);
             continue;
         }
         for (int q = 0; q < 4; ++q)
             if (kids[c][q] != kNoCell)
-                scratch.push_back(kids[c][q]);
+                stack[top++] = kids[c][q];
     }
-    return total;
+}
+
+void
+QuadTree::fieldAt(const double *px, const double *py, std::size_t n,
+                  Vec2 lo, Vec2 hi, double theta, double *fx,
+                  double *fy) const
+{
+    const std::size_t lanes = (n + kLanes - 1) / kLanes * kLanes;
+    // Accepted cells lie farther than kCoincidenceEps from every point
+    // by the group test, and so do most leaves: they take the packed
+    // path. Leaves within kCoincidenceEps of the box (the group's own
+    // bodies among them) take the checked one. Both lists flush in an
+    // order fixed by the walk alone.
+    ListBlock far, near;
+    walk(lo, hi, theta, [&](std::size_t c) {
+        const bool close = (flags[c] & kLeafBit) &&
+                           boxDistance(lo, hi, bary[c]) <= kCoincidenceEps;
+        ListBlock &list = close ? near : far;
+        list.x[list.size] = bary[c].x;
+        list.y[list.size] = bary[c].y;
+        list.q[list.size] = cellCharge[c];
+        if (++list.size < kListBlock)
+            return;
+        if (close)
+            evaluateNear(list, px, py, n, fx, fy);
+        else
+            evaluateFar(list, px, py, lanes, fx, fy);
+        list.size = 0;
+    });
+    evaluateFar(far, px, py, lanes, fx, fy);
+    evaluateNear(near, px, py, n, fx, fy);
+}
+
+std::array<Vec2, 2>
+QuadTree::groupBox(std::size_t g) const
+{
+    Vec2 lo{sortedX[groupStart[g]], sortedY[groupStart[g]]};
+    Vec2 hi = lo;
+    for (std::size_t s = groupStart[g]; s < groupStart[g + 1]; ++s) {
+        lo.x = std::min(lo.x, sortedX[s]);
+        lo.y = std::min(lo.y, sortedY[s]);
+        hi.x = std::max(hi.x, sortedX[s]);
+        hi.y = std::max(hi.y, sortedY[s]);
+    }
+    return {lo, hi};
+}
+
+void
+QuadTree::groupField(std::size_t g, double theta,
+                     std::vector<Vec2> &field) const
+{
+    VIVA_ASSERT(g < groupCount(), "bad group ", g);
+    VIVA_ASSERT(field.size() >= inserted, "field holds ", field.size(),
+                " slots for ", inserted, " bodies");
+    const std::size_t begin = groupStart[g];
+    const std::size_t n = groupStart[g + 1] - begin;
+    // The group's bodies, padded to whole lanes with copies of the
+    // last one (their results are dropped).
+    double px[kGroupSize], py[kGroupSize];
+    double fx[kGroupSize] = {}, fy[kGroupSize] = {};
+    for (std::size_t i = 0; i < kGroupSize; ++i) {
+        px[i] = sortedX[begin + std::min(i, n - 1)];
+        py[i] = sortedY[begin + std::min(i, n - 1)];
+    }
+    auto [lo, hi] = groupBox(g);
+    fieldAt(px, py, n, lo, hi, theta, fx, fy);
+    for (std::size_t i = 0; i < n; ++i)
+        field[order[begin + i]] = Vec2{fx[i], fy[i]};
+}
+
+Vec2
+QuadTree::forceAt(Vec2 position, double theta) const
+{
+    if (inserted == 0)
+        return Vec2{};
+    double px[kGroupSize], py[kGroupSize];
+    double fx[kGroupSize] = {}, fy[kGroupSize] = {};
+    std::fill(px, px + kGroupSize, position.x);
+    std::fill(py, py + kGroupSize, position.y);
+    fieldAt(px, py, 1, position, position, theta, fx, fy);
+    return Vec2{fx[0], fy[0]};
+}
+
+QuadTree::GroupWalk
+QuadTree::debugGroupWalk(std::size_t g, double theta) const
+{
+    VIVA_ASSERT(g < groupCount(), "bad group ", g);
+    GroupWalk out;
+    out.bodies.assign(order.begin() + groupStart[g],
+                      order.begin() + groupStart[g + 1]);
+    auto [lo, hi] = groupBox(g);
+    walk(lo, hi, theta, [&](std::size_t c) {
+        if (flags[c] & kLeafBit)
+            return;
+        out.barycentres.push_back(bary[c]);
+        out.sizes.push_back(std::max(cellHi[c].x - cellLo[c].x,
+                                     cellHi[c].y - cellLo[c].y));
+    });
+    return out;
 }
 
 support::AuditLog
@@ -333,8 +426,8 @@ QuadTree::auditInvariants() const
     using support::auditFail;
     using support::nearlyEqual;
 
-    // Accumulated floating error across inserts; looser than the
-    // aggregation tolerance because barycentres divide by charge.
+    // Accumulated floating error of the bottom-up sums; looser than
+    // the aggregation tolerance because barycentres divide by charge.
     constexpr double kTol = 1e-9;
 
     support::AuditLog log;
@@ -344,7 +437,6 @@ QuadTree::auditInvariants() const
     }
 
     double totalLeafCharge = 0.0;
-    std::size_t leafPoints = 0;
 
     for (std::size_t i = 0; i < cellLo.size(); ++i) {
         if (!(cellLo[i].x < cellHi[i].x && cellLo[i].y < cellHi[i].y))
@@ -357,27 +449,17 @@ QuadTree::auditInvariants() const
             for (int q = 0; q < 4; ++q)
                 if (kids[i][q] != kNoCell)
                     auditFail(log, "leaf cell ", i, " has a child");
-            if (!(flags[i] & kPointBit))
-                continue;
-            ++leafPoints;
-            totalLeafCharge += leafCharge[i];
-            if (leafCharge[i] <= 0.0)
-                auditFail(log, "leaf ", i, " has non-positive point "
-                          "charge ", leafCharge[i]);
-            if (!nearlyEqual(cellCharge[i], leafCharge[i], kTol))
-                auditFail(log, "leaf ", i, " charge ", cellCharge[i],
-                          " != point charge ", leafCharge[i]);
-            if (leafPos[i].x < cellLo[i].x - kTol ||
-                leafPos[i].x > cellHi[i].x + kTol ||
-                leafPos[i].y < cellLo[i].y - kTol ||
-                leafPos[i].y > cellHi[i].y + kTol)
+            totalLeafCharge += cellCharge[i];
+            if (inserted > 0 && cellCharge[i] <= 0.0)
+                auditFail(log, "leaf ", i, " has non-positive charge ",
+                          cellCharge[i]);
+            if (bary[i].x < cellLo[i].x - kTol ||
+                bary[i].x > cellHi[i].x + kTol ||
+                bary[i].y < cellLo[i].y - kTol ||
+                bary[i].y > cellHi[i].y + kTol)
                 auditFail(log, "leaf ", i, " point escapes its box");
             continue;
         }
-
-        if (flags[i] & kPointBit)
-            auditFail(log, "internal cell ", i,
-                      " still holds a resident point");
 
         double childCharge = 0.0;
         Vec2 moment;
@@ -392,8 +474,8 @@ QuadTree::auditInvariants() const
         };
         for (int q = 0; q < 4; ++q) {
             CellId child_ix = kids[i][q];
-            // The batch build creates only non-empty quadrants; an
-            // absent child is well-formed, a bad index is not.
+            // The build creates only non-empty quadrants; an absent
+            // child is well-formed, a bad index is not.
             if (child_ix == kNoCell)
                 continue;
             if (child_ix.index() >= cellLo.size()) {
@@ -430,12 +512,23 @@ QuadTree::auditInvariants() const
     if (!nearlyEqual(cellCharge[0], totalLeafCharge, kTol))
         auditFail(log, "root charge ", cellCharge[0],
                   " != total leaf charge ", totalLeafCharge);
-    if (leafPoints > inserted)
-        auditFail(log, leafPoints, " resident points exceed ",
-                  inserted, " inserts");
     if (inserted > 0 && cellCharge[0] <= 0.0)
         auditFail(log, "points were inserted but the root holds no "
                   "charge");
+
+    // Groups: consecutive runs of at most kGroupSize sorted bodies
+    // covering every body exactly once.
+    if (inserted > 0 &&
+        (groupStart.size() < 2 || groupStart.front() != 0 ||
+         groupStart.back() != inserted))
+        auditFail(log, "groups do not span the ", inserted, " bodies");
+    for (std::size_t g = 0; g < groupCount(); ++g)
+        if (groupStart[g + 1] <= groupStart[g] ||
+            groupStart[g + 1] - groupStart[g] > kGroupSize)
+            auditFail(log, "group ", g, " holds ",
+                      std::int64_t(groupStart[g + 1]) -
+                          std::int64_t(groupStart[g]),
+                      " bodies");
     return log;
 }
 

@@ -7,10 +7,15 @@
  * The tree lives in a flat SoA arena (parallel per-field vectors
  * indexed by CellId) whose capacity persists across rebuilds, so a
  * layout iterating at interactive rates stops paying per-cell
- * allocations after the first few steps. Two build paths share the
- * arena: the historical incremental insert(), and the batch build()
- * that Morton-sorts the points once and emits the tree bottom-up in a
- * single preorder pass -- the per-iteration path of the force layout.
+ * allocations after the first few steps. build() Morton-sorts the
+ * bodies once and emits the tree in a single preorder pass.
+ *
+ * The field is evaluated per *group* (Barnes 1990, "a modified tree
+ * code"): every maximal cell holding at most kGroupSize bodies is one
+ * contiguous Morton range, walked once against its tight bounding box.
+ * The walk's interaction list is then evaluated for all the group's
+ * bodies in a fixed-order vector loop. forceAt() is the same walk for
+ * the degenerate box {p, p}.
  */
 
 #pragma once
@@ -42,73 +47,67 @@ using CellId = support::StrongId<CellTag, std::int32_t>;
 inline constexpr CellId kNoCell{-1};
 
 /**
- * A quadtree over charged 2-D points. Build once per iteration -- with
- * insert() point by point, or with build() from a full point set --
- * then query the approximate repulsive field with forceAt().
+ * A quadtree over charged 2-D points. build() it once per iteration
+ * from the full point set, then query the approximate repulsive field
+ * per group with groupField(), or at any point with forceAt().
  */
 class QuadTree
 {
   public:
-    /** One charged input point of the batch build(). */
+    /** One charged input point of build(). */
     struct Body
     {
         Vec2 position;
         double charge = 0.0;
     };
 
-    /**
-     * A reusable traversal stack for the allocation-free forceAt
-     * overload; any instance works for any tree.
-     */
-    using TraversalStack = std::vector<CellId>;
-
-    /** An empty tree; define the box with build(). */
-    QuadTree() = default;
-
-    /**
-     * @param lo lower-left corner of the bounding box
-     * @param hi upper-right corner (must strictly contain all inserts)
-     */
-    QuadTree(Vec2 lo, Vec2 hi);
-
-    /** Insert one charged point. Points outside the box are clamped. */
-    void insert(Vec2 position, double charge);
+    /** A cell holding at most this many bodies is one group. */
+    static constexpr std::size_t kGroupSize = 32;
 
     /**
      * Rebuild the whole tree from a point set: Morton-sort the bodies
      * (21 bits per axis, deterministic index tiebreak), then emit
      * cells bottom-up into the arena, creating only non-empty
-     * quadrants. Equivalent to clearing and re-inserting every body,
-     * but allocation-free once the arena capacity has warmed up.
-     * Bodies quantized to the same Morton cell merge into one leaf at
-     * their charge-weighted centroid.
+     * quadrants. Allocation-free once the arena capacity has warmed
+     * up. Bodies quantized to the same Morton cell merge into one leaf
+     * at their charge-weighted centroid, clamped into the box.
      */
     void build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies);
 
+    /** Number of groups of the last build(); they tile the bodies. */
+    std::size_t groupCount() const
+    {
+        return groupStart.empty() ? 0 : groupStart.size() - 1;
+    }
+
     /**
-     * The repulsive field at a position: sum over inserted charges q_j
-     * of q_j * (p - p_j) / |p - p_j|^3, with cells treated as a single
-     * charge at their barycentre when (cell size / distance) < theta.
-     * A query at an inserted point skips near-coincident charges
-     * (distance below a small epsilon) rather than dividing by zero.
+     * The repulsive field at every body of group `g`, written to
+     * field[i] for each of its body indices i (positions in the
+     * build() input): the sum over charges q_j of
+     * q_j * (p - p_j) / |p - p_j|^3. A cell counts as a single charge
+     * at its barycentre when (cell size / distance from the group's
+     * bounding box to the barycentre) < theta, so every accepted cell
+     * also passes each body's own opening test. Leaves always count
+     * exactly; near-coincident charges (distance below a small
+     * epsilon, the body itself included) are skipped.
      *
-     * This overload allocates a fresh traversal stack; hot loops use
-     * the scratch overload below.
-     *
-     * @param position query point
+     * Each body sums its list in an order fixed by the tree and the
+     * group alone, so distinct groups may run concurrently (they
+     * write disjoint slots) with bitwise identical results.
+     * @param field one slot per body; at least pointCount() long
+     */
+    void groupField(std::size_t g, double theta,
+                    std::vector<Vec2> &field) const;
+
+    /**
+     * The field at one position: the group walk for the degenerate
+     * box {position, position}, for which the group test is the
+     * classic per-body test.
      * @param theta opening angle; 0 degenerates to the exact sum
      */
     Vec2 forceAt(Vec2 position, double theta) const;
 
-    /**
-     * forceAt with a caller-owned traversal stack: zero heap
-     * allocation once the stack's capacity has warmed up. Bitwise
-     * identical to the allocating overload.
-     */
-    Vec2 forceAt(Vec2 position, double theta,
-                 TraversalStack &scratch) const;
-
-    /** Number of inserted points. */
+    /** Number of bodies of the last build(). */
     std::size_t pointCount() const { return inserted; }
 
     /** Number of allocated tree cells (memory metric). */
@@ -117,8 +116,9 @@ class QuadTree
     /**
      * Deep structural audit: every internal cell's charge and
      * barycentre are consistent with its children, child boxes tile
-     * their parent exactly, leaf points lie inside their cell, and the
-     * root charge accounts for every inserted point.
+     * their parent exactly, leaf barycentres lie inside their cell,
+     * the root charge accounts for every leaf, and the groups tile the
+     * bodies in runs of at most kGroupSize.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
@@ -130,32 +130,51 @@ class QuadTree
      */
     void debugScaleCellCharge(std::size_t cell, double factor);
 
-  private:
-    /** Coincident points merge below this depth (incremental path). */
-    static constexpr int kMaxDepth = 48;
+    /** Test introspection: one group's walk. */
+    struct GroupWalk
+    {
+        std::vector<std::uint32_t> bodies;  ///< body indices
+        std::vector<Vec2> barycentres;      ///< accepted internal cells
+        std::vector<double> sizes;          ///< their box sizes
+    };
 
+    /** The cells group `g`'s walk accepts, in walk order. */
+    GroupWalk debugGroupWalk(std::size_t g, double theta) const;
+
+  private:
     /** flags bits. */
     static constexpr std::uint8_t kLeafBit = 1;
-    static constexpr std::uint8_t kPointBit = 2;
 
     /** Append one leaf cell with this box; returns its index. */
     std::size_t newCell(Vec2 lo, Vec2 hi);
 
-    /** Index of the quadrant of `cell` containing p. */
-    int quadrant(std::size_t cell, Vec2 p) const;
-
-    /** Create the 4 children of a cell (incremental path). */
-    void subdivide(std::size_t cell);
-
-    void insertInto(std::size_t cell, Vec2 p, double charge, int depth);
-
     /**
      * Emit the cell for the Morton-sorted body range [begin, end) of
-     * `order`, recursing per 2-bit digit at `shift`.
+     * `order`, recursing per 2-bit digit at `shift`; opens a group at
+     * the first cell on the path holding at most kGroupSize bodies.
      */
     std::size_t buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
-                           std::size_t end, int shift,
+                           std::size_t end, int shift, bool in_group,
                            const std::vector<Body> &bodies);
+
+    /** The tight bounding box {lo, hi} of group g's bodies. */
+    std::array<Vec2, 2> groupBox(std::size_t g) const;
+
+    /**
+     * Visit, in walk order, every cell the box [lo, hi] interacts
+     * with: leaves, and internal cells passing the group test.
+     */
+    template <typename Visit>
+    void walk(Vec2 lo, Vec2 hi, double theta, Visit &&visit) const;
+
+    /**
+     * The field at n <= kGroupSize points (px, py) inside the box
+     * [lo, hi], added into (fx, fy): one walk, its list evaluated in
+     * blocks. All four arrays hold kGroupSize slots.
+     */
+    void fieldAt(const double *px, const double *py, std::size_t n,
+                 Vec2 lo, Vec2 hi, double theta, double *fx,
+                 double *fy) const;
 
     // The SoA arena: one slot per cell across all vectors. clear()
     // between builds keeps the capacity.
@@ -164,15 +183,18 @@ class QuadTree
     std::vector<Vec2> bary;          ///< charge-weighted centre
     std::vector<double> cellCharge;  ///< total charge inside
     std::vector<std::array<CellId, 4>> kids;
-    std::vector<Vec2> leafPos;       ///< the single point of a leaf
-    std::vector<double> leafCharge;
-    std::vector<std::uint8_t> flags; ///< kLeafBit | kPointBit
+    std::vector<std::uint8_t> flags; ///< kLeafBit
 
     std::size_t inserted = 0;
 
-    // Morton scratch of build(), reused across calls.
+    // Morton scratch of build(), reused across calls: codes, the
+    // sorted body order, the body positions in that order, and the
+    // first sorted slot of each group (plus a final end sentinel).
     std::vector<std::uint64_t> codes;
     std::vector<std::uint32_t> order;
+    std::vector<double> sortedX;
+    std::vector<double> sortedY;
+    std::vector<std::uint32_t> groupStart;
 };
 
 } // namespace viva::layout

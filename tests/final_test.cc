@@ -83,10 +83,12 @@ TEST(FairShareSolverReuse, GrowingResourceSpace)
 TEST(QuadTreeDepth, NearCoincidentPointsMergeAtCap)
 {
     // Points separated by less than the coincidence epsilon would
-    // recurse forever without the depth cap / merge logic.
-    viva::layout::QuadTree tree({0, 0}, {1, 1});
+    // recurse forever without the Morton-cell merge.
+    std::vector<viva::layout::QuadTree::Body> bodies;
     for (int i = 0; i < 20; ++i)
-        tree.insert({0.5 + i * 1e-13, 0.5}, 1.0);
+        bodies.push_back({{0.5 + i * 1e-13, 0.5}, 1.0});
+    viva::layout::QuadTree tree;
+    tree.build({0, 0}, {1, 1}, bodies);
     EXPECT_EQ(tree.pointCount(), 20u);
     // Field at distance 0.25: all 20 charges act from ~one point.
     viva::layout::Vec2 f = tree.forceAt({0.75, 0.5}, 0.0);
@@ -95,10 +97,11 @@ TEST(QuadTreeDepth, NearCoincidentPointsMergeAtCap)
 
 TEST(QuadTreeDepth, CellCountBoundedByMerging)
 {
-    viva::layout::QuadTree tree({0, 0}, {1, 1});
-    for (int i = 0; i < 100; ++i)
-        tree.insert({0.123456, 0.654321}, 1.0);
-    // Coincident inserts merge into the same leaf: no splitting storm.
+    viva::layout::QuadTree tree;
+    tree.build({0, 0}, {1, 1},
+               std::vector<viva::layout::QuadTree::Body>(
+                   100, {{0.123456, 0.654321}, 1.0}));
+    // Coincident bodies merge into the same leaf: no splitting storm.
     EXPECT_LT(tree.cellCount(), 16u);
 }
 

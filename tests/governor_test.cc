@@ -13,9 +13,11 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "app/commands.hh"
 #include "app/session.hh"
+#include "layout/graph.hh"
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
 #include "support/clock.hh"
@@ -136,6 +138,39 @@ TEST(Governor, StepAbortLeavesStateBitwiseUnchanged)
     ASSERT_FALSE(stepped.ok());
     EXPECT_EQ(stepped.error().code(), vs::Errc::Deadline);
     EXPECT_EQ(s.stateDigest(), digest);
+}
+
+TEST(Governor, MoveAbortLeavesNodesBitwiseUnchanged)
+{
+    // A drag is a layout operation: it obeys the deadline, and an
+    // abort undoes the drag itself, not only the relaxation after it.
+    ExpiredClockFixture clock;
+    vap::Session s(vt::makeFigure1Trace());
+    s.pinNode("HostB", true);
+    s.setOperationDeadline(1);
+    const std::vector<viva::layout::Node> before =
+        s.layoutGraph().rawNodes();
+    const std::uint64_t digest = s.stateDigest();
+    const std::uint64_t aborts = s.deadlineAbortCount();
+
+    EXPECT_FALSE(s.moveNode("HostA", 500.0, -500.0));
+    EXPECT_EQ(s.deadlineAbortCount(), aborts + 1);
+    const std::vector<viva::layout::Node> &after =
+        s.layoutGraph().rawNodes();
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(after[i].key, before[i].key) << "node " << i;
+        EXPECT_EQ(after[i].position, before[i].position) << "node " << i;
+        EXPECT_EQ(after[i].velocity, before[i].velocity) << "node " << i;
+        EXPECT_EQ(after[i].pinned, before[i].pinned) << "node " << i;
+    }
+    EXPECT_EQ(s.stateDigest(), digest);
+
+    // Without a deadline the same drag commits.
+    s.setOperationDeadline(0);
+    EXPECT_TRUE(s.moveNode("HostA", 500.0, -500.0));
+    EXPECT_EQ(s.deadlineAbortCount(), aborts + 1);
+    EXPECT_NE(s.stateDigest(), digest);
 }
 
 TEST(Governor, RenderAbortLeavesStateAndDiskUnchanged)

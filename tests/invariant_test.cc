@@ -63,13 +63,15 @@ makeTrace()
 vl::QuadTree
 makeTree(std::size_t points)
 {
-    vl::QuadTree tree({-100.0, -100.0}, {100.0, 100.0});
+    std::vector<vl::QuadTree::Body> bodies;
     vs::Rng rng(42);
     for (std::size_t i = 0; i < points; ++i) {
         double x = rng.uniform(-90.0, 90.0);
         double y = rng.uniform(-90.0, 90.0);
-        tree.insert({x, y}, 1.0 + double(i % 3));
+        bodies.push_back({{x, y}, 1.0 + double(i % 3)});
     }
+    vl::QuadTree tree;
+    tree.build({-100.0, -100.0}, {100.0, 100.0}, bodies);
     return tree;
 }
 
@@ -85,9 +87,9 @@ TEST(QuadTreeAudit, CleanAfterManyInserts)
 
 TEST(QuadTreeAudit, CleanWithCoincidentPoints)
 {
-    vl::QuadTree tree({0.0, 0.0}, {10.0, 10.0});
-    for (int i = 0; i < 8; ++i)
-        tree.insert({5.0, 5.0}, 2.0);
+    vl::QuadTree tree;
+    tree.build({0.0, 0.0}, {10.0, 10.0},
+               std::vector<vl::QuadTree::Body>(8, {{5.0, 5.0}, 2.0}));
     EXPECT_TRUE(tree.auditInvariants().empty());
 }
 

@@ -76,8 +76,8 @@ TEST(LayoutGraphDeath, DuplicateKeyAsserts)
 
 TEST(QuadTree, SinglePointField)
 {
-    vl::QuadTree tree({-10, -10}, {10, 10});
-    tree.insert({0, 0}, 2.0);
+    vl::QuadTree tree;
+    tree.build({-10, -10}, {10, 10}, {{{0, 0}, 2.0}});
     vl::Vec2 f = tree.forceAt({3, 0}, 0.5);
     // field = q * d / |d|^3 = 2 * 3 / 27 along +x.
     EXPECT_NEAR(f.x, 2.0 * 3.0 / 27.0, 1e-12);
@@ -86,8 +86,8 @@ TEST(QuadTree, SinglePointField)
 
 TEST(QuadTree, SelfQueryIsFinite)
 {
-    vl::QuadTree tree({-1, -1}, {1, 1});
-    tree.insert({0.5, 0.5}, 1.0);
+    vl::QuadTree tree;
+    tree.build({-1, -1}, {1, 1}, {{{0.5, 0.5}, 1.0}});
     vl::Vec2 f = tree.forceAt({0.5, 0.5}, 0.5);
     EXPECT_DOUBLE_EQ(f.x, 0.0);
     EXPECT_DOUBLE_EQ(f.y, 0.0);
@@ -95,9 +95,9 @@ TEST(QuadTree, SelfQueryIsFinite)
 
 TEST(QuadTree, CoincidentPointsMerge)
 {
-    vl::QuadTree tree({-1, -1}, {1, 1});
-    for (int i = 0; i < 10; ++i)
-        tree.insert({0.25, 0.25}, 1.0);
+    vl::QuadTree tree;
+    tree.build({-1, -1}, {1, 1},
+               std::vector<vl::QuadTree::Body>(10, {{0.25, 0.25}, 1.0}));
     EXPECT_EQ(tree.pointCount(), 10u);
     vl::Vec2 f = tree.forceAt({0.75, 0.25}, 0.0);
     // Ten unit charges at distance 0.5: 10 * 0.5 / 0.125 = 40.
@@ -108,13 +108,15 @@ TEST(QuadTree, ThetaZeroIsExact)
 {
     viva::support::Rng rng(11);
     std::vector<std::pair<vl::Vec2, double>> pts;
-    vl::QuadTree tree({0, 0}, {100, 100});
+    std::vector<vl::QuadTree::Body> bodies;
     for (int i = 0; i < 60; ++i) {
         vl::Vec2 p{rng.uniform(1.0, 99.0), rng.uniform(1.0, 99.0)};
         double q = rng.uniform(0.5, 3.0);
         pts.emplace_back(p, q);
-        tree.insert(p, q);
+        bodies.push_back({p, q});
     }
+    vl::QuadTree tree;
+    tree.build({0, 0}, {100, 100}, bodies);
     vl::Vec2 query{50.0, 50.0};
     vl::Vec2 exact;
     for (auto &[p, q] : pts) {
@@ -234,51 +236,6 @@ TEST(QuadTreeArena, BatchBuildAuditsClean)
     EXPECT_TRUE(tree.auditInvariants().empty());
 }
 
-TEST(QuadTreeArena, BatchMatchesIncrementalAtThetaZero)
-{
-    // With theta = 0 both trees degenerate to the exact pairwise sum,
-    // so the (differently shaped) batch and incremental trees must
-    // agree to rounding at every query point.
-    std::vector<vl::QuadTree::Body> bodies = randomBodies(19, 300);
-    vl::QuadTree incremental({-1.0, -1.0}, {501.0, 501.0});
-    for (const auto &b : bodies)
-        incremental.insert(b.position, b.charge);
-    vl::QuadTree batch;
-    batch.build({-1.0, -1.0}, {501.0, 501.0}, bodies);
-
-    viva::support::Rng rng(21);
-    for (int i = 0; i < 40; ++i) {
-        vl::Vec2 q{rng.uniform(0.0, 500.0), rng.uniform(0.0, 500.0)};
-        vl::Vec2 a = incremental.forceAt(q, 0.0);
-        vl::Vec2 b = batch.forceAt(q, 0.0);
-        EXPECT_NEAR(a.x, b.x, 1e-9);
-        EXPECT_NEAR(a.y, b.y, 1e-9);
-    }
-}
-
-TEST(QuadTreeArena, ScratchOverloadIsBitwiseIdentical)
-{
-    // The zero-allocation forceAt must return the exact same bits as
-    // the allocating overload: the force layout's determinism contract
-    // rides on it.
-    std::vector<vl::QuadTree::Body> bodies = randomBodies(23, 500);
-    vl::QuadTree tree;
-    tree.build({-1.0, -1.0}, {501.0, 501.0}, bodies);
-
-    vl::QuadTree::TraversalStack scratch;
-    viva::support::Rng rng(29);
-    for (double theta : {0.0, 0.5, 0.8, 1.2}) {
-        for (int i = 0; i < 50; ++i) {
-            vl::Vec2 q{rng.uniform(-10.0, 510.0),
-                       rng.uniform(-10.0, 510.0)};
-            vl::Vec2 a = tree.forceAt(q, theta);
-            vl::Vec2 b = tree.forceAt(q, theta, scratch);
-            EXPECT_EQ(a.x, b.x);
-            EXPECT_EQ(a.y, b.y);
-        }
-    }
-}
-
 TEST(QuadTreeArena, RebuildReusesTheArena)
 {
     vl::QuadTree tree;
@@ -316,6 +273,142 @@ TEST(QuadTreeArena, EmptyBuildIsWellFormed)
     vl::Vec2 f = tree.forceAt({0.5, 0.5}, 0.8);
     EXPECT_DOUBLE_EQ(f.x, 0.0);
     EXPECT_DOUBLE_EQ(f.y, 0.0);
+}
+
+// --- the grouped field -------------------------------------------------------
+
+namespace
+{
+
+/** The exact field at every body: the O(n^2) reference sum. */
+std::vector<vl::Vec2>
+exactField(const std::vector<vl::QuadTree::Body> &bodies)
+{
+    std::vector<vl::Vec2> out(bodies.size());
+    for (std::size_t i = 0; i < bodies.size(); ++i)
+        for (const auto &b : bodies) {
+            vl::Vec2 d = bodies[i].position - b.position;
+            double dist = d.norm();
+            if (dist < 1e-9)
+                continue;
+            out[i] += d * (b.charge / (dist * dist * dist));
+        }
+    return out;
+}
+
+/** The grouped field at every body. */
+std::vector<vl::Vec2>
+groupedField(const vl::QuadTree &tree, double theta)
+{
+    std::vector<vl::Vec2> field(tree.pointCount());
+    for (std::size_t g = 0; g < tree.groupCount(); ++g)
+        tree.groupField(g, theta, field);
+    return field;
+}
+
+} // namespace
+
+TEST(QuadTreeField, ThetaZeroEqualsExactSum)
+{
+    // With theta = 0 no cell is accepted as an approximation, so both
+    // the grouped field and forceAt degenerate to the exact sum.
+    std::vector<vl::QuadTree::Body> bodies = randomBodies(19, 300);
+    vl::QuadTree tree;
+    tree.build({-1.0, -1.0}, {501.0, 501.0}, bodies);
+    std::vector<vl::Vec2> exact = exactField(bodies);
+    std::vector<vl::Vec2> field = groupedField(tree, 0.0);
+    for (std::size_t i = 0; i < bodies.size(); ++i) {
+        EXPECT_NEAR(field[i].x, exact[i].x, 1e-9) << "body " << i;
+        EXPECT_NEAR(field[i].y, exact[i].y, 1e-9) << "body " << i;
+        vl::Vec2 at = tree.forceAt(bodies[i].position, 0.0);
+        EXPECT_NEAR(at.x, exact[i].x, 1e-9) << "body " << i;
+        EXPECT_NEAR(at.y, exact[i].y, 1e-9) << "body " << i;
+    }
+}
+
+TEST(QuadTreeField, GroupsTileTheBodies)
+{
+    std::vector<vl::QuadTree::Body> bodies = randomBodies(41, 1000);
+    vl::QuadTree tree;
+    tree.build({-1.0, -1.0}, {501.0, 501.0}, bodies);
+    EXPECT_TRUE(tree.auditInvariants().empty());
+    std::vector<int> seen(bodies.size(), 0);
+    for (std::size_t g = 0; g < tree.groupCount(); ++g) {
+        auto walk = tree.debugGroupWalk(g, 0.8);
+        EXPECT_LE(walk.bodies.size(), vl::QuadTree::kGroupSize);
+        for (std::uint32_t b : walk.bodies)
+            ++seen[b];
+    }
+    for (std::size_t i = 0; i < bodies.size(); ++i)
+        EXPECT_EQ(seen[i], 1) << "body " << i;
+    // Far fewer walks than bodies: that is the point of grouping.
+    EXPECT_LT(tree.groupCount(), bodies.size() / 4);
+}
+
+/**
+ * Property: the group test is conservative. Every internal cell a
+ * group's walk accepts also passes the classic per-body test
+ * (distance above the coincidence epsilon, size / distance < theta)
+ * for every body of the group, so the grouped field is at least as
+ * accurate as the per-body walk.
+ */
+TEST(QuadTreeField, AcceptedCellsPassEveryBodyTest)
+{
+    for (std::uint64_t seed : {2u, 43u, 977u}) {
+        viva::support::Rng rng(seed);
+        // Random sizes, and a cluster of near-duplicates, so small,
+        // full and merged-leaf groups all occur.
+        int n = 200 + int(rng.index(1500));
+        std::vector<vl::QuadTree::Body> bodies = randomBodies(seed, n);
+        for (int i = 0; i < 40; ++i)
+            bodies.push_back({{250.0 + i * 1e-8, 250.0}, 1.0});
+        vl::QuadTree tree;
+        tree.build({-1.0, -1.0}, {501.0, 501.0}, bodies);
+        for (double theta : {0.3, 0.8, 1.2}) {
+            std::size_t accepted = 0;
+            for (std::size_t g = 0; g < tree.groupCount(); ++g) {
+                auto walk = tree.debugGroupWalk(g, theta);
+                for (std::size_t c = 0; c < walk.barycentres.size();
+                     ++c) {
+                    ++accepted;
+                    for (std::uint32_t b : walk.bodies) {
+                        double dist = vl::distance(bodies[b].position,
+                                                   walk.barycentres[c]);
+                        ASSERT_GT(dist, 1e-9);
+                        ASSERT_LT(walk.sizes[c] / dist, theta)
+                            << "seed " << seed << " group " << g;
+                    }
+                }
+            }
+            // Not vacuous: the walks do approximate.
+            EXPECT_GT(accepted, 0u) << "theta " << theta;
+        }
+    }
+}
+
+/**
+ * The grouped field is at least as accurate as the per-body walk
+ * (forceAt) on the same tree: its group test accepts only cells every
+ * body would accept.
+ */
+TEST(QuadTreeField, NoLessAccurateThanThePerBodyWalk)
+{
+    std::vector<vl::QuadTree::Body> bodies = randomBodies(53, 800);
+    vl::QuadTree tree;
+    tree.build({-1.0, -1.0}, {501.0, 501.0}, bodies);
+    std::vector<vl::Vec2> exact = exactField(bodies);
+    for (double theta : {0.5, 0.8, 1.2}) {
+        std::vector<vl::Vec2> field = groupedField(tree, theta);
+        double grouped = 0.0, per_body = 0.0;
+        for (std::size_t i = 0; i < bodies.size(); ++i) {
+            double norm = exact[i].norm();
+            grouped += (field[i] - exact[i]).norm() / norm;
+            per_body += (tree.forceAt(bodies[i].position, theta) -
+                         exact[i]).norm() /
+                        norm;
+        }
+        EXPECT_LE(grouped, per_body) << "theta " << theta;
+    }
 }
 
 // --- ForceLayout ------------------------------------------------------------------

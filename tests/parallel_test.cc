@@ -232,6 +232,10 @@ TEST(ParallelLayout, BarnesHutStepsAreBitwiseThreadCountInvariant)
     auto serial = layoutWith(1, true, 25);
     expectIdentical(serial, layoutWith(2, true, 25));
     expectIdentical(serial, layoutWith(8, true, 25));
+    // The grouped field at scale: hundreds of groups over many chunks.
+    auto big = layoutWith(1, true, 4, 5000);
+    for (std::size_t threads : {2, 4, 8})
+        expectIdentical(big, layoutWith(threads, true, 4, 5000));
 }
 
 TEST(ParallelLayout, NaiveStepsAreBitwiseThreadCountInvariant)
