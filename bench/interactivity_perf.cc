@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+
 #include "app/session.hh"
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
@@ -124,6 +126,22 @@ BM_SvgRenderClusterLevel(benchmark::State &state)
     }
 }
 
+void
+BM_SvgRenderHostLevel(benchmark::State &state)
+{
+    // Every host, link and router visible (4432 nodes): the frame
+    // size where the SVG writer's per-number cost shows.
+    viva::app::Session &s = gridSession();
+    s.resetAggregation();
+    viva::viz::Scene scene = s.scene();
+    for (auto _ : state) {
+        std::ostringstream out;
+        viva::viz::writeSvg(scene, out);
+        benchmark::DoNotOptimize(out.str().size());
+    }
+    state.counters["nodes"] = double(scene.nodes.size());
+}
+
 } // namespace
 
 BENCHMARK(BM_GestureTimeSlice)->Unit(benchmark::kMillisecond);
@@ -135,5 +153,6 @@ BENCHMARK(BM_SceneComposeClusterLevel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SceneComposeHostLevel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LayoutIterationHostLevel)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SvgRenderClusterLevel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SvgRenderHostLevel)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -7,6 +7,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "support/interval.hh"
@@ -29,28 +31,39 @@ struct SliceTag
  */
 using SliceIndex = support::StrongId<SliceTag, std::uint32_t>;
 
-/** Split a period into n equal consecutive slices. */
+/**
+ * The largest slice count a SliceIndex can address: every index of a
+ * division into at most this many slices fits the index type.
+ */
+inline constexpr std::size_t kMaxSliceCount =
+    std::numeric_limits<SliceIndex::Underlying>::max();
+
+/**
+ * The i-th of n equal consecutive slices of a period, computed
+ * directly (no other slice is built). The last slice ends exactly at
+ * the period's end.
+ */
+inline TimeSlice
+sliceAt(const TimeSlice &span, SliceIndex i, std::size_t n)
+{
+    VIVA_ASSERT(n <= kMaxSliceCount, "slice count ", n, " out of range");
+    VIVA_ASSERT(i.index() < n, "slice index ", i, " out of ", n);
+    double width = span.length() / double(n);
+    double b = span.begin + width * double(i.index());
+    double e = (i.index() + 1 == n) ? span.end : b + width;
+    return {b, e};
+}
+
+/** Split a period into n equal consecutive slices (each one sliceAt). */
 inline std::vector<TimeSlice>
 uniformSlices(const TimeSlice &span, std::size_t n)
 {
     VIVA_ASSERT(n > 0, "need at least one slice");
     std::vector<TimeSlice> out;
     out.reserve(n);
-    double width = span.length() / double(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        double b = span.begin + width * double(i);
-        double e = (i + 1 == n) ? span.end : b + width;
-        out.emplace_back(b, e);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(sliceAt(span, SliceIndex::fromIndex(i), n));
     return out;
-}
-
-/** The i-th of n equal slices of a period. */
-inline TimeSlice
-sliceAt(const TimeSlice &span, SliceIndex i, std::size_t n)
-{
-    VIVA_ASSERT(i.index() < n, "slice index ", i, " out of ", n);
-    return uniformSlices(span, n)[i.index()];
 }
 
 /**

@@ -5,6 +5,7 @@
 
 #include "app/commands.hh"
 
+#include <cmath>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -78,6 +79,10 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
         double b, e;
         if (!need(2) || !num(1, b) || !num(2, e))
             return false;
+        if (!std::isfinite(b) || !std::isfinite(e)) {
+            out << "error: slice bounds must be finite\n";
+            return false;
+        }
         if (b > e) {
             out << "error: reversed slice\n";
             return false;
@@ -90,7 +95,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
         std::size_t i, n;
         if (!need(2) || !count(1, i) || !count(2, n))
             return false;
-        if (n == 0 || i >= n) {
+        if (n == 0 || i >= n || n > agg::kMaxSliceCount) {
             out << "error: slice-of " << i << " " << n << " is invalid\n";
             return false;
         }

@@ -53,7 +53,8 @@ fanOffset(std::size_t i, double radius)
 } // namespace
 
 Session::Session(trace::Trace trace_in)
-    : tr(std::move(trace_in)), hierCut(tr), slice(tr.span()),
+    : tr(std::move(trace_in)), traceSpan(tr.span()), hierCut(tr),
+      slice(traceSpan),
       visMapping(viz::VisualMapping::defaults(tr)), typeScaling(),
       graph(), force(graph), nThreads(support::defaultThreadCount())
 {
@@ -120,8 +121,9 @@ Session::load(const std::string &path, const trace::ParseBudget &budget)
         support::warnLimited("paje.import", "Session::load", w);
     tr = std::move(staged);
     tr.ensureQueryAcceleration();
+    traceSpan = tr.span();
     hierCut = agg::HierarchyCut(tr);
-    slice = tr.span();
+    slice = traceSpan;
     visMapping = viz::VisualMapping::defaults(tr);
     typeScaling = viz::TypeScaling();
     graph = layout::LayoutGraph();
@@ -1014,6 +1016,7 @@ Session::restore(const std::string &path,
     // reference), then overlay the persisted node state.
     tr = std::move(staged);
     tr.ensureQueryAcceleration();
+    traceSpan = tr.span();
     hierCut = agg::HierarchyCut(tr);
     support::Expected<void> applied =
         hierCut.setCollapsedFlags(image->cutFlags);

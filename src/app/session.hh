@@ -77,8 +77,12 @@ class Session
     /** The trace under analysis. */
     const trace::Trace &trace() const { return tr; }
 
-    /** The whole observation period. */
-    support::Interval span() const { return tr.span(); }
+    /**
+     * The whole observation period: trace().span(), computed once
+     * where the trace is set (constructor, load, restore) -- the
+     * session never mutates the trace anywhere else.
+     */
+    support::Interval span() const { return traceSpan; }
 
     // --- the temporal scale -----------------------------------------------
 
@@ -420,6 +424,7 @@ class Session
     std::uint16_t deepestVisibleDepth() const;
 
     trace::Trace tr;
+    support::Interval traceSpan;
     agg::HierarchyCut hierCut;
     agg::TimeSlice slice;
     viz::VisualMapping visMapping;

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "support/logging.hh"
+
 namespace viva::support
 {
 
@@ -123,13 +125,24 @@ parseSize(std::string_view text, std::size_t &out)
     return true;
 }
 
+void
+appendDouble(std::string &out, double value)
+{
+    // The longest shortest form of a binary64 is 24 characters
+    // ("-2.2250738585072014e-308"); fixed notation is only chosen when
+    // it is no longer than scientific.
+    char buf[32];
+    auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+    VIVA_ASSERT(ec == std::errc(), "to_chars overflowed its buffer");
+    out.append(buf, end);
+}
+
 std::string
 formatDouble(double value)
 {
-    char buf[64];
-    // %.17g is the smallest precision guaranteed to round-trip a binary64.
-    std::snprintf(buf, sizeof(buf), "%.17g", value);
-    return buf;
+    std::string out;
+    appendDouble(out, value);
+    return out;
 }
 
 std::string

@@ -47,7 +47,15 @@ bool parseDouble(std::string_view text, double &out);
 /** Parse a non-negative integer, reporting success. */
 bool parseSize(std::string_view text, std::size_t &out);
 
-/** Format a double compactly (shortest round-trippable form, capped). */
+/**
+ * Append the shortest text that parses back to exactly `value`
+ * (std::to_chars shortest round trip: fixed or scientific, whichever
+ * is shorter). Every writer formats its numbers through this, so
+ * written files are lossless and no longer than "%.17g" output.
+ */
+void appendDouble(std::string &out, double value);
+
+/** appendDouble into a fresh string. */
 std::string formatDouble(double value);
 
 /** Render a quantity with an SI-style suffix (1.5K, 2.3M, ...). */

@@ -15,9 +15,20 @@ namespace viva::viz
 std::string
 Color::hex() const
 {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "#%02x%02x%02x", r, g, b);
-    return buf;
+    std::string out;
+    appendHex(out);
+    return out;
+}
+
+void
+Color::appendHex(std::string &out) const
+{
+    static constexpr char digits[] = "0123456789abcdef";
+    out += '#';
+    for (std::uint8_t channel : {r, g, b}) {
+        out += digits[channel >> 4];
+        out += digits[channel & 0xf];
+    }
 }
 
 namespace palette

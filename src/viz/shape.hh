@@ -26,6 +26,9 @@ struct Color
     /** "#rrggbb" form for SVG. */
     std::string hex() const;
 
+    /** Append the "#rrggbb" form to a caller's buffer. */
+    void appendHex(std::string &out) const;
+
     bool operator==(const Color &other) const = default;
 };
 

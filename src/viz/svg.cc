@@ -5,8 +5,10 @@
 
 #include "viz/svg.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <string_view>
 
 #include "support/atomic_file.hh"
 #include "support/logging.hh"
@@ -21,64 +23,130 @@ namespace obs = support::obs;
 namespace
 {
 
-using support::formatDouble;
+/**
+ * The document under construction: elements are appended to one
+ * buffer and handed to the stream in chunks of about kChunk bytes, so
+ * a frame costs no per-number or per-attribute string and the
+ * document is never held twice (a 20k-node frame is several MB).
+ * Doubles are written in their shortest round-trip form
+ * (support::appendDouble), colours as "#rrggbb".
+ */
+class SvgWriter
+{
+  public:
+    explicit SvgWriter(std::ostream &sink) : out(sink)
+    {
+        buf.reserve(kChunk + 1024);
+    }
 
-using support::xmlEscape;
+    SvgWriter &
+    operator<<(std::string_view text)
+    {
+        buf += text;
+        return *this;
+    }
+
+    SvgWriter &
+    operator<<(char c)
+    {
+        buf += c;
+        return *this;
+    }
+
+    SvgWriter &
+    operator<<(double value)
+    {
+        support::appendDouble(buf, value);
+        return *this;
+    }
+
+    SvgWriter &
+    operator<<(const Color &color)
+    {
+        color.appendHex(buf);
+        return *this;
+    }
+
+    /** Text content or an attribute value, XML-escaped. */
+    void
+    escaped(std::string_view text)
+    {
+        buf += support::xmlEscape(text);
+    }
+
+    /** End an element's line; hand a full chunk to the stream. */
+    void
+    endLine()
+    {
+        buf += '\n';
+        if (buf.size() >= kChunk)
+            flush();
+    }
+
+    void
+    flush()
+    {
+        out.write(buf.data(), std::streamsize(buf.size()));
+        buf.clear();
+    }
+
+  private:
+    static constexpr std::size_t kChunk = 64 * 1024;
+
+    std::ostream &out;
+    std::string buf;
+};
 
 /**
  * Emit one glyph centred at (x, y) with the given size. `filled` draws
  * the solid variant (the inner proportional fill), otherwise an outline.
  */
 void
-emitShape(std::ostream &out, ShapeKind shape, double x, double y,
-          double size, const Color &color, bool filled, double opacity)
+emitShape(SvgWriter &w, ShapeKind shape, double x, double y, double size,
+          const Color &color, bool filled, double opacity)
 {
     double h = size / 2.0;
-    std::string paint = filled
-        ? "fill=\"" + color.hex() + "\" fill-opacity=\"" +
-              formatDouble(opacity) + "\" stroke=\"none\""
-        : "fill=\"none\" stroke=\"" + color.hex() +
-              "\" stroke-width=\"1.2\"";
-
     switch (shape) {
       case ShapeKind::Square:
-        out << "  <rect x=\"" << formatDouble(x - h) << "\" y=\""
-            << formatDouble(y - h) << "\" width=\"" << formatDouble(size)
-            << "\" height=\"" << formatDouble(size) << "\" " << paint
-            << "/>\n";
+        w << "  <rect x=\"" << x - h << "\" y=\"" << y - h
+          << "\" width=\"" << size << "\" height=\"" << size << "\" ";
         break;
       case ShapeKind::Diamond:
-        out << "  <polygon points=\"" << formatDouble(x) << ','
-            << formatDouble(y - h) << ' ' << formatDouble(x + h) << ','
-            << formatDouble(y) << ' ' << formatDouble(x) << ','
-            << formatDouble(y + h) << ' ' << formatDouble(x - h) << ','
-            << formatDouble(y) << "\" " << paint << "/>\n";
+        w << "  <polygon points=\"" << x << ',' << y - h << ' ' << x + h
+          << ',' << y << ' ' << x << ',' << y + h << ' ' << x - h << ','
+          << y << "\" ";
         break;
       case ShapeKind::Circle:
-        out << "  <circle cx=\"" << formatDouble(x) << "\" cy=\""
-            << formatDouble(y) << "\" r=\"" << formatDouble(h) << "\" "
-            << paint << "/>\n";
+        w << "  <circle cx=\"" << x << "\" cy=\"" << y << "\" r=\"" << h
+          << "\" ";
         break;
     }
+    if (filled)
+        w << "fill=\"" << color << "\" fill-opacity=\"" << opacity
+          << "\" stroke=\"none\"/>";
+    else
+        w << "fill=\"none\" stroke=\"" << color
+          << "\" stroke-width=\"1.2\"/>";
+    w.endLine();
 }
 
 /** Outline plus area-proportional inner fill. */
 void
-emitGlyph(std::ostream &out, ShapeKind shape, double x, double y,
-          double size, double fill, const Color &color)
+emitGlyph(SvgWriter &w, ShapeKind shape, double x, double y, double size,
+          double fill, const Color &color)
 {
     if (size <= 0.0)
         return;
-    emitShape(out, shape, x, y, size, color, false, 1.0);
+    emitShape(w, shape, x, y, size, color, false, 1.0);
     if (fill > 0.0) {
         double inner = size * std::sqrt(std::min(fill, 1.0));
-        emitShape(out, shape, x, y, inner, color, true, 0.85);
+        emitShape(w, shape, x, y, inner, color, true, 0.85);
     }
 }
 
 /** A pie of wedges centred at (x, y); fractions sum to <= 1. */
 void
-emitPie(std::ostream &out, double x, double y, double radius,
+emitPie(SvgWriter &w, double x, double y, double radius,
         const std::vector<SceneNode::PieSegment> &segments)
 {
     if (radius <= 0.0 || segments.empty())
@@ -90,10 +158,10 @@ emitPie(std::ostream &out, double x, double y, double radius,
         if (frac <= 0.0)
             continue;
         if (frac >= 0.999) {
-            out << "  <circle cx=\"" << formatDouble(x) << "\" cy=\""
-                << formatDouble(y) << "\" r=\"" << formatDouble(radius)
-                << "\" fill=\"" << segment.color.hex()
-                << "\" fill-opacity=\"0.9\"/>\n";
+            w << "  <circle cx=\"" << x << "\" cy=\"" << y << "\" r=\""
+              << radius << "\" fill=\"" << segment.color
+              << "\" fill-opacity=\"0.9\"/>";
+            w.endLine();
             return;
         }
         double sweep = frac * tau;
@@ -101,33 +169,30 @@ emitPie(std::ostream &out, double x, double y, double radius,
         double y1 = y + radius * std::sin(angle);
         double x2 = x + radius * std::cos(angle + sweep);
         double y2 = y + radius * std::sin(angle + sweep);
-        int large = sweep > tau / 2.0 ? 1 : 0;
-        out << "  <path d=\"M " << formatDouble(x) << ' '
-            << formatDouble(y) << " L " << formatDouble(x1) << ' '
-            << formatDouble(y1) << " A " << formatDouble(radius) << ' '
-            << formatDouble(radius) << " 0 " << large << " 1 "
-            << formatDouble(x2) << ' ' << formatDouble(y2)
-            << " Z\" fill=\"" << segment.color.hex()
-            << "\" fill-opacity=\"0.9\" stroke=\"#ffffff\" "
-               "stroke-width=\"0.5\"/>\n";
+        char large = sweep > tau / 2.0 ? '1' : '0';
+        w << "  <path d=\"M " << x << ' ' << y << " L " << x1 << ' ' << y1
+          << " A " << radius << ' ' << radius << " 0 " << large << " 1 "
+          << x2 << ' ' << y2 << " Z\" fill=\"" << segment.color
+          << "\" fill-opacity=\"0.9\" stroke=\"#ffffff\" "
+             "stroke-width=\"0.5\"/>";
+        w.endLine();
         angle += sweep;
     }
-    out << "  <circle cx=\"" << formatDouble(x) << "\" cy=\""
-        << formatDouble(y) << "\" r=\"" << formatDouble(radius)
-        << "\" fill=\"none\" stroke=\"#666\" stroke-width=\"0.8\"/>\n";
+    w << "  <circle cx=\"" << x << "\" cy=\"" << y << "\" r=\"" << radius
+      << "\" fill=\"none\" stroke=\"#666\" stroke-width=\"0.8\"/>";
+    w.endLine();
 }
 
 /** A dashed ring flagging heterogeneous aggregates. */
 void
-emitHeterogeneityRing(std::ostream &out, double x, double y,
-                      double radius, double heterogeneity)
+emitHeterogeneityRing(SvgWriter &w, double x, double y, double radius,
+                      double heterogeneity)
 {
-    out << "  <circle cx=\"" << formatDouble(x) << "\" cy=\""
-        << formatDouble(y) << "\" r=\"" << formatDouble(radius)
-        << "\" fill=\"none\" stroke=\"" << palette::accent.hex()
-        << "\" stroke-width=\"1.2\" stroke-dasharray=\"4 3\">"
-        << "<title>heterogeneity cv=" << formatDouble(heterogeneity)
-        << "</title></circle>\n";
+    w << "  <circle cx=\"" << x << "\" cy=\"" << y << "\" r=\"" << radius
+      << "\" fill=\"none\" stroke=\"" << palette::accent
+      << "\" stroke-width=\"1.2\" stroke-dasharray=\"4 3\">"
+      << "<title>heterogeneity cv=" << heterogeneity << "</title></circle>";
+    w.endLine();
 }
 
 } // namespace
@@ -135,56 +200,57 @@ emitHeterogeneityRing(std::ostream &out, double x, double y,
 void
 writeSvg(const Scene &scene, std::ostream &out, const SvgOptions &options)
 {
-    out << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
-        << formatDouble(scene.width) << "\" height=\""
-        << formatDouble(scene.height) << "\" viewBox=\"0 0 "
-        << formatDouble(scene.width) << ' ' << formatDouble(scene.height)
-        << "\">\n";
-    out << "  <rect width=\"100%\" height=\"100%\" fill=\""
-        << palette::background.hex() << "\"/>\n";
+    SvgWriter w(out);
+    w << "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\""
+      << scene.width << "\" height=\"" << scene.height
+      << "\" viewBox=\"0 0 " << scene.width << ' ' << scene.height << "\">";
+    w.endLine();
+    w << "  <rect width=\"100%\" height=\"100%\" fill=\""
+      << palette::background << "\"/>";
+    w.endLine();
 
     if (!options.title.empty()) {
-        out << "  <text x=\"12\" y=\"20\" font-family=\"sans-serif\" "
-               "font-size=\"14\" fill=\"#333\">"
-            << xmlEscape(options.title) << "</text>\n";
+        w << "  <text x=\"12\" y=\"20\" font-family=\"sans-serif\" "
+             "font-size=\"14\" fill=\"#333\">";
+        w.escaped(options.title);
+        w << "</text>";
+        w.endLine();
     }
-    out << "  <text x=\"12\" y=\"" << formatDouble(scene.height - 10)
-        << "\" font-family=\"sans-serif\" font-size=\"11\" "
-           "fill=\"#666\">time slice ["
-        << formatDouble(scene.slice.begin) << ", "
-        << formatDouble(scene.slice.end) << ")</text>\n";
+    w << "  <text x=\"12\" y=\"" << scene.height - 10
+      << "\" font-family=\"sans-serif\" font-size=\"11\" "
+         "fill=\"#666\">time slice ["
+      << scene.slice.begin << ", " << scene.slice.end << ")</text>";
+    w.endLine();
 
     if (options.drawEdges) {
         for (const SceneEdge &e : scene.edges) {
             const SceneNode &a = scene.nodes[e.a];
             const SceneNode &b = scene.nodes[e.b];
-            out << "  <line x1=\"" << formatDouble(a.x) << "\" y1=\""
-                << formatDouble(a.y) << "\" x2=\"" << formatDouble(b.x)
-                << "\" y2=\"" << formatDouble(b.y) << "\" stroke=\""
-                << palette::edge.hex() << "\" stroke-width=\""
-                << formatDouble(e.widthPx) << "\" stroke-opacity=\"0.6\"/>"
-                << "\n";
+            w << "  <line x1=\"" << a.x << "\" y1=\"" << a.y << "\" x2=\""
+              << b.x << "\" y2=\"" << b.y << "\" stroke=\"" << palette::edge
+              << "\" stroke-width=\"" << e.widthPx
+              << "\" stroke-opacity=\"0.6\"/>";
+            w.endLine();
         }
     }
 
     for (const SceneNode &n : scene.nodes) {
-        emitGlyph(out, n.shape, n.x, n.y, n.sizePx, n.fill, n.color);
+        emitGlyph(w, n.shape, n.x, n.y, n.sizePx, n.fill, n.color);
         if (n.hasSecondary && n.secondarySizePx > 0.0) {
             // The Fig. 3 composite: the link diamond rides the upper
             // right corner of the aggregated square.
             double dx = n.sizePx / 2.0 + n.secondarySizePx / 2.0;
-            emitGlyph(out, n.secondaryShape, n.x + dx, n.y,
+            emitGlyph(w, n.secondaryShape, n.x + dx, n.y,
                       n.secondarySizePx, n.secondaryFill,
                       n.secondaryColor);
         }
         if (!n.segments.empty()) {
             double radius = std::max(n.sizePx * 0.35, 4.0);
-            emitPie(out, n.x, n.y, radius, n.segments);
+            emitPie(w, n.x, n.y, radius, n.segments);
         }
         if (n.heterogeneity > options.heterogeneityThreshold) {
             double radius = std::max(n.sizePx * 0.75, 8.0);
-            emitHeterogeneityRing(out, n.x, n.y, radius,
-                                  n.heterogeneity);
+            emitHeterogeneityRing(w, n.x, n.y, radius, n.heterogeneity);
         }
     }
 
@@ -192,17 +258,20 @@ writeSvg(const Scene &scene, std::ostream &out, const SvgOptions &options)
         for (const SceneNode &n : scene.nodes) {
             if (options.labelsAggregatedOnly && !n.aggregated)
                 continue;
-            out << "  <text x=\"" << formatDouble(n.x) << "\" y=\""
-                << formatDouble(n.y + n.sizePx / 2.0 +
-                                options.fontSize + 2)
-                << "\" font-family=\"sans-serif\" font-size=\""
-                << formatDouble(options.fontSize)
-                << "\" text-anchor=\"middle\" fill=\"#333\">"
-                << xmlEscape(n.label) << "</text>\n";
+            w << "  <text x=\"" << n.x << "\" y=\""
+              << n.y + n.sizePx / 2.0 + options.fontSize + 2
+              << "\" font-family=\"sans-serif\" font-size=\""
+              << options.fontSize
+              << "\" text-anchor=\"middle\" fill=\"#333\">";
+            w.escaped(n.label);
+            w << "</text>";
+            w.endLine();
         }
     }
 
-    out << "</svg>\n";
+    w << "</svg>";
+    w.endLine();
+    w.flush();
 }
 
 support::Expected<void>

@@ -14,6 +14,7 @@
 #include "trace/builder.hh"
 
 namespace va = viva::agg;
+namespace vs = viva::support;
 namespace vt = viva::trace;
 
 namespace
@@ -91,6 +92,44 @@ TEST(TimeSlice, SliceAt)
     auto s = va::sliceAt({0.0, 12.0}, va::SliceIndex{1}, 3);
     EXPECT_DOUBLE_EQ(s.begin, 4.0);
     EXPECT_DOUBLE_EQ(s.end, 8.0);
+}
+
+TEST(TimeSlice, SliceAtEqualsTheUniformDivisionBitwise)
+{
+    // Random spans (including zero-length and far-from-zero ones) and
+    // counts up to 1000: the directly computed i-th slice is bitwise
+    // the i-th slice of the whole division, and both follow the
+    // division's one formula (width computed once, the last slice
+    // pinned to the span's end).
+    vs::Rng rng(29);
+    for (int trial = 0; trial < 200; ++trial) {
+        double begin = rng.uniform(-1e6, 1e6);
+        double length = trial % 10 == 0 ? 0.0 : rng.uniform(0.0, 1e4);
+        va::TimeSlice span{begin, begin + length};
+        std::size_t n = std::size_t(rng.uniformInt(1, 1000));
+        std::vector<va::TimeSlice> all = va::uniformSlices(span, n);
+        ASSERT_EQ(all.size(), n);
+        double width = span.length() / double(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            va::TimeSlice one =
+                va::sliceAt(span, va::SliceIndex::fromIndex(i), n);
+            ASSERT_EQ(one, all[i]) << "slice " << i << " of " << n;
+            double b = span.begin + width * double(i);
+            double e = i + 1 == n ? span.end : b + width;
+            ASSERT_EQ(one, va::TimeSlice(b, e));
+        }
+    }
+}
+
+TEST(TimeSlice, SliceAtNeedsNoDivisionInMemory)
+{
+    // The largest addressable count: only the asked-for slice is built.
+    const std::size_t n = va::kMaxSliceCount;
+    va::TimeSlice last =
+        va::sliceAt({0.0, 8.0}, va::SliceIndex::fromIndex(n - 1), n);
+    EXPECT_EQ(last.end, 8.0);
+    EXPECT_LT(last.begin, 8.0);
+    EXPECT_EQ(va::sliceAt({0.0, 8.0}, va::SliceIndex{0}, n).begin, 0.0);
 }
 
 TEST(TimeSlice, SlidingWindows)

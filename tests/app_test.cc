@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "app/commands.hh"
 #include "app/session.hh"
@@ -44,6 +46,22 @@ tempDir()
     return dir.string();
 }
 
+/** A one-site trace whose span, [0.25, 7.5), differs from Fig. 1's. */
+vt::Trace
+makeOffsetSpanTrace()
+{
+    vt::TraceBuilder b;
+    b.beginGroup("site", vt::ContainerKind::Site);
+    vt::ContainerId h0 = b.host("h0");
+    vt::ContainerId h1 = b.host("h1");
+    b.set(h0, "power", 0.25, 100.0);
+    b.set(h0, "power_used", 0.25, 40.0);
+    b.set(h1, "power", 1.0, 100.0);
+    b.set(h1, "power_used", 7.5, 10.0);
+    b.endGroup();
+    return b.take();
+}
+
 } // namespace
 
 TEST(Session, InitialStateCoversWholeSpan)
@@ -55,6 +73,32 @@ TEST(Session, InitialStateCoversWholeSpan)
     EXPECT_EQ(s.cut().visibleCount(), 3u);
     EXPECT_EQ(s.layoutGraph().nodeCount(), 3u);
     EXPECT_EQ(s.layoutGraph().edgeCount(), 2u);
+}
+
+TEST(Session, SpanIsTheTracesSpanWhereverTheTraceIsSet)
+{
+    vap::Session s(vt::makeFigure1Trace());
+    EXPECT_EQ(s.span(), s.trace().span());
+    const va::TimeSlice fig1 = s.span();
+
+    vap::Session offset(makeOffsetSpanTrace());
+    EXPECT_EQ(offset.span(), offset.trace().span());
+    EXPECT_EQ(offset.span(), va::TimeSlice(0.25, 7.5));
+    ASSERT_NE(offset.span(), fig1);
+
+    std::string trace_path = tempDir() + "/offset_span.trace";
+    ASSERT_TRUE(offset.saveTrace(trace_path).ok());
+    ASSERT_TRUE(s.load(trace_path).ok());
+    EXPECT_EQ(s.span(), s.trace().span());
+    EXPECT_EQ(s.span(), offset.span());
+    EXPECT_EQ(s.timeSlice(), s.span());
+
+    std::string ckpt_path = tempDir() + "/fig1_span.ckpt";
+    vap::Session fig1_session(vt::makeFigure1Trace());
+    ASSERT_TRUE(fig1_session.checkpoint(ckpt_path).ok());
+    ASSERT_TRUE(s.restore(ckpt_path).ok());
+    EXPECT_EQ(s.span(), s.trace().span());
+    EXPECT_EQ(s.span(), fig1);
 }
 
 TEST(Session, SliceSelection)
@@ -265,6 +309,48 @@ TEST(Commands, SliceOfValidation)
     EXPECT_FALSE(cli.execute("slice-of 4 4", out));
     EXPECT_FALSE(cli.execute("slice-of 1 0", out));
     EXPECT_FALSE(cli.execute("slice 6 2", out));
+}
+
+TEST(Commands, SliceRejectsNonFiniteBounds)
+{
+    vap::Session s(vt::makeFigure1Trace());
+    vap::CommandInterpreter cli(s);
+    std::ostringstream out;
+    ASSERT_TRUE(cli.execute("slice 2 6", out));
+    const std::uint64_t before = s.stateDigest();
+    for (const char *line : {"slice nan 5", "slice 0 nan", "slice nan nan",
+                             "slice -inf 5", "slice 0 inf", "slice inf inf"}) {
+        std::ostringstream err;
+        EXPECT_FALSE(cli.execute(line, err)) << line;
+        EXPECT_EQ(err.str(), "error: slice bounds must be finite\n") << line;
+        EXPECT_EQ(s.stateDigest(), before) << line;
+    }
+    EXPECT_EQ(s.timeSlice(), va::TimeSlice(2.0, 6.0));
+}
+
+TEST(Commands, SliceOfRejectsCountsBeyondTheSliceIndexRange)
+{
+    vap::Session s(vt::makeFigure1Trace());
+    vap::CommandInterpreter cli(s);
+    std::ostringstream out;
+    ASSERT_TRUE(cli.execute("slice-of 1 3", out));
+    const va::TimeSlice chosen = s.timeSlice();
+    const std::uint64_t before = s.stateDigest();
+    // A count past the index type must not be allocated, and an index
+    // past it must not wrap around to slice 0.
+    for (const char *line : {"slice-of 0 100000000000",
+                             "slice-of 4294967296 4294967297",
+                             "slice-of 0 4294967296"}) {
+        std::ostringstream err;
+        EXPECT_FALSE(cli.execute(line, err)) << line;
+        EXPECT_EQ(err.str().rfind("error: slice-of ", 0), 0u) << err.str();
+        EXPECT_EQ(s.stateDigest(), before) << line;
+        EXPECT_EQ(s.timeSlice(), chosen) << line;
+    }
+    // The largest addressable division is computed directly.
+    EXPECT_TRUE(cli.execute("slice-of 4294967294 4294967295", out));
+    EXPECT_EQ(s.timeSlice().end, s.span().end);
+    EXPECT_LT(s.timeSlice().begin, s.span().end);
 }
 
 TEST(Commands, AggregationRoundTrip)

@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 
 #include "support/interval.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
-#include "support/scratch.hh"
 #include "support/stats.hh"
 #include "support/strings.hh"
 
@@ -107,6 +110,69 @@ TEST(Strings, FormatDoubleRoundTrips)
         ASSERT_TRUE(vs::parseDouble(vs::formatDouble(x), back));
         EXPECT_DOUBLE_EQ(back, x);
     }
+}
+
+namespace
+{
+
+/** formatDouble must parse back to the same bits, never longer than %.17g. */
+void
+expectShortestRoundTrip(double x)
+{
+    std::string text = vs::formatDouble(x);
+    double back = 0;
+    ASSERT_TRUE(vs::parseDouble(text, back)) << text;
+    std::uint64_t want = 0;
+    std::uint64_t got = 0;
+    std::memcpy(&want, &x, sizeof(x));
+    std::memcpy(&got, &back, sizeof(back));
+    EXPECT_EQ(got, want) << text;
+    char wide[64];
+    int wide_len = std::snprintf(wide, sizeof(wide), "%.17g", x);
+    EXPECT_LE(text.size(), std::size_t(wide_len)) << text << " vs " << wide;
+}
+
+} // namespace
+
+TEST(Strings, FormatDoubleRoundTripsEveryBitPattern)
+{
+    // Random finite bit patterns cover every exponent and mantissa.
+    vs::Rng rng(17);
+    std::size_t checked = 0;
+    while (checked < 100000) {
+        std::uint64_t bits = rng.raw()();
+        double x = 0;
+        std::memcpy(&x, &bits, sizeof(x));
+        if (!std::isfinite(x))
+            continue;
+        expectShortestRoundTrip(x);
+        ++checked;
+    }
+    for (double x : {0.0, -0.0, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+                     DBL_TRUE_MIN, -DBL_TRUE_MIN, DBL_MIN / 3.0, DBL_EPSILON,
+                     0.1, 0.85, 1.0 / 3.0})
+        expectShortestRoundTrip(x);
+    // Integers up to 2^53 are exact and print without an exponent
+    // while that is no longer.
+    for (int k = 0; k <= 53; ++k) {
+        double p = std::ldexp(1.0, k);
+        for (double x : {p - 1.0, p, p + 1.0, -p})
+            expectShortestRoundTrip(x);
+    }
+    for (std::int64_t i = -1000; i <= 1000; ++i)
+        expectShortestRoundTrip(double(i));
+    EXPECT_EQ(vs::formatDouble(0.85), "0.85");
+    EXPECT_EQ(vs::formatDouble(-0.0), "-0");
+    EXPECT_EQ(vs::formatDouble(9007199254740992.0), "9007199254740992");
+}
+
+TEST(Strings, AppendDoubleAppendsToTheCallersBuffer)
+{
+    std::string out = "x=";
+    vs::appendDouble(out, 1.5);
+    out += ' ';
+    vs::appendDouble(out, -2e-300);
+    EXPECT_EQ(out, "x=1.5 -2e-300");
 }
 
 TEST(Strings, Humanize)
@@ -312,37 +378,3 @@ TEST(Logging, AssertPassesOnTrue)
     SUCCEED();
 }
 
-// --- ScratchPool ------------------------------------------------------------
-
-TEST(ScratchPool, AcquireReusesReleasedObjects)
-{
-    vs::ScratchPool<std::vector<int>> pool;
-    EXPECT_EQ(pool.idleCount(), 0u);
-    {
-        auto a = pool.acquire();
-        auto b = pool.acquire();
-        a->resize(1000);
-        b->push_back(7);
-        EXPECT_EQ(pool.idleCount(), 0u);
-    }
-    // Both handles released their objects back, capacity intact.
-    EXPECT_EQ(pool.idleCount(), 2u);
-    {
-        auto c = pool.acquire();
-        EXPECT_EQ(pool.idleCount(), 1u);
-        // Pooled scratch comes back with its old contents; callers
-        // reset what they need (forceAt clears its stack up front).
-        EXPECT_GE(c->capacity(), 1u);
-    }
-    EXPECT_EQ(pool.idleCount(), 2u);
-}
-
-TEST(ScratchPool, MoveTransfersParkedObjects)
-{
-    vs::ScratchPool<std::vector<int>> pool;
-    { auto h = pool.acquire(); h->push_back(1); }
-    ASSERT_EQ(pool.idleCount(), 1u);
-    vs::ScratchPool<std::vector<int>> stolen(std::move(pool));
-    EXPECT_EQ(stolen.idleCount(), 1u);
-    EXPECT_EQ(pool.idleCount(), 0u);
-}

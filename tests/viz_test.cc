@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "agg/aggregate.hh"
 #include "trace/builder.hh"
@@ -316,6 +319,148 @@ TEST(Svg, EscapesXmlSpecials)
     std::string svg = out.str();
     EXPECT_NE(svg.find("a&lt;b&amp;c&gt;"), std::string::npos);
     EXPECT_EQ(svg.find("a<b"), std::string::npos);
+}
+
+namespace
+{
+
+/**
+ * A hand-built scene that reaches every SVG primitive: square, diamond
+ * and circle glyphs (outline plus proportional fill), the secondary
+ * glyph of a composite aggregate, a full and a partial pie, the
+ * heterogeneity ring, an XML-escaped label and edges. Coordinates are
+ * non-dyadic so the golden pins the number formatting too.
+ */
+vv::Scene
+goldenScene()
+{
+    vv::Scene scene;
+    scene.width = 320.0;
+    scene.height = 200.5;
+    scene.slice = va::TimeSlice(0.1, 2.0 / 3.0);
+
+    vv::SceneNode square;
+    square.label = "site <a&b>";
+    square.aggregated = true;
+    square.leafCount = 4;
+    square.x = 60.1;
+    square.y = 70.3;
+    square.shape = vv::ShapeKind::Square;
+    square.sizePx = 40.0 / 3.0;
+    square.fill = 0.3;
+    square.color = vv::palette::aggregate;
+    square.hasSecondary = true;
+    square.secondaryShape = vv::ShapeKind::Diamond;
+    square.secondarySizePx = 7.25;
+    square.secondaryFill = 1.5;  // clamped to a full inner glyph
+    square.secondaryColor = vv::palette::link;
+    square.segments = {{0.25, vv::palette::categorical(0), "app0"},
+                       {0.5, vv::palette::categorical(1), "app1"}};
+    square.heterogeneity = 0.75;
+    scene.nodes.push_back(square);
+
+    vv::SceneNode diamond;
+    diamond.label = "link";
+    diamond.x = 150.0;
+    diamond.y = 1e-7;
+    diamond.shape = vv::ShapeKind::Diamond;
+    diamond.sizePx = 9.0;
+    diamond.fill = 0.0;  // outline only
+    diamond.color = vv::palette::link;
+    scene.nodes.push_back(diamond);
+
+    vv::SceneNode circle;
+    circle.label = "host";
+    circle.aggregated = true;
+    circle.x = 250.0 / 7.0;
+    circle.y = 150.0;
+    circle.shape = vv::ShapeKind::Circle;
+    circle.sizePx = 12.5;
+    circle.fill = 0.1;
+    circle.color = vv::palette::host;
+    circle.segments = {{1.0, vv::palette::categorical(2), "all"}};
+    circle.heterogeneity = 0.2;  // below the ring threshold
+    scene.nodes.push_back(circle);
+
+    vv::SceneNode empty;  // zero size draws nothing but its label
+    empty.label = "gone";
+    empty.aggregated = true;
+    empty.x = 300.0;
+    empty.y = 10.0;
+    scene.nodes.push_back(empty);
+
+    scene.edges = {{0, 1, 1, 1.0 / 3.0}, {1, 2, 2, 2.0}};
+    return scene;
+}
+
+} // namespace
+
+TEST(Svg, MatchesTheCheckedInGolden)
+{
+    vv::SvgOptions options;
+    options.title = "golden \"scene\" & <title>";
+    std::ostringstream out;
+    vv::writeSvg(goldenScene(), out, options);
+    const std::string actual = out.str();
+
+    const std::string fixture_path = VIVA_SVG_GOLDEN;
+    if (std::getenv("VIVA_UPDATE_GOLDEN") != nullptr) {
+        std::ofstream file(fixture_path, std::ios::binary);
+        ASSERT_TRUE(file) << "cannot write " << fixture_path;
+        file << actual;
+        GTEST_SKIP() << "fixture regenerated: " << fixture_path;
+    }
+
+    std::ifstream in(fixture_path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing fixture " << fixture_path
+                    << " -- regenerate with VIVA_UPDATE_GOLDEN=1";
+    std::ostringstream expected;
+    expected << in.rdbuf();
+    EXPECT_EQ(actual, expected.str())
+        << "SVG output drifted from the golden fixture; if the change "
+           "is intentional, regenerate with VIVA_UPDATE_GOLDEN=1 "
+           "./viz_test --gtest_filter=Svg.MatchesTheCheckedInGolden";
+}
+
+TEST(Svg, LargeScenesStreamInChunksWithoutLoss)
+{
+    // Thousands of nodes cross the writer's chunk size many times; the
+    // streamed document must equal the per-node pieces concatenated.
+    vv::Scene scene;
+    scene.width = 1000.0;
+    scene.height = 1000.0;
+    vv::Scene single = scene;
+    std::string pieces;
+    for (int i = 0; i < 3000; ++i) {
+        vv::SceneNode n;
+        n.x = 0.1 * i;
+        n.y = 1000.0 / (i + 1);
+        n.sizePx = 3.0 + i % 7;
+        n.fill = (i % 10) / 10.0;
+        n.shape = vv::ShapeKind(i % 3);
+        scene.nodes.push_back(n);
+    }
+    std::ostringstream whole;
+    vv::SvgOptions options;
+    options.drawLabels = false;
+    vv::writeSvg(scene, whole, options);
+
+    std::ostringstream head;
+    vv::writeSvg(single, head, options);
+    std::string expected = head.str();
+    const std::string tail = "</svg>\n";
+    expected.resize(expected.size() - tail.size());
+    for (const vv::SceneNode &n : scene.nodes) {
+        single.nodes = {n};
+        std::ostringstream one;
+        vv::writeSvg(single, one, options);
+        std::string body = one.str();
+        std::size_t from = head.str().size() - tail.size();
+        expected += body.substr(from, body.size() - from - tail.size());
+    }
+    expected += tail;
+    EXPECT_GT(whole.str().size(), std::size_t(256 * 1024));
+    EXPECT_EQ(whole.str(), expected);
 }
 
 // --- ascii -------------------------------------------------------------------------
