@@ -178,28 +178,83 @@ Aggregator::distribution(ContainerId node, MetricId m,
     return samples;
 }
 
+namespace
+{
+
+/**
+ * Contract the trace's relations onto a cut given each endpoint's
+ * representative: self-loops vanish, parallel edges merge into the
+ * first occurrence's slot with a multiplicity.
+ */
+template <class Representative>
 std::vector<ViewEdge>
-visibleEdges(const trace::Trace &trace, const HierarchyCut &cut)
+contractRelations(const trace::Trace &trace, Representative &&rep)
 {
     std::vector<ViewEdge> edges;
     std::unordered_map<std::uint64_t, std::size_t> index;
     for (const trace::Trace::Relation &r : trace.relations()) {
-        ContainerId a = cut.representative(r.a);
-        ContainerId b = cut.representative(r.b);
+        ContainerId a = rep(r.a);
+        ContainerId b = rep(r.b);
         if (a == b)
             continue;  // contracted inside one aggregated node
         ContainerId lo = std::min(a, b);
         ContainerId hi = std::max(a, b);
         std::uint64_t key = (std::uint64_t(lo.value()) << 32) | hi.value();
-        auto it = index.find(key);
-        if (it == index.end()) {
-            index.emplace(key, edges.size());
+        auto [it, fresh] = index.try_emplace(key, edges.size());
+        if (fresh)
             edges.push_back({lo, hi, 1});
-        } else {
+        else
             ++edges[it->second].multiplicity;
-        }
     }
     return edges;
+}
+
+} // namespace
+
+CutProjection
+project(const trace::Trace &trace, const HierarchyCut &cut)
+{
+    obs::Registry &reg = obs::Registry::global();
+    static const obs::HistogramId phase = reg.histogram("agg.project");
+    obs::ScopedPhase timer(phase);
+
+    CutProjection p;
+    p.nodes = cut.visibleNodes();
+    p.leafCounts.assign(p.nodes.size(), 0);
+
+    // rep[c] is HierarchyCut::representative(c): the topmost collapsed
+    // ancestor-or-self, else c. A parent's id is below its children's,
+    // so one ascending pass finds every parent's entry already set, and
+    // the parent's representative is a collapsed ancestor exactly when
+    // it is itself collapsed.
+    const std::size_t count = trace.containerCount();
+    const std::vector<std::uint8_t> &collapsed = cut.collapsedFlags();
+    constexpr std::uint32_t kHidden = ~std::uint32_t(0);
+    std::vector<ContainerId> rep(count);
+    std::vector<std::uint32_t> slot(count, kHidden);
+    for (std::size_t i = 0; i < p.nodes.size(); ++i)
+        slot[p.nodes[i].index()] = std::uint32_t(i);
+    for (ContainerId id{0}; id.index() < count; ++id) {
+        const trace::Container &c = trace.container(id);
+        VIVA_ASSERT(id == trace.root() || c.parent < id,
+                    "container ", id, " precedes its parent");
+        ContainerId up = id == trace.root() ? id : rep[c.parent.index()];
+        rep[id.index()] = collapsed[up.index()] ? up : id;
+        if (c.leaf()) {
+            std::uint32_t s = slot[rep[id.index()].index()];
+            if (s != kHidden)  // only a childless root covers no node
+                ++p.leafCounts[s];
+        }
+    }
+    p.edges = contractRelations(
+        trace, [&rep](ContainerId id) { return rep[id.index()]; });
+    return p;
+}
+
+std::vector<ViewEdge>
+visibleEdges(const trace::Trace &trace, const HierarchyCut &cut)
+{
+    return project(trace, cut).edges;
 }
 
 std::size_t
@@ -224,7 +279,7 @@ View::valueOf(ContainerId id, MetricId m) const
 }
 
 support::Expected<View>
-buildView(const trace::Trace &trace, const HierarchyCut &cut,
+buildView(const trace::Trace &trace, const CutProjection &projection,
           const TimeSlice &slice,
           const std::vector<MetricRequest> &requests, bool with_stats,
           std::size_t threads, support::Deadline deadline)
@@ -242,7 +297,7 @@ buildView(const trace::Trace &trace, const HierarchyCut &cut,
     // same node order, for every thread count. The per-subtree
     // reduction below stays serial inside a worker (nested parallel
     // calls run inline), so its chunk order is fixed as well.
-    std::vector<ContainerId> visible = cut.visibleNodes();
+    const std::vector<ContainerId> &visible = projection.nodes;
     view.nodes.resize(visible.size());
     Aggregator agg(trace);
     // The per-node cancellation checkpoint: the first worker to see
@@ -263,8 +318,7 @@ buildView(const trace::Trace &trace, const HierarchyCut &cut,
                 ViewNode &node = view.nodes[i];
                 node.id = id;
                 node.aggregated = !trace.container(id).leaf();
-                node.leafCount =
-                    node.aggregated ? trace.leavesUnder(id).size() : 1;
+                node.leafCount = projection.leafCounts[i];
                 node.values.reserve(requests.size());
                 for (const MetricRequest &r : requests) {
                     if (with_stats) {
@@ -293,10 +347,24 @@ buildView(const trace::Trace &trace, const HierarchyCut &cut,
     if (aborted.load(std::memory_order_relaxed) || deadline.expired()) {
         support::noteDeadlineAbort();
         return VIVA_ERROR(support::Errc::Deadline,
-                          "aggregation over ", cut.visibleCount(),
+                          "aggregation over ", projection.size(),
                           " visible nodes ran past its deadline");
     }
-    view.edges = visibleEdges(trace, cut);
+    view.edges = projection.edges;
+    return view;
+}
+
+support::Expected<View>
+buildView(const trace::Trace &trace, const HierarchyCut &cut,
+          const TimeSlice &slice,
+          const std::vector<MetricRequest> &requests, bool with_stats,
+          std::size_t threads, support::Deadline deadline)
+{
+    support::Expected<View> view = buildView(
+        trace, project(trace, cut), slice, requests, with_stats, threads,
+        deadline);
+    if (!view)
+        return VIVA_ERROR_CONTEXT(view.error(), "view of a cut");
     return view;
 }
 
@@ -413,22 +481,32 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
         }
     }
 
-    // Edges: an independent re-projection must agree exactly.
-    std::vector<ViewEdge> expect_edges = visibleEdges(trace, cut);
+    // Edges: an independent re-projection, walking every endpoint up
+    // to its representative, must agree exactly.
+    std::vector<ViewEdge> expect_edges = contractRelations(
+        trace, [&cut](ContainerId id) { return cut.representative(id); });
     if (view.edges.size() != expect_edges.size()) {
         auditFail(log, "view holds ", view.edges.size(), " edges, "
                   "re-projection yields ", expect_edges.size());
         return log;
     }
+    // Membership through one flag per container: a host-level view
+    // holds ~10^4 nodes and as many edges.
+    std::vector<std::uint8_t> in_view(trace.containerCount(), 0);
+    for (const ViewNode &node : view.nodes)
+        if (node.id.index() < in_view.size())
+            in_view[node.id.index()] = 1;
+    auto shown = [&in_view](ContainerId id) {
+        return id.index() < in_view.size() && in_view[id.index()];
+    };
     for (std::size_t i = 0; i < view.edges.size(); ++i) {
         const ViewEdge &e = view.edges[i];
         const ViewEdge &x = expect_edges[i];
-        if (e.a != x.a || e.b != x.b || e.multiplicity != x.multiplicity)
+        if (e != x)
             auditFail(log, "edge ", i, " (", e.a, "--", e.b, " x",
                       e.multiplicity, ") != re-projection (", x.a, "--",
                       x.b, " x", x.multiplicity, ")");
-        if (view.indexOf(e.a) == View::npos ||
-            view.indexOf(e.b) == View::npos)
+        if (!shown(e.a) || !shown(e.b))
             auditFail(log, "edge ", i,
                       " touches a container outside the view");
     }

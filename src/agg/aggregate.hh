@@ -142,13 +142,44 @@ struct ViewEdge
     trace::ContainerId b;
     /** Number of underlying relations contracted into this edge. */
     std::size_t multiplicity = 1;
+
+    bool operator==(const ViewEdge &) const = default;
 };
 
 /**
- * Project the trace's relations onto a cut: each underlying relation is
- * rewired to the representatives of its endpoints; edges inside one
- * aggregated node disappear; parallel edges merge with a multiplicity.
+ * The slice-independent part of every view of one cut: the visible
+ * nodes, how many leaves each covers, and the contracted edges. A view
+ * of the cut at any time slice is this plus the Eq.-1 values, so a
+ * caller that keeps the cut while scrubbing time (Sec. 3.2.1) projects
+ * once per cut change and folds only values per frame.
  */
+struct CutProjection
+{
+    /** The visible nodes, in cut order (HierarchyCut::visibleNodes). */
+    std::vector<trace::ContainerId> nodes;
+    /** Leaves under nodes[i] (1 for a leaf). */
+    std::vector<std::size_t> leafCounts;
+    /**
+     * Each relation rewired to the representatives of its endpoints;
+     * edges inside one aggregated node disappear, parallel edges merge
+     * with a multiplicity, in order of first occurrence.
+     */
+    std::vector<ViewEdge> edges;
+
+    /** Number of visible nodes. */
+    std::size_t size() const { return nodes.size(); }
+
+    bool operator==(const CutProjection &) const = default;
+};
+
+/**
+ * Project a cut: one pass over the containers in id order (a parent
+ * always precedes its children) builds the representative of every
+ * container, from which leaf counts and edges are plain array lookups.
+ */
+CutProjection project(const trace::Trace &trace, const HierarchyCut &cut);
+
+/** The contracted edges of a cut: project(trace, cut).edges. */
 std::vector<ViewEdge> visibleEdges(const trace::Trace &trace,
                                    const HierarchyCut &cut);
 
@@ -195,7 +226,9 @@ struct View
 };
 
 /**
- * Build the aggregated view for a cut and a time slice.
+ * Build the aggregated view for a projected cut and a time slice: the
+ * nodes, leaf counts and edges are copied from the projection, and
+ * only the Eq.-1 values are computed.
  *
  * Visible nodes are aggregated in parallel when `threads > 1` (each
  * worker fills its own node slots, so the view is bitwise identical to
@@ -210,13 +243,20 @@ struct View
  * cannot fail, so audits and read-only recomputation stay exact.
  *
  * @param trace the trace to aggregate
- * @param cut the spatial scale
+ * @param projection the spatial scale, project(trace, cut)
  * @param slice the temporal scale
  * @param requests the metrics to aggregate, each with its operators
  * @param with_stats also compute the statistical indicators
  * @param threads worker count; 1 serial, 0 hardware_concurrency
  * @param deadline when the build gives up; none by default
  */
+support::Expected<View> buildView(
+    const trace::Trace &trace, const CutProjection &projection,
+    const TimeSlice &slice, const std::vector<MetricRequest> &requests,
+    bool with_stats = false, std::size_t threads = 1,
+    support::Deadline deadline = {});
+
+/** The view of a cut: buildView over project(trace, cut). */
 support::Expected<View> buildView(
     const trace::Trace &trace, const HierarchyCut &cut,
     const TimeSlice &slice, const std::vector<MetricRequest> &requests,
@@ -245,7 +285,9 @@ void writeViewCsv(const View &view, const trace::Trace &trace,
  * Deep audit of an aggregated view against the trace and cut it was
  * built from: the nodes are exactly the cut's visible nodes in order,
  * every value vector matches the requests, the edges equal an
- * independent re-projection of the relations, and -- the Equation-1
+ * independent re-projection of the relations (each endpoint walked up
+ * to its representative, not read from project()) touching only view
+ * nodes, and -- the Equation-1
  * conservation check -- every aggregated value is bitwise equal to a
  * serial recomputation (one fold, so there is no tolerance).
  * @return the violated invariants; empty when well-formed

@@ -62,10 +62,21 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
         out << "error: '" << cmd << "' needs " << n << " argument(s)\n";
         return false;
     };
-    auto num = [&](std::size_t i, double &v) {
+    auto number = [&](std::size_t i, double &v) {
         if (parseDouble(args[i], v))
             return true;
         out << "error: '" << args[i] << "' is not a number\n";
+        return false;
+    };
+    // Every number a command hands the session must be finite: the
+    // session would take a NaN slider or coordinate, but a checkpoint
+    // holding one is refused by restore.
+    auto num = [&](std::size_t i, double &v) {
+        if (!number(i, v))
+            return false;
+        if (std::isfinite(v))
+            return true;
+        out << "error: '" << args[i] << "' is not a finite number\n";
         return false;
     };
     auto count = [&](std::size_t i, std::size_t &v) {
@@ -77,7 +88,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
 
     if (cmd == "slice") {
         double b, e;
-        if (!need(2) || !num(1, b) || !num(2, e))
+        if (!need(2) || !number(1, b) || !number(2, e))
             return false;
         if (!std::isfinite(b) || !std::isfinite(e)) {
             out << "error: slice bounds must be finite\n";
@@ -112,7 +123,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
             return false;
         }
         out << "aggregated " << args[1] << " ("
-            << sess.cut().visibleCount() << " visible nodes)\n";
+            << sess.projection().size() << " visible nodes)\n";
         return true;
     }
     if (cmd == "disaggregate") {
@@ -123,7 +134,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
             return false;
         }
         out << "disaggregated " << args[1] << " ("
-            << sess.cut().visibleCount() << " visible nodes)\n";
+            << sess.projection().size() << " visible nodes)\n";
         return true;
     }
     if (cmd == "focus") {
@@ -134,21 +145,27 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
             return false;
         }
         out << "focused on " << args[1] << " ("
-            << sess.cut().visibleCount() << " visible nodes)\n";
+            << sess.projection().size() << " visible nodes)\n";
         return true;
     }
     if (cmd == "depth") {
         std::size_t d;
         if (!need(1) || !count(1, d))
             return false;
+        if (d > std::numeric_limits<std::uint16_t>::max()) {
+            out << "error: depth " << d << " is beyond the deepest "
+                << "possible level, "
+                << std::numeric_limits<std::uint16_t>::max() << "\n";
+            return false;
+        }
         sess.aggregateToDepth(std::uint16_t(d));
-        out << "depth " << d << " (" << sess.cut().visibleCount()
+        out << "depth " << d << " (" << sess.projection().size()
             << " visible nodes)\n";
         return true;
     }
     if (cmd == "reset") {
         sess.resetAggregation();
-        out << "reset (" << sess.cut().visibleCount()
+        out << "reset (" << sess.projection().size()
             << " visible nodes)\n";
         return true;
     }
@@ -187,7 +204,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
             sess.setMemoryBudget(bytes);
             out << "mem-budget = " << sess.memoryBudget()
                 << " (working set " << sess.workingSetBytes()
-                << " bytes, " << sess.cut().visibleCount()
+                << " bytes, " << sess.projection().size()
                 << " visible nodes)\n";
             return true;
         }
@@ -249,7 +266,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
             return false;
         }
         out << "restored from " << args[1] << " ("
-            << sess.cut().visibleCount() << " visible nodes, digest "
+            << sess.projection().size() << " visible nodes, digest "
             << sess.stateDigest() << ")\n";
         return true;
     }
@@ -259,7 +276,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
             << "span [" << s.begin << ", " << s.end << ")\n"
             << "slice [" << sess.timeSlice().begin << ", "
             << sess.timeSlice().end << ")\n"
-            << "visible " << sess.cut().visibleCount() << " nodes, "
+            << "visible " << sess.projection().size() << " nodes, "
             << sess.layoutGraph().edgeCount() << " edges\n"
             << "layout " << sess.layoutEngine().iterations()
             << " iteration(s), energy "
@@ -368,7 +385,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
         }
         out << "loaded " << args[1] << " ("
             << sess.trace().containerCount() << " containers, "
-            << sess.cut().visibleCount() << " visible nodes)\n";
+            << sess.projection().size() << " visible nodes)\n";
         return true;
     }
     if (cmd == "save") {
@@ -463,7 +480,7 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
         support::Interval s = sess.span();
         out << "span [" << s.begin << ", " << s.end << ") slice ["
             << sess.timeSlice().begin << ", " << sess.timeSlice().end
-            << ") visible " << sess.cut().visibleCount() << " nodes "
+            << ") visible " << sess.projection().size() << " nodes "
             << sess.layoutGraph().edgeCount() << " edges\n";
         return true;
     }

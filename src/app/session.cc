@@ -155,7 +155,7 @@ Session::stateDigest() const
     mix(tr.metricCount());
     mix(tr.states().size());
     mix(tr.relations().size());
-    mix(hierCut.visibleCount());
+    mix(cutProj.size());
     mixDouble(slice.begin);
     mixDouble(slice.end);
     const layout::ForceParams &p = force.params();
@@ -275,17 +275,19 @@ Session::resetAggregation()
 void
 Session::syncLayout()
 {
+    cutProj = agg::project(tr, hierCut);
+
     // Rebuild the graph densely in cut order. Nodes already laid out
     // carry their state over by key; nodes entering the view are
     // placed from the old graph only, never from one another.
-    std::vector<ContainerId> visible = hierCut.visibleNodes();
+    const std::vector<ContainerId> &visible = cutProj.nodes;
     layout::LayoutGraph next;
     std::size_t ring_index = 0;
     std::unordered_map<std::uint64_t, std::size_t> child_index;
 
-    for (ContainerId id : visible) {
-        const double charge =
-            double(std::max<std::size_t>(tr.leavesUnder(id).size(), 1));
+    for (std::size_t i = 0; i < visible.size(); ++i) {
+        const ContainerId id = visible[i];
+        const double charge = double(cutProj.leafCounts[i]);
         layout::NodeId prev = graph.findKey(id.value());
         if (prev != layout::kNoNode) {
             const layout::Node &old = graph.node(prev);
@@ -346,7 +348,7 @@ Session::syncLayout()
         ++ring_index;
     }
 
-    for (const agg::ViewEdge &e : agg::visibleEdges(tr, hierCut)) {
+    for (const agg::ViewEdge &e : cutProj.edges) {
         layout::NodeId a = next.findKey(e.a.value());
         layout::NodeId b = next.findKey(e.b.value());
         VIVA_ASSERT(a != layout::kNoNode && b != layout::kNoNode,
@@ -435,6 +437,8 @@ Session::nodeOf(const std::string &path) const
 bool
 Session::moveNode(const std::string &path, double x, double y)
 {
+    if (!std::isfinite(x) || !std::isfinite(y))
+        return false;
     layout::NodeId n = nodeOf(path);
     if (n == layout::kNoNode)
         return false;
@@ -471,7 +475,7 @@ Session::viewWithin(bool with_stats, support::Deadline deadline) const
     for (trace::MetricId m : visMapping.referencedMetrics())
         requests.emplace_back(m);
     support::Expected<agg::View> v = agg::buildView(
-        tr, hierCut, slice, requests, with_stats, nThreads, deadline);
+        tr, cutProj, slice, requests, with_stats, nThreads, deadline);
     if (!v)
         return VIVA_ERROR_CONTEXT(v.error(), "Session view");
     return v;
@@ -688,6 +692,15 @@ Session::auditInvariants() const
                            " layout nodes for ", visible.size(),
                            " visible containers");
 
+    // Views read the stored projection: a cut change that bypassed
+    // syncLayout would leave it describing an older cut.
+    if (cutProj != agg::project(tr, hierCut))
+        support::auditFail(log, "projection: the stored projection (",
+                           cutProj.size(), " nodes, ",
+                           cutProj.edges.size(),
+                           " edges) differs from a fresh projection "
+                           "of the cut");
+
     // The aggregated view of the current cut and slice, including the
     // Equation-1 conservation check against a serial recomputation.
     merge("view", agg::auditView(tr, hierCut, view()));
@@ -802,7 +815,7 @@ Session::workingSetBytes() const
              sizeof(layout::Node);
     bytes += std::uint64_t(graph.rawEdges().size()) *
              sizeof(layout::Edge);
-    bytes += std::uint64_t(hierCut.visibleCount()) *
+    bytes += std::uint64_t(cutProj.size()) *
              (64 + 16 * std::uint64_t(tr.metricCount()));
     return bytes;
 }
@@ -811,7 +824,7 @@ std::uint16_t
 Session::deepestVisibleDepth() const
 {
     std::uint16_t deepest = 0;
-    for (ContainerId id : hierCut.visibleNodes())
+    for (ContainerId id : cutProj.nodes)
         deepest = std::max(deepest, tr.container(id).depth);
     return deepest;
 }
@@ -837,7 +850,7 @@ Session::enforceBudget()
             "governor.degrade", "Session::enforceBudget",
             "working set over the ", memBudgetBytes,
             "-byte budget: coarsened the cut to depth ", deepest - 1,
-            " (", hierCut.visibleCount(), " visible nodes)");
+            " (", cutProj.size(), " visible nodes)");
     }
 }
 

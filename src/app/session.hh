@@ -123,6 +123,14 @@ class Session
     /** The current cut (read-only; mutate through the methods above). */
     const agg::HierarchyCut &cut() const { return hierCut; }
 
+    /**
+     * The current cut's projection -- visible nodes in cut order, leaf
+     * counts, contracted edges -- kept from the last cut change, so
+     * views, scenes and frames of this cut only fold Eq.-1 values.
+     * Equal to agg::project(trace(), cut()) at all times.
+     */
+    const agg::CutProjection &projection() const { return cutProj; }
+
     // --- appearance -----------------------------------------------------
 
     /** The visual mapping rules (mutable: remapping mid-analysis). */
@@ -174,8 +182,9 @@ class Session
      * the springs while it is held, then it is released. Runs under
      * the operation deadline like stabilizeLayout: an abort counts in
      * deadlineAbortCount() and leaves every node bitwise unchanged.
-     * @retval false when the container is not a visible node, or the
-     *         deadline cancelled the drag
+     * @retval false when the container is not a visible node, a
+     *         coordinate is not finite, or the deadline cancelled the
+     *         drag
      */
     bool moveNode(const std::string &path, double x, double y);
 
@@ -382,12 +391,13 @@ class Session
 
   private:
     /**
-     * Rebuild the layout graph densely from the current cut, in cut
-     * order: carry the state of surviving nodes over by key, place
-     * aggregates at absorbed centroids, fan disaggregated children
-     * around their parent, then add the visible edges. The result
-     * depends on the cut and the previous positions only, never on
-     * the session's earlier history.
+     * Project the current cut (the one update point of cutProj: every
+     * cut change calls this) and rebuild the layout graph densely from
+     * it, in cut order: carry the state of surviving nodes over by
+     * key, place aggregates at absorbed centroids, fan disaggregated
+     * children around their parent, then add the visible edges. The
+     * result depends on the cut and the previous positions only, never
+     * on the session's earlier history.
      */
     void syncLayout();
 
@@ -430,6 +440,7 @@ class Session
     viz::VisualMapping visMapping;
     viz::TypeScaling typeScaling;
     layout::LayoutGraph graph;
+    agg::CutProjection cutProj;
     layout::ForceLayout force;
     std::size_t nThreads;
     support::RetryPolicy ioRetry;

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -351,6 +352,59 @@ TEST(Commands, SliceOfRejectsCountsBeyondTheSliceIndexRange)
     EXPECT_TRUE(cli.execute("slice-of 4294967294 4294967295", out));
     EXPECT_EQ(s.timeSlice().end, s.span().end);
     EXPECT_LT(s.timeSlice().begin, s.span().end);
+}
+
+TEST(Commands, RejectsNonFiniteNumbersAndDepthsPastTheLevelType)
+{
+    vap::Session s = makePlatformSession();
+    vap::CommandInterpreter cli(s);
+    std::ostringstream out;
+    ASSERT_TRUE(cli.execute("depth 2", out));
+    ASSERT_FALSE(s.projection().nodes.empty());
+    const std::string node = s.trace().fullName(s.projection().nodes[0]);
+    const vt::MetricId power = s.trace().findMetric("power");
+    const std::string path = tempDir() + "/rejected_numbers.ckpt";
+    const std::vector<std::string> lines = {
+        "charge nan",         "charge inf",        "spring inf",
+        "spring -inf",        "damping nan",       "scale power nan",
+        "scale power inf",    "move " + node + " nan 3",
+        "move " + node + " 3 -inf",                "depth 65536",
+        "depth 65537",        "anomalies power nan"};
+    for (const std::string &line : lines) {
+        const std::uint64_t before = s.stateDigest();
+        const double slider = s.scaling().slider(power);
+        std::ostringstream err;
+        EXPECT_FALSE(cli.execute(line, err)) << line;
+        EXPECT_EQ(err.str().rfind("error: ", 0), 0u) << err.str();
+        EXPECT_EQ(s.stateDigest(), before) << line;
+        EXPECT_EQ(s.scaling().slider(power), slider) << line;
+        // The session still writes only checkpoints it can restore.
+        std::ostringstream round_trip;
+        ASSERT_TRUE(cli.execute("checkpoint " + path, round_trip))
+            << line << ": " << round_trip.str();
+        ASSERT_TRUE(cli.execute("restore " + path, round_trip))
+            << line << ": " << round_trip.str();
+        EXPECT_EQ(s.stateDigest(), before) << line;
+    }
+    // The deepest level the type holds is still a valid depth.
+    std::ostringstream deepest;
+    EXPECT_TRUE(cli.execute("depth 65535", deepest));
+    EXPECT_EQ(deepest.str().rfind("depth 65535 (", 0), 0u) << deepest.str();
+    std::filesystem::remove(path);
+}
+
+TEST(Session, MoveNodeRejectsNonFiniteCoordinates)
+{
+    vap::Session s = makePlatformSession();
+    s.aggregateToDepth(2);
+    const std::string node = s.trace().fullName(s.projection().nodes[0]);
+    const std::uint64_t before = s.stateDigest();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_FALSE(s.moveNode(node, nan, 3.0));
+    EXPECT_FALSE(s.moveNode(node, 3.0, inf));
+    EXPECT_EQ(s.stateDigest(), before);
+    EXPECT_TRUE(s.moveNode(node, 3.0, 4.0));
 }
 
 TEST(Commands, AggregationRoundTrip)

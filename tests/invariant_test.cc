@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -337,6 +338,26 @@ TEST(ViewAudit, DetectsStaleNodeSet)
     EXPECT_FALSE(va::auditView(trace, cut, view).empty());
 }
 
+TEST(ViewAudit, DetectsAnEdgeOutsideTheView)
+{
+    vt::Trace trace = makeTrace();
+    va::HierarchyCut cut(trace);
+    cut.aggregate(trace.findByName("cluster"));
+    std::vector<vt::MetricId> metrics{trace.findMetric("power")};
+    va::View view = va::buildView(trace, cut, {0.0, 10.0}, metrics);
+    EXPECT_TRUE(va::auditView(trace, cut, view).empty());
+    // h1 hides inside the collapsed cluster: not a node of the view.
+    ASSERT_FALSE(view.edges.empty());
+    view.edges[0].a = trace.findByName("h1");
+    vs::AuditLog log = va::auditView(trace, cut, view);
+    EXPECT_NE(std::find_if(log.begin(), log.end(),
+                           [](const std::string &line) {
+                               return line.find("outside the view") !=
+                                      std::string::npos;
+                           }),
+              log.end());
+}
+
 // --- Session --------------------------------------------------------------------
 
 TEST(SessionAudit, CleanThroughAnalysisSequence)
@@ -366,4 +387,19 @@ TEST(SessionAudit, DetectsLayoutCorruption)
     ASSERT_FALSE(nodes.empty());
     nodes[0].position.x = std::numeric_limits<double>::quiet_NaN();
     EXPECT_FALSE(session.auditInvariants().empty());
+}
+
+TEST(SessionAudit, DetectsACutChangeThatBypassesTheProjection)
+{
+    viva::app::Session session(makeTrace());
+    // Fault injection: change the cut without the session's update
+    // point, so the stored projection describes the old cut.
+    auto &cut = const_cast<va::HierarchyCut &>(session.cut());
+    cut.aggregate(session.trace().findByName("cluster"));
+    vs::AuditLog log = session.auditInvariants();
+    EXPECT_NE(std::find_if(log.begin(), log.end(),
+                           [](const std::string &line) {
+                               return line.rfind("projection: ", 0) == 0;
+                           }),
+              log.end());
 }

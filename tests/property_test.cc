@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
+#include <map>
 #include <sstream>
 
 #include "agg/aggregate.hh"
@@ -231,6 +233,90 @@ TEST_P(CutPartition, FocusShowsTargetAndAggregatesRest)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CutPartition, ::testing::Range(1, 9));
 
+// --- the cut projection equals its per-container oracles -----------------------
+
+namespace
+{
+
+/**
+ * The projection of a cut, computed the slow way: the cut's own DFS,
+ * one subtree walk per node, and one ancestor walk per relation
+ * endpoint merged through an ordered map.
+ */
+va::CutProjection
+projectionOracle(const vt::Trace &t, const va::HierarchyCut &cut)
+{
+    va::CutProjection p;
+    p.nodes = cut.visibleNodes();
+    for (vt::ContainerId id : p.nodes)
+        p.leafCounts.push_back(t.leavesUnder(id).size());
+    std::map<std::pair<vt::ContainerId, vt::ContainerId>, std::size_t> seen;
+    for (const vt::Trace::Relation &r : t.relations()) {
+        vt::ContainerId a = cut.representative(r.a);
+        vt::ContainerId b = cut.representative(r.b);
+        if (a == b)
+            continue;
+        auto key = std::minmax(a, b);
+        auto [it, fresh] = seen.try_emplace(key, p.edges.size());
+        if (fresh)
+            p.edges.push_back({key.first, key.second, 1});
+        else
+            ++p.edges[it->second].multiplicity;
+    }
+    return p;
+}
+
+} // namespace
+
+class CutProjectionOracle : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CutProjectionOracle, ProjectEqualsTheOracleUnderRandomCuts)
+{
+    viva::support::Rng rng(300 + GetParam());
+    for (bool grid5000 : {true, false}) {
+        vt::Trace t;
+        vp::TraceMirror mirror = vp::mirrorPlatform(
+            grid5000 ? vp::makeGrid5000()
+                     : vp::makeSyntheticGrid(3, 3, 13, rng),
+            t);
+        std::vector<vt::ContainerId> groups = mirror.groupContainer;
+        va::HierarchyCut cut(t);
+        for (int op = 0; op < 25; ++op) {
+            vt::ContainerId group = groups[rng.index(groups.size())];
+            switch (rng.index(5)) {
+            case 0:
+                cut.aggregate(group);
+                break;
+            case 1:
+                cut.disaggregate(group);
+                break;
+            case 2:
+                cut.focus({group});
+                break;
+            case 3:
+                cut.aggregateToDepth(std::uint16_t(rng.index(5)));
+                break;
+            default:
+                cut.reset();
+                break;
+            }
+            va::CutProjection p = va::project(t, cut);
+            va::CutProjection expect = projectionOracle(t, cut);
+            ASSERT_EQ(p.nodes, expect.nodes) << "op " << op;
+            ASSERT_EQ(p.leafCounts, expect.leafCounts) << "op " << op;
+            ASSERT_EQ(p.edges.size(), expect.edges.size()) << "op " << op;
+            for (std::size_t i = 0; i < p.edges.size(); ++i)
+                ASSERT_EQ(p.edges[i], expect.edges[i])
+                    << "op " << op << " edge " << i;
+            ASSERT_EQ(va::visibleEdges(t, cut), expect.edges);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CutProjectionOracle, ::testing::Range(1, 5));
+
 // --- treemap geometry -----------------------------------------------------------
 
 class TreemapGeometry : public ::testing::TestWithParam<int>
@@ -330,6 +416,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RoutingConsistency,
 
 class GestureSequence : public ::testing::TestWithParam<int>
 {
+  protected:
+    /** Same nodes, values (to the bit) and edges. */
+    static void
+    expectBitwiseEqual(const va::View &got, const va::View &want)
+    {
+        ASSERT_EQ(got.nodes.size(), want.nodes.size());
+        for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+            const va::ViewNode &a = got.nodes[i];
+            const va::ViewNode &b = want.nodes[i];
+            ASSERT_EQ(a.id, b.id) << "node " << i;
+            ASSERT_EQ(a.aggregated, b.aggregated) << "node " << i;
+            ASSERT_EQ(a.leafCount, b.leafCount) << "node " << i;
+            ASSERT_EQ(a.values.size(), b.values.size()) << "node " << i;
+            for (std::size_t k = 0; k < a.values.size(); ++k)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(a.values[k]),
+                          std::bit_cast<std::uint64_t>(b.values[k]))
+                    << "node " << i << " metric " << k;
+        }
+        ASSERT_EQ(got.edges, want.edges);
+    }
 };
 
 TEST_P(GestureSequence, LayoutMatchesARestoredSessionAfterEveryGesture)
@@ -375,6 +481,23 @@ TEST_P(GestureSequence, LayoutMatchesARestoredSessionAfterEveryGesture)
         const viva::layout::LayoutGraph &g = s.layoutGraph();
         ASSERT_EQ(g.rawNodes().size(), g.nodeCount());
         ASSERT_EQ(g.nodeCount(), s.cut().visibleCount());
+
+        // The stored projection is the cut's, and the session's view
+        // is bitwise a freshly built view, for any thread count.
+        ASSERT_TRUE(s.projection() == va::project(s.trace(), s.cut()))
+            << "after gesture " << gesture;
+        std::vector<va::MetricRequest> requests;
+        for (vt::MetricId m : s.mapping().referencedMetrics())
+            requests.emplace_back(m);
+        for (std::size_t threads : {1u, 4u}) {
+            s.setThreads(threads);
+            expectBitwiseEqual(
+                s.view(),
+                va::buildView(s.trace(), s.cut(), s.timeSlice(), requests,
+                              false, threads)
+                    .value());
+        }
+        s.setThreads(1);
 
         // A restore rebuilds the graph from scratch at the same cut;
         // the long session must cost exactly what that one does.
