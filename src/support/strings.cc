@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -48,8 +49,8 @@ splitWhitespace(std::string_view text)
     return fields;
 }
 
-std::string
-trim(std::string_view text)
+std::string_view
+trimView(std::string_view text)
 {
     std::size_t b = 0;
     std::size_t e = text.size();
@@ -57,7 +58,13 @@ trim(std::string_view text)
         ++b;
     while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1])))
         --e;
-    return std::string(text.substr(b, e - b));
+    return text.substr(b, e - b);
+}
+
+std::string
+trim(std::string_view text)
+{
+    return std::string(trimView(text));
 }
 
 std::string
@@ -98,15 +105,22 @@ toLower(std::string_view text)
 bool
 parseDouble(std::string_view text, double &out)
 {
-    // std::from_chars for double is available in libstdc++ >= 11.
-    std::string s = trim(text);
+    std::string_view s = trimView(text);
     if (s.empty())
         return false;
-    const char *begin = s.c_str();
-    char *end = nullptr;
-    double v = std::strtod(begin, &end);
-    if (end != begin + s.size())
-        return false;
+    double v = 0.0;
+    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    // from_chars and strtod agree on every decimal field from_chars
+    // takes whole. strtod decides the rest: a leading '+', hex floats,
+    // out-of-range values (from_chars refuses them; strtod saturates to
+    // inf or 0) and nan, whose "nan(n-chars)" payload only strtod keeps.
+    if (ec != std::errc() || ptr != s.data() + s.size() || std::isnan(v)) {
+        const std::string copy(s);
+        char *end = nullptr;
+        v = std::strtod(copy.c_str(), &end);
+        if (end != copy.c_str() + copy.size())
+            return false;
+    }
     out = v;
     return true;
 }
@@ -114,7 +128,7 @@ parseDouble(std::string_view text, double &out)
 bool
 parseSize(std::string_view text, std::size_t &out)
 {
-    std::string s = trim(text);
+    std::string_view s = trimView(text);
     if (s.empty())
         return false;
     std::size_t v = 0;

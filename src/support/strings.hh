@@ -22,6 +22,9 @@ std::vector<std::string> splitWhitespace(std::string_view text);
 /** Strip leading and trailing whitespace. */
 std::string trim(std::string_view text);
 
+/** trim() without the copy: the trimmed part of `text`. */
+std::string_view trimView(std::string_view text);
+
 /** Join pieces with a separator. */
 std::string join(const std::vector<std::string> &pieces,
                  std::string_view sep);
@@ -36,7 +39,12 @@ bool endsWith(std::string_view text, std::string_view suffix);
 std::string toLower(std::string_view text);
 
 /**
- * Parse a double, reporting success.
+ * Parse a double, reporting success. Surrounding whitespace is
+ * ignored; the rest must be one number in strtod's grammar, which
+ * includes a leading '+', hex floats, inf and nan. Out-of-range
+ * values read as strtod reads them (1e400 as inf, 1e-400 as 0).
+ * Decimal fields are parsed in place with std::from_chars; strtod
+ * decides the few it does not take whole.
  *
  * @param text the field to parse
  * @param out receives the value on success
@@ -44,7 +52,10 @@ std::string toLower(std::string_view text);
  */
 bool parseDouble(std::string_view text, double &out);
 
-/** Parse a non-negative integer, reporting success. */
+/**
+ * Parse a non-negative decimal integer, reporting success; surrounding
+ * whitespace is ignored.
+ */
 bool parseSize(std::string_view text, std::size_t &out);
 
 /**

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/strong_id.hh"
@@ -49,7 +50,7 @@ enum class ContainerKind : std::uint8_t
 const char *containerKindName(ContainerKind kind);
 
 /** Parse a kind name produced by containerKindName(); Custom on failure. */
-ContainerKind containerKindFromName(const std::string &name);
+ContainerKind containerKindFromName(std::string_view name);
 
 /**
  * One node of the container hierarchy. Plain data; owned and indexed by

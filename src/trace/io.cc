@@ -5,8 +5,13 @@
 
 #include "trace/io.hh"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <fstream>
+#include <functional>
+#include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -25,8 +30,7 @@ using support::Errc;
 using support::formatDouble;
 using support::parseDouble;
 using support::parseSize;
-using support::split;
-using support::trim;
+using support::trimView;
 
 void
 writeTrace(const Trace &trace, std::ostream &out)
@@ -100,33 +104,82 @@ writeTraceFile(const Trace &trace, const std::string &path)
     return written;
 }
 
+LineReader::LineReader(std::istream &stream, std::size_t max_length)
+    : in(stream), maxLength(max_length)
+{
+    buffer.resize(std::min<std::size_t>(4096, bufferLimit()));
+}
+
+std::size_t
+LineReader::bufferLimit() const
+{
+    // The longest admissible line, one more character and getline's NUL.
+    constexpr std::size_t most = std::numeric_limits<std::size_t>::max();
+    return maxLength > most - 2 ? most : maxLength + 2;
+}
+
+LineReader::Status
+LineReader::next(std::string_view &line)
+{
+    std::size_t have = 0;
+    std::size_t length = 0;
+    while (true) {
+        in.getline(buffer.data() + have,
+                   std::streamsize(buffer.size() - have));
+        const std::size_t got = std::size_t(in.gcount());
+        if (!in.fail()) {
+            // gcount counts the newline, unless end of input ended the
+            // line.
+            length = have + got - (in.eof() ? 0 : 1);
+            break;
+        }
+        if (in.bad() || got == 0) {
+            if (in.bad() || have == 0)
+                return Status::End;
+            length = have;
+            break;
+        }
+        // The buffer filled before the line ended: the line is too
+        // long, or the buffer grows for the rest of it.
+        have += got;
+        if (have > maxLength)
+            return Status::TooLong;
+        in.clear(in.rdstate() & ~std::ios::failbit);
+        buffer.resize(std::min(2 * buffer.size(), bufferLimit()));
+    }
+    if (length > maxLength)
+        return Status::TooLong;
+    line = {buffer.data(), length};
+    return Status::Line;
+}
+
 namespace
 {
 
-/** Split off the first n whitespace fields; the remainder is the name. */
+/**
+ * Split off the first n (at most 4) whitespace fields; the remainder,
+ * trimmed, is the name.
+ */
 bool
-splitFields(const std::string &line, std::size_t n,
-            std::vector<std::string> &fields, std::string &rest)
+splitFields(std::string_view line, std::size_t n, std::string_view *fields,
+            std::string_view &rest)
 {
-    fields.clear();
-    std::size_t i = 0;
-    auto skip_ws = [&] {
-        while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i])))
-            ++i;
+    auto space = [&](std::size_t i) {
+        return std::isspace(static_cast<unsigned char>(line[i])) != 0;
     };
+    std::size_t i = 0;
     for (std::size_t f = 0; f < n; ++f) {
-        skip_ws();
+        while (i < line.size() && space(i))
+            ++i;
         std::size_t start = i;
-        while (i < line.size() && !std::isspace(static_cast<unsigned char>(line[i])))
+        while (i < line.size() && !space(i))
             ++i;
         if (i == start)
             return false;
-        fields.emplace_back(line.substr(start, i - start));
+        fields[f] = line.substr(start, i - start);
     }
-    skip_ws();
-    rest = line.substr(i);
-    // Trim trailing whitespace (e.g. CR from DOS files).
-    rest = trim(rest);
+    // Trims trailing whitespace too (e.g. CR from DOS files).
+    rest = trimView(line.substr(i));
     return true;
 }
 
@@ -150,43 +203,79 @@ readTrace(std::istream &in, const ParseBudget &budget)
         os << "line " << line_no << ": " << msg;
         return VIVA_ERROR(code, os.str());
     };
+    auto overlong = [&] {
+        return fail(Errc::Budget,
+                    "line exceeds the parse budget (" +
+                        std::to_string(budget.maxLineLength) + " bytes)");
+    };
 
-    std::string line;
-
-    if (!std::getline(in, line))
+    LineReader lines(in, budget.maxLineLength);
+    std::string_view line;
+    LineReader::Status got = lines.next(line);
+    if (got == LineReader::Status::End)
         return fail(Errc::Parse, "empty input");
     ++line_no;
-    if (trim(line) != "viva-trace 1")
+    if (got == LineReader::Status::TooLong)
+        return overlong();
+    if (trimView(line) != "viva-trace 1")
         return fail(Errc::Parse, "missing 'viva-trace 1' header");
 
     Trace trace;
-    std::vector<std::string> fields;
-    std::string rest;
+    std::string_view fields[4];
+    std::string_view rest;
     std::size_t records = 0;
+    // Points arrive in runs of one (container, metric): the variable is
+    // fetched once per run. A run that breaks its variable's time order
+    // is remembered, and each such variable is sorted once at the end.
+    Variable *run = nullptr;
+    std::size_t run_c = 0;
+    std::size_t run_m = 0;
+    bool run_ordered = true;
+    std::vector<Variable *> unordered;
 
-    while (std::getline(in, line)) {
+    while ((got = lines.next(line)) != LineReader::Status::End) {
         ++line_no;
         if (support::faultAt("trace.read.stream"))
             return fail(Errc::Io, "injected stream read failure");
-        if (line.size() > budget.maxLineLength ||
+        if (got == LineReader::Status::TooLong ||
             support::faultAt("trace.parse.budget"))
-            return fail(Errc::Budget,
-                        "line exceeds the parse budget (" +
-                            std::to_string(budget.maxLineLength) +
-                            " bytes)");
-        std::string stripped = trim(line);
+            return overlong();
+        std::string_view stripped = trimView(line);
         if (stripped.empty() || stripped[0] == '#')
             continue;
 
         std::size_t sp = stripped.find(' ');
-        std::string verb = sp == std::string::npos
-                               ? stripped
-                               : stripped.substr(0, sp);
-        std::string body = sp == std::string::npos
-                               ? std::string()
-                               : stripped.substr(sp + 1);
+        std::string_view verb = stripped.substr(0, sp);
+        std::string_view body = sp == std::string_view::npos
+                                    ? std::string_view()
+                                    : stripped.substr(sp + 1);
 
-        if (verb == "container") {
+        if (verb == "p") {
+            if (!splitFields(body, 4, fields, rest) || !rest.empty())
+                return fail(Errc::Parse, "malformed point record");
+            std::size_t c = 0, m = 0;
+            double t = 0, v = 0;
+            if (!parseSize(fields[0], c) || !parseSize(fields[1], m) ||
+                !parseDouble(fields[2], t) || !parseDouble(fields[3], v))
+                return fail(Errc::Parse, "bad point fields");
+            if (!std::isfinite(t) || !std::isfinite(v))
+                return fail(Errc::Parse, "non-finite point fields");
+            if (c >= trace.containerCount() || m >= trace.metricCount())
+                return fail(Errc::Parse, "point references unknown ids");
+            if (++records > budget.maxRecords)
+                return fail(Errc::Budget,
+                            "record count exceeds the parse budget");
+            if (!run || c != run_c || m != run_m) {
+                if (!run_ordered)
+                    unordered.push_back(run);
+                run = &trace.variable(ContainerId::fromIndex(c),
+                                      MetricId::fromIndex(m));
+                run_c = c;
+                run_m = m;
+                run_ordered = true;
+            }
+            run_ordered &= run->push(t, v);
+        } else if (verb == "container") {
             if (!splitFields(body, 3, fields, rest) || rest.empty())
                 return fail(Errc::Parse, "malformed container record");
             std::size_t id = 0;
@@ -203,15 +292,16 @@ readTrace(std::istream &in, const ParseBudget &budget)
                 parent = ContainerId::fromIndex(p);
             }
             ContainerKind kind = containerKindFromName(fields[2]);
-            if (rest.find('/') != std::string::npos)
+            std::string name(rest);
+            if (name.find('/') != std::string::npos)
                 return fail(Errc::Parse,
-                            "container name '" + rest +
+                            "container name '" + name +
                                 "' must not contain '/'");
-            if (trace.findChild(parent, rest) != kNoContainer)
+            if (trace.findChild(parent, name) != kNoContainer)
                 return fail(Errc::Parse,
-                            "duplicate container '" + rest + "'");
-            ContainerId got = trace.addContainer(rest, kind, parent);
-            if (got.index() != id)
+                            "duplicate container '" + name + "'");
+            ContainerId made = trace.addContainer(name, kind, parent);
+            if (made.index() != id)
                 return fail(Errc::Parse, "container ids must be dense");
         } else if (verb == "metric") {
             if (!splitFields(body, 4, fields, rest) || rest.empty())
@@ -230,12 +320,13 @@ readTrace(std::istream &in, const ParseBudget &budget)
                     return fail(Errc::Parse, "bad capacityOf id");
                 cap = MetricId::fromIndex(c);
             }
-            std::string unit = fields[3] == "-" ? "" : fields[3];
-            if (trace.findMetric(rest) != kNoMetric)
+            std::string unit(fields[3] == "-" ? std::string_view() : fields[3]);
+            std::string name(rest);
+            if (trace.findMetric(name) != kNoMetric)
                 return fail(Errc::Parse,
-                            "duplicate metric '" + rest + "'");
-            MetricId got = trace.addMetric(rest, unit, nature, cap);
-            if (got.index() != id)
+                            "duplicate metric '" + name + "'");
+            MetricId made = trace.addMetric(name, unit, nature, cap);
+            if (made.index() != id)
                 return fail(Errc::Parse, "metric ids must be dense");
         } else if (verb == "rel") {
             if (!splitFields(body, 2, fields, rest) || !rest.empty())
@@ -248,22 +339,6 @@ readTrace(std::istream &in, const ParseBudget &budget)
                 return fail(Errc::Budget,
                             "record count exceeds the parse budget");
             trace.addRelation(ContainerId::fromIndex(a), ContainerId::fromIndex(b));
-        } else if (verb == "p") {
-            if (!splitFields(body, 4, fields, rest) || !rest.empty())
-                return fail(Errc::Parse, "malformed point record");
-            std::size_t c = 0, m = 0;
-            double t = 0, v = 0;
-            if (!parseSize(fields[0], c) || !parseSize(fields[1], m) ||
-                !parseDouble(fields[2], t) || !parseDouble(fields[3], v))
-                return fail(Errc::Parse, "bad point fields");
-            if (!std::isfinite(t) || !std::isfinite(v))
-                return fail(Errc::Parse, "non-finite point fields");
-            if (c >= trace.containerCount() || m >= trace.metricCount())
-                return fail(Errc::Parse, "point references unknown ids");
-            if (++records > budget.maxRecords)
-                return fail(Errc::Budget,
-                            "record count exceeds the parse budget");
-            trace.variable(ContainerId::fromIndex(c), MetricId::fromIndex(m)).set(t, v);
         } else if (verb == "state") {
             if (!splitFields(body, 3, fields, rest) || rest.empty())
                 return fail(Errc::Parse, "malformed state record");
@@ -279,14 +354,23 @@ readTrace(std::istream &in, const ParseBudget &budget)
             if (++records > budget.maxRecords)
                 return fail(Errc::Budget,
                             "record count exceeds the parse budget");
-            trace.addState(ContainerId::fromIndex(c), b, e, rest);
+            trace.addState(ContainerId::fromIndex(c), b, e, std::string(rest));
         } else {
-            return fail(Errc::Parse, "unknown record '" + verb + "'");
+            return fail(Errc::Parse,
+                        "unknown record '" + std::string(verb) + "'");
         }
     }
 
     if (in.bad())
         return fail(Errc::Io, "stream read failure");
+    if (!run_ordered)
+        unordered.push_back(run);
+    // A variable may have broken its order in several runs: sort once.
+    std::sort(unordered.begin(), unordered.end(), std::less<>());
+    unordered.erase(std::unique(unordered.begin(), unordered.end()),
+                    unordered.end());
+    for (Variable *var : unordered)
+        var->sortPoints();
     reg.add(record_count, records + trace.containerCount() - 1 +
                               trace.metricCount());
     // Load time is when the O(log n) query structures are built, so

@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "support/error.hh"
 #include "trace/trace.hh"
@@ -51,6 +52,42 @@ struct ParseBudget
 
     /** Most data records (points, states, rels, Paje events) accepted. */
     std::size_t maxRecords = 1u << 26;
+};
+
+/**
+ * Reads the lines of a stream through one reused buffer and refuses a
+ * line longer than a bound before holding it whole: the readers'
+ * defence against a newline-free file.
+ */
+class LineReader
+{
+  public:
+    /** What next() found. */
+    enum class Status
+    {
+        Line,     ///< a line, in the view passed to next()
+        End,      ///< end of input, or a stream failure (check bad())
+        TooLong,  ///< a line longer than the bound; stop reading
+    };
+
+    /** Read `stream`, refusing lines longer than `max_length` bytes. */
+    LineReader(std::istream &stream, std::size_t max_length);
+
+    /**
+     * Read the next line, without its '\n', into a view valid until
+     * the next call. Pulls at most max_length + 2 characters of a line
+     * from the stream: the line itself and the one character after it,
+     * the newline or the character that proves the line too long.
+     */
+    Status next(std::string_view &line);
+
+  private:
+    /** The buffer's largest size: a line one byte too long, and a NUL. */
+    std::size_t bufferLimit() const;
+
+    std::istream &in;
+    std::size_t maxLength;
+    std::string buffer;
 };
 
 /** Serialize a trace to a stream. */

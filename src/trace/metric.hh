@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "support/strong_id.hh"
 
@@ -42,7 +43,7 @@ enum class MetricNature : std::uint8_t
 const char *metricNatureName(MetricNature nature);
 
 /** Parse a nature name produced by metricNatureName(); Gauge on failure. */
-MetricNature metricNatureFromName(const std::string &name);
+MetricNature metricNatureFromName(std::string_view name);
 
 /** Descriptor of one metric type. */
 struct Metric

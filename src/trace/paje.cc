@@ -180,16 +180,18 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
         return by_name;  // may be kNoContainer
     };
 
-    std::string line;
+    LineReader lines(in, budget.maxLineLength);
+    std::string_view line;
+    LineReader::Status got = LineReader::Status::End;
     std::optional<EventDef> building;
     std::string building_id;
 
     std::vector<std::string> tokens;
-    while (std::getline(in, line)) {
+    while ((got = lines.next(line)) != LineReader::Status::End) {
         ++line_no;
         if (support::faultAt("paje.read.stream"))
             return fail(Errc::Io, "injected stream read failure");
-        if (line.size() > budget.maxLineLength ||
+        if (got == LineReader::Status::TooLong ||
             support::faultAt("trace.parse.budget"))
             return fail(Errc::Budget,
                         "line exceeds the parse budget (" +

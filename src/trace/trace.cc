@@ -32,7 +32,7 @@ containerKindName(ContainerKind kind)
 }
 
 ContainerKind
-containerKindFromName(const std::string &name)
+containerKindFromName(std::string_view name)
 {
     static const std::pair<const char *, ContainerKind> table[] = {
         {"root", ContainerKind::Root},       {"grid", ContainerKind::Grid},
@@ -60,7 +60,7 @@ metricNatureName(MetricNature nature)
 }
 
 MetricNature
-metricNatureFromName(const std::string &name)
+metricNatureFromName(std::string_view name)
 {
     if (name == "capacity")
         return MetricNature::Capacity;
@@ -440,23 +440,21 @@ Trace::ensureClosure()
         closure.subtreeSize[id.index()] = size;
     }
 
-    // Per (container, metric): the carrier list of the subtree slab.
-    const std::size_t metrics = metricTable.size();
+    // Per metric: the carriers of the whole preorder, one slot at a
+    // time, with the running count before every slot. A subtree's
+    // carrier list is then the run between its slab's bounds.
+    const std::size_t slots = closure.preorder.size();
     closure.carrierVars.clear();
-    closure.carrierOff.assign(nodes.size() * metrics + 1, 0);
-    for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
-        std::span<const ContainerId> members{
-            closure.preorder.data() + closure.preIndex[ni],
-            closure.subtreeSize[ni]};
-        for (std::size_t mi = 0; mi < metrics; ++mi) {
-            closure.carrierOff[ni * metrics + mi] =
-                std::uint32_t(closure.carrierVars.size());
-            appendCarriers(members, MetricId::fromIndex(mi),
-                           closure.carrierVars);
+    closure.carrierOff.assign(metricTable.size() * (slots + 1), 0);
+    for (std::size_t mi = 0; mi < metricTable.size(); ++mi) {
+        std::uint32_t *off = closure.carrierOff.data() + mi * (slots + 1);
+        for (std::size_t slot = 0; slot < slots; ++slot) {
+            off[slot] = std::uint32_t(closure.carrierVars.size());
+            appendCarriers({closure.preorder.data() + slot, 1},
+                           MetricId::fromIndex(mi), closure.carrierVars);
         }
+        off[slots] = std::uint32_t(closure.carrierVars.size());
     }
-    closure.carrierOff.back() =
-        std::uint32_t(closure.carrierVars.size());
     closure.builtVersion = mutations;
 }
 
@@ -504,9 +502,12 @@ Trace::carriers(ContainerId c, MetricId m) const
     // gives (nullptr), so lookups with a failed findMetric stay benign.
     if (m.index() >= metricTable.size())
         return {};
-    const std::size_t slot = c.index() * metricTable.size() + m.index();
-    return {closure.carrierVars.data() + closure.carrierOff[slot],
-            closure.carrierOff[slot + 1] - closure.carrierOff[slot]};
+    const std::uint32_t *off =
+        closure.carrierOff.data() +
+        m.index() * (closure.preorder.size() + 1) +
+        closure.preIndex[c.index()];
+    const std::uint32_t end = off[closure.subtreeSize[c.index()]];
+    return {closure.carrierVars.data() + off[0], end - off[0]};
 }
 
 support::AuditLog
@@ -641,7 +642,7 @@ Trace::auditInvariants() const
             closure.subtreeSize.size() != nodes.size() ||
             closure.preorder.size() != nodes.size() ||
             closure.carrierOff.size() !=
-                nodes.size() * metricTable.size() + 1) {
+                metricTable.size() * (nodes.size() + 1)) {
             auditFail(log, "closure cache arrays are missized");
             return log;
         }

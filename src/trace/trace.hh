@@ -289,11 +289,13 @@ class Trace
      * The hierarchy-closure cache. `preorder` is the root-first DFS
      * order of the whole tree; a container's subtree is the contiguous
      * slab preorder[preIndex[c] .. preIndex[c] + subtreeSize[c]).
-     * `carrierVars` holds, per (container, metric) in
-     * container-major order, the carrier list of that subtree
-     * (offsets in `carrierOff`). Pointers reference `vars` storage, so
-     * copies must drop the cache; mutations invalidate it via
-     * `mutations` != `builtVersion`.
+     * `carrierVars` holds, metric after metric, the carrier list of
+     * the whole preorder, so each carrier appears once. Per metric m,
+     * `carrierOff[m * (preorder.size() + 1) + s]` counts the carriers before
+     * preorder slot s (offset by the metric's start), and the carrier
+     * list of a subtree is the run between its slab's two bounds.
+     * Pointers reference `vars` storage, so copies must drop the cache;
+     * mutations invalidate it via `mutations` != `builtVersion`.
      */
     struct Closure
     {

@@ -18,6 +18,20 @@ namespace
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
+/** Entries before level k of a sparse table over n points. */
+std::size_t
+levelOffset(std::size_t n, std::size_t k)
+{
+    return k * (n + 1) - ((std::size_t(1) << k) - 1);
+}
+
+/** Entries of a whole sparse table over n points (bit_width(n) levels). */
+std::size_t
+tableSize(std::size_t n)
+{
+    return levelOffset(n, std::size_t(std::bit_width(n)));
+}
+
 } // namespace
 
 std::size_t
@@ -54,6 +68,39 @@ Variable::set(double t, double v)
         it->value = v;
     else
         points.insert(it, {t, v});
+}
+
+bool
+Variable::push(double t, double v)
+{
+    indexClean = false;
+    if (!points.empty() && points.back().time == t) {
+        points.back().value = v;
+        return true;
+    }
+    bool ordered = points.empty() || points.back().time < t;
+    points.push_back({t, v});
+    return ordered;
+}
+
+void
+Variable::sortPoints()
+{
+    indexClean = false;
+    std::stable_sort(points.begin(), points.end(),
+                     [](const Point &a, const Point &b) {
+                         return a.time < b.time;
+                     });
+    // Collapse each run of equal times onto its first point, which
+    // keeps its time and takes the run's last value.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (kept > 0 && points[kept - 1].time == points[i].time)
+            points[kept - 1].value = points[i].value;
+        else
+            points[kept++] = points[i];
+    }
+    points.resize(kept);
 }
 
 void
@@ -113,6 +160,7 @@ Variable::integrate(double a, double b) const
     std::size_t first = (ia == npos) ? 0 : ia + 1;
     double total =
         ia == npos ? 0.0 : points[ia].value * (points[first].time - a);
+    const double *cum = index.data();
     total += cum[ib] - cum[first];
     total += points[ib].value * (b - points[ib].time);
     return total;
@@ -195,13 +243,27 @@ Variable::minOver(double a, double b) const
     return best;
 }
 
+const double *
+Variable::maxLevel(std::size_t k) const
+{
+    const std::size_t n = points.size();
+    return index.data() + n + levelOffset(n, k);
+}
+
+const double *
+Variable::minLevel(std::size_t k) const
+{
+    const std::size_t n = points.size();
+    return index.data() + n + tableSize(n) + levelOffset(n, k);
+}
+
 double
 Variable::rangeMax(std::size_t lo, std::size_t hi) const
 {
     std::size_t len = hi - lo + 1;
     std::size_t k = std::size_t(std::bit_width(len)) - 1;
-    return std::max(maxTab[k][lo],
-                    maxTab[k][hi + 1 - (std::size_t(1) << k)]);
+    const double *level = maxLevel(k);
+    return std::max(level[lo], level[hi + 1 - (std::size_t(1) << k)]);
 }
 
 double
@@ -209,42 +271,39 @@ Variable::rangeMin(std::size_t lo, std::size_t hi) const
 {
     std::size_t len = hi - lo + 1;
     std::size_t k = std::size_t(std::bit_width(len)) - 1;
-    return std::min(minTab[k][lo],
-                    minTab[k][hi + 1 - (std::size_t(1) << k)]);
+    const double *level = minLevel(k);
+    return std::min(level[lo], level[hi + 1 - (std::size_t(1) << k)]);
 }
 
 void
-Variable::computeIndex(std::vector<double> &cum_out,
-                       std::vector<std::vector<double>> &max_out,
-                       std::vector<std::vector<double>> &min_out) const
+Variable::computeIndex(std::vector<double> &out) const
 {
     const std::size_t n = points.size();
-    cum_out.assign(n, 0.0);
+    const std::size_t table = tableSize(n);
+    out.assign(n + 2 * table, 0.0);
+    double *cum = out.data();
     for (std::size_t i = 1; i < n; ++i)
-        cum_out[i] = cum_out[i - 1] +
-                     points[i - 1].value *
-                         (points[i].time - points[i - 1].time);
+        cum[i] = cum[i - 1] +
+                 points[i - 1].value * (points[i].time - points[i - 1].time);
 
-    const std::size_t levels = n == 0 ? 0 : std::size_t(std::bit_width(n));
-    max_out.assign(levels, {});
-    min_out.assign(levels, {});
     if (n == 0)
         return;
-    max_out[0].resize(n);
-    min_out[0].resize(n);
+    double *max_tab = out.data() + n;
+    double *min_tab = max_tab + table;
     for (std::size_t i = 0; i < n; ++i) {
-        max_out[0][i] = points[i].value;
-        min_out[0][i] = points[i].value;
+        max_tab[i] = points[i].value;
+        min_tab[i] = points[i].value;
     }
+    const std::size_t levels = std::size_t(std::bit_width(n));
     for (std::size_t k = 1; k < levels; ++k) {
         const std::size_t w = std::size_t(1) << k;
-        max_out[k].resize(n - w + 1);
-        min_out[k].resize(n - w + 1);
+        const std::size_t prev = levelOffset(n, k - 1);
+        const std::size_t cur = levelOffset(n, k);
         for (std::size_t i = 0; i + w <= n; ++i) {
-            max_out[k][i] =
-                std::max(max_out[k - 1][i], max_out[k - 1][i + w / 2]);
-            min_out[k][i] =
-                std::min(min_out[k - 1][i], min_out[k - 1][i + w / 2]);
+            max_tab[cur + i] =
+                std::max(max_tab[prev + i], max_tab[prev + i + w / 2]);
+            min_tab[cur + i] =
+                std::min(min_tab[prev + i], min_tab[prev + i + w / 2]);
         }
     }
 }
@@ -254,7 +313,7 @@ Variable::buildIndex()
 {
     if (indexClean)
         return;
-    computeIndex(cum, maxTab, minTab);
+    computeIndex(index);
     indexClean = true;
 }
 
@@ -263,11 +322,9 @@ Variable::indexConsistent() const
 {
     if (!indexClean)
         return true;
-    std::vector<double> cum_ref;
-    std::vector<std::vector<double>> max_ref;
-    std::vector<std::vector<double>> min_ref;
-    computeIndex(cum_ref, max_ref, min_ref);
-    return cum == cum_ref && maxTab == max_ref && minTab == min_ref;
+    std::vector<double> ref;
+    computeIndex(ref);
+    return index == ref;
 }
 
 double

@@ -19,7 +19,8 @@ namespace viva::trace
 /**
  * A piecewise-constant function of time built from timestamped set/add
  * events. Change points are kept sorted; appends at the end are O(1),
- * out-of-order inserts are supported but O(n).
+ * out-of-order inserts are supported but O(n) (bulk loaders push() in
+ * any order and sortPoints() once instead).
  */
 class Variable
 {
@@ -34,6 +35,23 @@ class Variable
 
     /** Set the value from time t on. Replaces an existing point at t. */
     void set(double t, double v);
+
+    /**
+     * Bulk loading: append a change point in any time order. A point
+     * at the last point's time replaces its value, as set() does; an
+     * earlier time is appended as is and leaves the points unsorted
+     * until sortPoints(). O(1), where an out-of-order set() is O(n).
+     * @return false when t comes before the last point's time
+     */
+    bool push(double t, double v);
+
+    /**
+     * Restore time order after out-of-order push() calls with one
+     * stable sort. Of points at equal times the first one's time and
+     * the last one's value survive: exactly the points that calling
+     * set() in the same order would have left.
+     */
+    void sortPoints();
 
     /** Add dv to the value from time t on (relative change event). */
     void add(double t, double dv);
@@ -142,19 +160,26 @@ class Variable
     /** Min over the inclusive point-index range via the sparse table. */
     double rangeMin(std::size_t lo, std::size_t hi) const;
 
-    /** Recompute the index arrays from `points` into the outputs. */
-    void computeIndex(std::vector<double> &cum_out,
-                      std::vector<std::vector<double>> &max_out,
-                      std::vector<std::vector<double>> &min_out) const;
+    /** Level k of the max sparse table inside `index`. */
+    const double *maxLevel(std::size_t k) const;
+
+    /** Level k of the min sparse table inside `index`. */
+    const double *minLevel(std::size_t k) const;
+
+    /** Recompute the index from `points` into `out`. */
+    void computeIndex(std::vector<double> &out) const;
 
     std::vector<Point> points;
 
-    /** cum[i]: exact integral from points[0].time to points[i].time. */
-    std::vector<double> cum;
-    /** maxTab[k][i]: max of the 2^k point values starting at i. */
-    std::vector<std::vector<double>> maxTab;
-    /** minTab[k][i]: min of the 2^k point values starting at i. */
-    std::vector<std::vector<double>> minTab;
+    /**
+     * The slice-query index in one allocation, laid out from the point
+     * count n alone: cum[0 .. n), where cum[i] is the exact integral
+     * from points[0].time to points[i].time; then the max sparse table;
+     * then the min table. A table has bit_width(n) levels, and level k
+     * holds the n - 2^k + 1 extrema of the 2^k point values starting
+     * at each i.
+     */
+    std::vector<double> index;
     /** Index freshness; any mutation clears it. */
     bool indexClean = false;
 };

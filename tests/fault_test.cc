@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <istream>
+#include <streambuf>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -297,6 +299,91 @@ TEST(ParseBudget, LineLengthBound)
     auto result = vt::readTrace(in, budget);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code(), vs::Errc::Budget);
+}
+
+namespace
+{
+
+/**
+ * A stream that serves `prefix` and then one endless line of 'x', one
+ * character per underflow, counting the line's characters it served.
+ */
+class EndlessLine : public std::streambuf
+{
+  public:
+    explicit EndlessLine(std::string head) : prefix(std::move(head)) {}
+
+    std::size_t served = 0;
+
+  protected:
+    int_type
+    underflow() override
+    {
+        if (next < prefix.size()) {
+            ch = prefix[next++];
+        } else {
+            ch = 'x';
+            ++served;
+        }
+        setg(&ch, &ch, &ch + 1);
+        return traits_type::to_int_type(ch);
+    }
+
+  private:
+    std::string prefix;
+    std::size_t next = 0;
+    char ch = 0;
+};
+
+} // namespace
+
+TEST(ParseBudget, EndlessLineIsRefusedBeforeItIsRead)
+{
+    const std::size_t bounds[] = {0, 64, 5000,
+                                  vt::ParseBudget{}.maxLineLength};
+    for (std::size_t bound : bounds) {
+        vt::ParseBudget budget;
+        budget.maxLineLength = bound;
+        // The header line itself, a line after the header, a Paje line.
+        for (int reader = 0; reader < 3; ++reader) {
+            EndlessLine source(reader == 1 ? "viva-trace 1\n" : "");
+            std::istream in(&source);
+            vs::Error error = reader < 2
+                                  ? vt::readTrace(in, budget).error()
+                                  : vt::readPajeTrace(in, budget).error();
+            EXPECT_EQ(error.code(), vs::Errc::Budget) << error.toString();
+            EXPECT_LE(source.served, bound + 2)
+                << "reader " << reader << ", bound " << bound;
+        }
+    }
+}
+
+TEST(ParseBudget, LinesUpToTheBoundAreRead)
+{
+    // A name that makes the line exactly maxLineLength bytes long is
+    // accepted; one byte more is refused.
+    const std::string head = "container 1 - host ";
+    for (std::size_t bound : {std::size_t(64), std::size_t(4095),
+                              std::size_t(4096), std::size_t(10000)}) {
+        vt::ParseBudget budget;
+        budget.maxLineLength = bound;
+        for (std::size_t extra : {0, 1}) {
+            std::string line =
+                head + std::string(bound - head.size() + extra, 'n');
+            for (const char *end : {"\n", ""}) {
+                std::istringstream in("viva-trace 1\n" + line + end);
+                auto result = vt::readTrace(in, budget);
+                if (extra == 0) {
+                    ASSERT_TRUE(result.ok()) << result.error().toString();
+                    EXPECT_EQ(result->container(vt::ContainerId{1}).name,
+                              line.substr(head.size()));
+                } else {
+                    ASSERT_FALSE(result.ok());
+                    EXPECT_EQ(result.error().code(), vs::Errc::Budget);
+                }
+            }
+        }
+    }
 }
 
 TEST(ParseBudget, ContainerBound)

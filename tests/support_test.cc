@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <string_view>
 
 #include "support/interval.hh"
 #include "support/logging.hh"
@@ -101,6 +104,98 @@ TEST(Strings, ParseSize)
     EXPECT_FALSE(vs::parseSize("-3", v));
     EXPECT_FALSE(vs::parseSize("3.5", v));
     EXPECT_FALSE(vs::parseSize("", v));
+}
+
+namespace
+{
+
+/** The trim + strtod parseDouble that the in-place parser replaced. */
+bool
+oracleParseDouble(std::string_view text, double &out)
+{
+    std::string s = vs::trim(text);
+    if (s.empty())
+        return false;
+    const char *begin = s.c_str();
+    char *end = nullptr;
+    double v = std::strtod(begin, &end);
+    if (end != begin + s.size())
+        return false;
+    out = v;
+    return true;
+}
+
+/** The trim + from_chars parseSize that the in-place parser replaced. */
+bool
+oracleParseSize(std::string_view text, std::size_t &out)
+{
+    std::string s = vs::trim(text);
+    if (s.empty())
+        return false;
+    std::size_t v = 0;
+    auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc() || ptr != s.data() + s.size())
+        return false;
+    out = v;
+    return true;
+}
+
+/**
+ * parseDouble and parseSize accept `text` iff the oracles do, with the
+ * same bits.
+ */
+void
+expectParseParity(std::string_view text)
+{
+    const double sentinel = 12345.0;
+    double got = sentinel;
+    double want = sentinel;
+    bool ok = vs::parseDouble(text, got);
+    ASSERT_EQ(ok, oracleParseDouble(text, want)) << "'" << text << "'";
+    std::uint64_t got_bits = 0;
+    std::uint64_t want_bits = 0;
+    std::memcpy(&got_bits, &got, sizeof(got));
+    std::memcpy(&want_bits, &want, sizeof(want));
+    EXPECT_EQ(got_bits, want_bits) << "'" << text << "'";
+
+    std::size_t size_got = 7;
+    std::size_t size_want = 7;
+    ASSERT_EQ(vs::parseSize(text, size_got),
+              oracleParseSize(text, size_want))
+        << "'" << text << "'";
+    EXPECT_EQ(size_got, size_want) << "'" << text << "'";
+}
+
+} // namespace
+
+TEST(Strings, ParseParity)
+{
+    using namespace std::string_view_literals;
+    const std::string_view edges[] = {
+        "+1.5", "0x1p3", "0X1P-3", "1e400", "-1e400", "1e-400", "-1e-400",
+        "4.9e-324", "2.4e-324", "2.5e-324", "2.2250738585072011e-308",
+        "1.7976931348623157e308", "1.7976931348623159e308", "-0", "0",
+        "+0", "inf", "-inf", "+inf", "INF", "infinity", "infinit", "nan",
+        "-nan", "+nan", "NaN", "nan(123)", "nan(", ".5", "5.", ".", "-.5",
+        "1e", "1e+", "1e+5", "1E5", " 2.5\r", "\t7\n", "12x", "", " ",
+        "abc", "0x", "0x1p", "1.5e3.2", "--1", "+-1", "1 2", "e5", "00012",
+        "18446744073709551615", "18446744073709551616", "-3", "3.5",
+        "1\0002"sv, "1_000", "1,5"};
+    for (std::string_view text : edges)
+        expectParseParity(text);
+
+    // Shortest round-trip and %.17g forms of random bit patterns,
+    // non-finite ones included.
+    vs::Rng rng(23);
+    char wide[64];
+    for (int i = 0; i < 100000; ++i) {
+        std::uint64_t bits = rng.raw()();
+        double x = 0;
+        std::memcpy(&x, &bits, sizeof(x));
+        expectParseParity(vs::formatDouble(x));
+        std::snprintf(wide, sizeof(wide), "%.17g", x);
+        expectParseParity(wide);
+    }
 }
 
 TEST(Strings, FormatDoubleRoundTrips)

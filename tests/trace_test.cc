@@ -6,13 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "platform/builders.hh"
+#include "sim/tracer.hh"
+#include "support/random.hh"
+#include "support/strings.hh"
 #include "trace/builder.hh"
 #include "trace/io.hh"
 #include "trace/trace.hh"
 #include "trace/variable.hh"
 
+namespace vp = viva::platform;
+namespace vs = viva::support;
 namespace vt = viva::trace;
 
 // --- Variable ---------------------------------------------------------------
@@ -57,6 +66,46 @@ TEST(Variable, OutOfOrderInsert)
     EXPECT_DOUBLE_EQ(v.valueAt(8.0), 2.0);
     EXPECT_DOUBLE_EQ(v.valueAt(11.0), 3.0);
     EXPECT_EQ(v.pointCount(), 3u);
+}
+
+TEST(Variable, PushThenSortMatchesSequentialSets)
+{
+    // Shuffled times with repeats: sorting once must leave exactly the
+    // points the same sequence of set() calls leaves, -0 vs 0 included.
+    vs::Rng rng(5);
+    std::vector<vt::Variable::Point> events;
+    for (int i = 0; i < 500; ++i)
+        events.push_back({double(rng.uniformInt(0, 120)) * 0.25,
+                          double(rng.uniformInt(-3, 3))});
+    events.push_back({0.0, 1.0});
+    events.push_back({-0.0, 2.0});
+    vt::Variable by_set;
+    vt::Variable by_push;
+    for (const vt::Variable::Point &e : events) {
+        by_set.set(e.time, e.value);
+        by_push.push(e.time, e.value);
+    }
+    by_push.sortPoints();
+    ASSERT_EQ(by_push.pointCount(), by_set.pointCount());
+    for (std::size_t i = 0; i < by_set.pointCount(); ++i) {
+        const vt::Variable::Point &a = by_set.changePoints()[i];
+        const vt::Variable::Point &b = by_push.changePoints()[i];
+        EXPECT_EQ(vs::formatDouble(a.time), vs::formatDouble(b.time));
+        EXPECT_EQ(vs::formatDouble(a.value), vs::formatDouble(b.value));
+    }
+}
+
+TEST(Variable, PushReportsOrder)
+{
+    vt::Variable v;
+    EXPECT_TRUE(v.push(1.0, 1.0));
+    EXPECT_TRUE(v.push(2.0, 1.0));
+    EXPECT_TRUE(v.push(2.0, 3.0));  // same time: replaces the value
+    EXPECT_FALSE(v.push(1.5, 2.0));
+    EXPECT_EQ(v.pointCount(), 3u);
+    v.sortPoints();
+    EXPECT_DOUBLE_EQ(v.valueAt(1.7), 2.0);
+    EXPECT_DOUBLE_EQ(v.valueAt(2.0), 3.0);
 }
 
 TEST(Variable, AddIsRelative)
@@ -394,6 +443,159 @@ TEST(TraceIo, SkipsCommentsAndBlankLines)
         auto t = vt::readTrace(in);
     ASSERT_TRUE(t.has_value()) << t.error().toString();
     EXPECT_EQ(t->containerCount(), 2u);
+}
+
+namespace
+{
+
+std::string
+serialized(const vt::Trace &t)
+{
+    std::ostringstream out;
+    vt::writeTrace(t, out);
+    return out.str();
+}
+
+vt::Trace
+parsed(const std::string &text)
+{
+    std::istringstream in(text);
+    auto back = vt::readTrace(in);
+    EXPECT_TRUE(back.has_value()) << back.error().toString();
+    return back ? std::move(*back) : vt::Trace();
+}
+
+/**
+ * The trace of a short simulation on `plat`: every host computes one
+ * or two seeded jobs, and every tenth host also sends to a seeded peer,
+ * so hosts and links carry simulated change points.
+ */
+vt::Trace
+simulatedTrace(const vp::Platform &plat, std::uint64_t seed)
+{
+    vs::Rng rng(seed);
+    viva::sim::SimulationRun run(plat);
+    for (vp::HostId h{0}; h.index() < plat.hostCount(); ++h) {
+        std::int64_t jobs = rng.uniformInt(1, 2);
+        for (std::int64_t j = 0; j < jobs; ++j) {
+            double start = 5.0 * double(rng.uniformInt(0, 5));
+            double mflop =
+                plat.host(h).powerMflops * double(rng.uniformInt(1, 8));
+            run.engine.at(start, [&run, h, mflop] {
+                run.engine.startCompute(h, mflop, [] {});
+            });
+        }
+        if (h.index() % 10 == 0) {
+            vp::HostId peer = vp::HostId::fromIndex(
+                std::size_t(rng.index(plat.hostCount())));
+            double start = 5.0 * double(rng.uniformInt(0, 5));
+            run.engine.at(start, [&run, h, peer] {
+                run.engine.startComm(h, peer, 200.0, [] {});
+            });
+        }
+    }
+    run.engine.run();
+    EXPECT_TRUE(run.engine.idle());
+    return std::move(run.trace);
+}
+
+/** The Grid'5000 and a small synthetic grid, with simulated points. */
+std::vector<vt::Trace>
+simulatedTraces()
+{
+    vs::Rng rng(41);
+    std::vector<vt::Trace> out;
+    out.push_back(simulatedTrace(vp::makeGrid5000(), 7));
+    out.push_back(simulatedTrace(vp::makeSyntheticGrid(3, 4, 25, rng), 8));
+    return out;
+}
+
+/** The trace's point lines, and everything else, in file order. */
+void
+splitPointLines(const std::string &text, std::vector<std::string> &other,
+                std::vector<std::string> &points)
+{
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line))
+        (line.rfind("p ", 0) == 0 ? points : other).push_back(line);
+}
+
+std::string
+joinLines(const std::vector<std::string> &a,
+          const std::vector<std::string> &b)
+{
+    std::string out;
+    for (const std::vector<std::string> *part : {&a, &b})
+        for (const std::string &line : *part)
+            out += line + "\n";
+    return out;
+}
+
+} // namespace
+
+TEST(TraceIo, SimulatedTracesRoundTripByteForByte)
+{
+    for (const vt::Trace &t : simulatedTraces()) {
+        ASSERT_GT(t.pointCount(), 1000u);
+        std::string text = serialized(t);
+        vt::Trace back = parsed(text);
+        EXPECT_EQ(serialized(back), text);
+        EXPECT_TRUE(back.auditInvariants().empty());
+    }
+}
+
+TEST(TraceIo, OutOfOrderPointsLoadLikeSortedOnes)
+{
+    for (const vt::Trace &t : simulatedTraces()) {
+        std::string text = serialized(t);
+        std::vector<std::string> other;
+        std::vector<std::string> points;
+        splitPointLines(text, other, points);
+
+        // Every variable's points in descending time.
+        std::vector<std::string> reversed(points.rbegin(), points.rend());
+        EXPECT_EQ(serialized(parsed(joinLines(other, reversed))), text);
+
+        // Shuffled, each point preceded somewhere by a decoy at the same
+        // time whose value the real point overwrites.
+        std::vector<std::pair<std::string, std::size_t>> lines;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            std::string decoy =
+                points[i].substr(0, points[i].rfind(' ') + 1) + "12345.5";
+            lines.push_back({decoy, 2 * i});
+            lines.push_back({points[i], 2 * i + 1});
+        }
+        vs::Rng rng(3);
+        rng.shuffle(lines);
+        // Put each decoy/real pair back in file order.
+        std::vector<std::size_t> where(lines.size());
+        for (std::size_t slot = 0; slot < lines.size(); ++slot)
+            where[lines[slot].second] = slot;
+        for (std::size_t i = 0; i < points.size(); ++i)
+            if (where[2 * i] > where[2 * i + 1])
+                std::swap(lines[where[2 * i]], lines[where[2 * i + 1]]);
+        std::vector<std::string> shuffled;
+        for (const auto &line : lines)
+            shuffled.push_back(line.first);
+        EXPECT_EQ(serialized(parsed(joinLines(other, shuffled))), text);
+    }
+}
+
+TEST(TraceClosure, CarriersEqualTheirRecomputation)
+{
+    for (vt::Trace &t : simulatedTraces()) {
+        t.ensureQueryAcceleration();
+        for (vt::ContainerId c{0}; c.index() < t.containerCount(); ++c)
+            for (vt::MetricId m{0}; m.index() < t.metricCount(); ++m) {
+                std::span<const vt::Variable *const> cached = t.carriers(c, m);
+                std::vector<const vt::Variable *> fresh =
+                    t.collectCarriers(c, m);
+                ASSERT_TRUE(std::equal(cached.begin(), cached.end(),
+                                       fresh.begin(), fresh.end()))
+                    << "container " << c << ", metric " << m;
+            }
+    }
 }
 
 // --- builder -------------------------------------------------------------------
