@@ -3,8 +3,8 @@
  * Cost of the multi-scale aggregation primitives (Section 3.2): exact
  * temporal integration over traces of growing length, spatial
  * aggregation (buildView) at each scale of a Grid'5000-sized hierarchy,
- * edge contraction, and the fair-share solver that produces the traces
- * in the first place. These are the operations behind every slider
+ * edge contraction, a session's animation frame, and the fair-share
+ * solver that produces the traces in the first place. These are the operations behind every slider
  * move in an interactive session, so they must stay interactive-fast.
  */
 
@@ -12,6 +12,7 @@
 
 #include "agg/aggregate.hh"
 #include "agg/hierarchy_cut.hh"
+#include "app/session.hh"
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
 #include "sim/fairshare.hh"
@@ -176,6 +177,33 @@ BM_AggregateRootParallel(benchmark::State &state)
 }
 
 void
+BM_SessionFrame(benchmark::State &state)
+{
+    // One animation frame of the interactive loop (Sec. 3.2, Fig. 9):
+    // a new time slice, then the view and the scene of the current cut
+    // -- one Eq.-1 fold serves both. depth 3 = clusters, -1 = hosts.
+    viva::app::Session s{vt::Trace(bigTrace())};
+    s.setThreads(1);
+    int depth = int(state.range(0));
+    if (depth >= 0)
+        s.aggregateToDepth(std::uint16_t(depth));
+    constexpr std::size_t kSlices = 8;
+    std::uint32_t frame = 0;
+    for (auto _ : state) {
+        s.setSliceOf(va::SliceIndex(frame++ % kSlices), kSlices);
+        va::View v = s.view();
+        viva::viz::Scene scene = s.scene();
+        if (scene.nodes.size() != v.nodes.size()) {
+            state.SkipWithError("the scene misses nodes of the view");
+            break;
+        }
+        benchmark::DoNotOptimize(v);
+        benchmark::DoNotOptimize(scene);
+    }
+    state.counters["nodes"] = double(s.cut().visibleCount());
+}
+
+void
 BM_FairShareSolve(benchmark::State &state)
 {
     // n flows over a 500-resource pool, 4 resources per flow: the
@@ -234,6 +262,10 @@ BENCHMARK(BM_AggregateRootParallel)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+BENCHMARK(BM_SessionFrame)
+    ->Arg(3)
+    ->Arg(-1)
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FairShareSolve)
     ->RangeMultiplier(4)
     ->Range(16, 4096)

@@ -86,18 +86,28 @@ fold(Partial &p, double v, SpatialOp op)
     }
 }
 
+/** The aggregated value a partial stands for. */
+double
+finish(const Partial &p, SpatialOp op)
+{
+    if (!p.any)
+        return 0.0;
+    if (op == SpatialOp::Average)
+        return p.acc / double(p.count);
+    return p.acc;
+}
+
 /**
- * The Eq.-1 spatial reduction of `term(0) .. term(n - 1)`: left to right
- * inside kLeafChunk-sized chunks, partials combined in ascending chunk
- * order. The one fold behind every aggregated value, so value() and
- * the with-stats view agree to the bit for every thread count.
+ * `term(0) .. term(n - 1)` reduced through ThreadPool::reduceOrdered:
+ * left to right inside kLeafChunk-sized chunks, partials combined in
+ * ascending chunk order.
  */
 template <class Term>
-double
-spatialFold(std::size_t n, SpatialOp op, std::size_t threads,
-            Term &&term)
+Partial
+chunkedPartial(std::size_t n, SpatialOp op, std::size_t threads,
+               Term &&term)
 {
-    Partial total = support::ThreadPool::global().reduceOrdered<Partial>(
+    return support::ThreadPool::global().reduceOrdered<Partial>(
         0, n, kLeafChunk, threads, Partial{},
         [&](std::size_t lo, std::size_t hi) {
             Partial p;
@@ -114,11 +124,26 @@ spatialFold(std::size_t n, SpatialOp op, std::size_t threads,
             a.count += b.count - 1;  // fold counted b as one value
             return a;
         });
-    if (!total.any)
-        return 0.0;
-    if (op == SpatialOp::Average)
-        return total.acc / double(total.count);
-    return total.acc;
+}
+
+/**
+ * The Eq.-1 spatial reduction of `term(0) .. term(n - 1)`: the one fold
+ * behind every aggregated value, so value() and the with-stats view
+ * agree to the bit for every thread count. A single chunk folds
+ * inline: reduceOrdered would run the same left-to-right fold and
+ * combine its one partial with an empty one, so the bits are the same
+ * without the pool's partial vector and chunk callback per value.
+ */
+template <class Term>
+double
+foldTerms(std::size_t n, SpatialOp op, std::size_t threads, Term &&term)
+{
+    if (n > kLeafChunk)
+        return finish(chunkedPartial(n, op, threads, term), op);
+    Partial p;
+    for (std::size_t i = 0; i < n; ++i)
+        fold(p, term(i), op);
+    return finish(p, op);
 }
 
 /**
@@ -135,7 +160,41 @@ carrierList(const trace::Trace &trace, ContainerId node, MetricId m,
     return stale;
 }
 
+/**
+ * Equation 1 for one container and metric, uncounted: value() counts
+ * per call, foldValues() once per view.
+ */
+double
+foldValue(const trace::Trace &trace, ContainerId node, MetricId m,
+          const TimeSlice &slice, SpatialOp op, TemporalOp top,
+          std::size_t threads)
+{
+    std::vector<const trace::Variable *> stale;
+    std::span<const trace::Variable *const> carried =
+        carrierList(trace, node, m, stale);
+    return foldTerms(carried.size(), op, threads, [&](std::size_t i) {
+        return reduce(*carried[i], slice, top);
+    });
+}
+
 } // namespace
+
+double
+spatialFold(std::span<const double> terms, SpatialOp op,
+            std::size_t threads)
+{
+    return foldTerms(terms.size(), op, threads,
+                     [terms](std::size_t i) { return terms[i]; });
+}
+
+double
+chunkedFold(std::span<const double> terms, SpatialOp op,
+            std::size_t threads)
+{
+    return finish(chunkedPartial(terms.size(), op, threads,
+                                 [terms](std::size_t i) { return terms[i]; }),
+                  op);
+}
 
 Aggregator::Aggregator(const trace::Trace &trace, std::size_t threads)
     : tr(&trace), nthreads(threads)
@@ -159,12 +218,7 @@ Aggregator::value(ContainerId node, MetricId m, const TimeSlice &slice,
         reg.add(valuesCounter);
         reg.add(tr->closureFresh() ? closureHits : closureMisses);
     }
-    std::vector<const trace::Variable *> stale;
-    std::span<const trace::Variable *const> carried =
-        carrierList(*tr, node, m, stale);
-    return spatialFold(carried.size(), op, nthreads, [&](std::size_t i) {
-        return reduce(*carried[i], slice, top);
-    });
+    return foldValue(*tr, node, m, slice, op, top, nthreads);
 }
 
 support::Samples
@@ -278,35 +332,25 @@ View::valueOf(ContainerId id, MetricId m) const
     return 0.0;
 }
 
-support::Expected<View>
-buildView(const trace::Trace &trace, const CutProjection &projection,
-          const TimeSlice &slice,
-          const std::vector<MetricRequest> &requests, bool with_stats,
-          std::size_t threads, support::Deadline deadline)
+namespace
 {
-    obs::Registry &reg = obs::Registry::global();
-    static const obs::HistogramId phase = reg.histogram("agg.build_view");
-    obs::ScopedPhase timer(phase);
 
-    View view;
-    view.slice = slice;
-    view.requests = requests;
-
-    // One slot per visible node, filled by exactly one worker: the
-    // parallel build writes the same bits the serial one would, in the
-    // same node order, for every thread count. The per-subtree
-    // reduction below stays serial inside a worker (nested parallel
-    // calls run inline), so its chunk order is fixed as well.
-    const std::vector<ContainerId> &visible = projection.nodes;
-    view.nodes.resize(visible.size());
-    Aggregator agg(trace);
-    // The per-node cancellation checkpoint: the first worker to see
-    // the deadline passed latches the flag, and every worker then
-    // skips the rest of its range.
+/**
+ * Run `visit(i)` for every visible node in parallel (each call writes
+ * only node i's slots, so the result is the serial one for every
+ * thread count), polling `deadline` once per node: the first worker
+ * to see it passed latches the flag, and every worker then skips the
+ * rest of its range. A deadline that trips after the last node still
+ * aborts: the caller wants the budget honoured, not a lucky result.
+ */
+template <class Visit>
+support::Expected<void>
+forEachNode(std::size_t n, std::size_t threads, support::Deadline deadline,
+            Visit &&visit)
+{
     std::atomic<bool> aborted{false};
     support::ThreadPool::global().parallelFor(
-        0, visible.size(), 1, threads,
-        [&](std::size_t lo, std::size_t hi) {
+        0, n, 1, threads, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i) {
                 if (deadline.armed() &&
                     (aborted.load(std::memory_order_relaxed) ||
@@ -314,43 +358,127 @@ buildView(const trace::Trace &trace, const CutProjection &projection,
                     aborted.store(true, std::memory_order_relaxed);
                     return;
                 }
-                ContainerId id = visible[i];
-                ViewNode &node = view.nodes[i];
-                node.id = id;
-                node.aggregated = !trace.container(id).leaf();
-                node.leafCount = projection.leafCounts[i];
-                node.values.reserve(requests.size());
-                for (const MetricRequest &r : requests) {
-                    if (with_stats) {
-                        // The value folds the distribution's samples
-                        // exactly as value() folds the carriers.
-                        support::Samples s = agg.distribution(
-                            id, r.metric, slice, r.temporal);
-                        const std::vector<double> &xs = s.data();
-                        node.values.push_back(spatialFold(
-                            xs.size(), r.spatial, 1,
-                            [&](std::size_t j) { return xs[j]; }));
-                        node.stats.push_back({s.variance(), s.median(),
-                                              s.min(), s.max()});
-                    } else {
-                        node.values.push_back(
-                            agg.value(id, r.metric, slice, r.spatial,
-                                      r.temporal));
-                    }
-                }
+                visit(i);
             }
         });
-
-    // A deadline that trips after the last node but before the edge
-    // projection still aborts: the caller wants the budget honoured,
-    // not a lucky partial result.
     if (aborted.load(std::memory_order_relaxed) || deadline.expired()) {
         support::noteDeadlineAbort();
-        return VIVA_ERROR(support::Errc::Deadline,
-                          "aggregation over ", projection.size(),
+        return VIVA_ERROR(support::Errc::Deadline, "aggregation over ", n,
                           " visible nodes ran past its deadline");
     }
+    return {};
+}
+
+} // namespace
+
+support::Expected<void>
+foldValues(const trace::Trace &trace, const CutProjection &projection,
+           const TimeSlice &slice,
+           const std::vector<MetricRequest> &requests,
+           std::vector<double> &values, std::size_t threads,
+           support::Deadline deadline)
+{
+    obs::Registry &reg = obs::Registry::global();
+    static const obs::HistogramId phase = reg.histogram("agg.build_view");
+    static const obs::CounterId counted = reg.counter("agg.values");
+    static const obs::CounterId hits = reg.counter("agg.closure.hits");
+    static const obs::CounterId misses =
+        reg.counter("agg.closure.misses");
+    obs::ScopedPhase timer(phase);
+
+    // Each value folds serially inside its worker (threads = 1 below),
+    // so its chunk order is fixed as well.
+    const std::vector<ContainerId> &visible = projection.nodes;
+    const std::size_t k = requests.size();
+    values.resize(visible.size() * k);
+    support::Expected<void> folded =
+        forEachNode(visible.size(), threads, deadline, [&](std::size_t i) {
+            for (std::size_t j = 0; j < k; ++j) {
+                const MetricRequest &r = requests[j];
+                values[i * k + j] = foldValue(trace, visible[i], r.metric,
+                                              slice, r.spatial,
+                                              r.temporal, 1);
+            }
+        });
+    if (!folded)
+        return VIVA_ERROR_CONTEXT(folded.error(), "Eq.-1 fold");
+    // Counted once per view, with value()'s per-call totals.
+    if (reg.enabled()) {
+        reg.add(counted, values.size());
+        reg.add(trace.closureFresh() ? hits : misses, values.size());
+    }
+    return {};
+}
+
+View
+assembleView(const trace::Trace &trace, const CutProjection &projection,
+             const TimeSlice &slice,
+             const std::vector<MetricRequest> &requests,
+             std::span<const double> values)
+{
+    const std::size_t k = requests.size();
+    VIVA_ASSERT(values.size() == projection.size() * k, "view of ",
+                projection.size(), " nodes x ", k, " metrics given ",
+                values.size(), " values");
+    View view;
+    view.slice = slice;
+    view.requests = requests;
+    view.nodes.resize(projection.size());
+    for (std::size_t i = 0; i < view.nodes.size(); ++i) {
+        ViewNode &node = view.nodes[i];
+        node.id = projection.nodes[i];
+        node.aggregated = !trace.container(node.id).leaf();
+        node.leafCount = projection.leafCounts[i];
+        node.values.assign(values.begin() + std::ptrdiff_t(i * k),
+                           values.begin() + std::ptrdiff_t(i * k + k));
+    }
     view.edges = projection.edges;
+    return view;
+}
+
+support::Expected<View>
+buildView(const trace::Trace &trace, const CutProjection &projection,
+          const TimeSlice &slice,
+          const std::vector<MetricRequest> &requests, bool with_stats,
+          std::size_t threads, support::Deadline deadline)
+{
+    if (!with_stats) {
+        std::vector<double> values;
+        support::Expected<void> folded = foldValues(
+            trace, projection, slice, requests, values, threads, deadline);
+        if (!folded)
+            return VIVA_ERROR_CONTEXT(folded.error(), "plain view");
+        return assembleView(trace, projection, slice, requests, values);
+    }
+
+    obs::Registry &reg = obs::Registry::global();
+    static const obs::HistogramId phase = reg.histogram("agg.build_view");
+    obs::ScopedPhase timer(phase);
+
+    const std::size_t k = requests.size();
+    std::vector<double> values(projection.size() * k);
+    std::vector<ValueStats> stats(values.size());
+    Aggregator agg(trace);
+    support::Expected<void> built = forEachNode(
+        projection.size(), threads, deadline, [&](std::size_t i) {
+            for (std::size_t j = 0; j < k; ++j) {
+                const MetricRequest &r = requests[j];
+                // The value folds the distribution's samples exactly
+                // as value() folds the carriers.
+                support::Samples s = agg.distribution(
+                    projection.nodes[i], r.metric, slice, r.temporal);
+                values[i * k + j] = spatialFold(s.data(), r.spatial, 1);
+                stats[i * k + j] = {s.variance(), s.median(), s.min(),
+                                    s.max()};
+            }
+        });
+    if (!built)
+        return VIVA_ERROR_CONTEXT(built.error(), "view with statistics");
+    View view = assembleView(trace, projection, slice, requests, values);
+    for (std::size_t i = 0; i < view.nodes.size(); ++i)
+        view.nodes[i].stats.assign(
+            stats.begin() + std::ptrdiff_t(i * k),
+            stats.begin() + std::ptrdiff_t(i * k + k));
     return view;
 }
 

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -71,6 +72,24 @@ struct MetricRequest
     {
     }
 };
+
+/**
+ * The Eq.-1 spatial reduction of `terms`: left to right inside chunks
+ * of a fixed size (64), the chunk partials combined in ascending
+ * order, so the result is bitwise identical for every thread count.
+ * Every aggregated value folds through it. A span of at most one
+ * chunk folds inline, without the pool.
+ */
+double spatialFold(std::span<const double> terms, SpatialOp op,
+                   std::size_t threads = 1);
+
+/**
+ * spatialFold through ThreadPool::reduceOrdered for every length, the
+ * single chunk included: the reference the inline path must equal
+ * bitwise.
+ */
+double chunkedFold(std::span<const double> terms, SpatialOp op,
+                   std::size_t threads = 1);
 
 /**
  * Computes aggregated values against one trace. Stateless apart from
@@ -226,9 +245,38 @@ struct View
 };
 
 /**
+ * The Eq.-1 values of a projected cut at a time slice, without the
+ * view around them: `values` becomes projection.size() x
+ * requests.size() doubles, node-major (values[i * k + j] is node i's
+ * request j), reusing its capacity. Each value is bitwise the one
+ * Aggregator::value computes, for every thread count. Records one
+ * agg.build_view phase and adds the fold's values and closure lookups
+ * to agg.values and agg.closure.* once, on success.
+ *
+ * Cancellable like buildView: past the `deadline` it returns
+ * Errc::Deadline and `values` holds a partial fold.
+ */
+support::Expected<void> foldValues(
+    const trace::Trace &trace, const CutProjection &projection,
+    const TimeSlice &slice, const std::vector<MetricRequest> &requests,
+    std::vector<double> &values, std::size_t threads = 1,
+    support::Deadline deadline = {});
+
+/**
+ * The plain view of a projected cut from its folded values
+ * (foldValues' layout): nodes, leaf counts and edges copied from the
+ * projection, node i's values from row i.
+ */
+View assembleView(const trace::Trace &trace,
+                  const CutProjection &projection, const TimeSlice &slice,
+                  const std::vector<MetricRequest> &requests,
+                  std::span<const double> values);
+
+/**
  * Build the aggregated view for a projected cut and a time slice: the
  * nodes, leaf counts and edges are copied from the projection, and
- * only the Eq.-1 values are computed.
+ * only the Eq.-1 values are computed. A plain build is foldValues then
+ * assembleView.
  *
  * Visible nodes are aggregated in parallel when `threads > 1` (each
  * worker fills its own node slots, so the view is bitwise identical to

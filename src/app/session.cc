@@ -6,6 +6,7 @@
 #include "app/session.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -276,6 +277,7 @@ void
 Session::syncLayout()
 {
     cutProj = agg::project(tr, hierCut);
+    ++cutVersion;
 
     // Rebuild the graph densely in cut order. Nodes already laid out
     // carry their state over by key; nodes entering the view are
@@ -467,18 +469,64 @@ Session::pinNode(const std::string &path, bool pinned)
     return true;
 }
 
+namespace
+{
+
+/** The Eq.-1 default (time-average, then sum) for each metric. */
+std::vector<agg::MetricRequest>
+sumRequests(const std::vector<trace::MetricId> &metrics)
+{
+    std::vector<agg::MetricRequest> requests;
+    requests.reserve(metrics.size());
+    for (trace::MetricId m : metrics)
+        requests.emplace_back(m);
+    return requests;
+}
+
+/** Same bits: a fold of one slice is a fold of the other. */
+bool
+sameSlice(const agg::TimeSlice &a, const agg::TimeSlice &b)
+{
+    return std::bit_cast<std::uint64_t>(a.begin) ==
+               std::bit_cast<std::uint64_t>(b.begin) &&
+           std::bit_cast<std::uint64_t>(a.end) ==
+               std::bit_cast<std::uint64_t>(b.end);
+}
+
+} // namespace
+
+bool
+Session::storedValuesCurrent(
+    const std::vector<trace::MetricId> &metrics) const
+{
+    return storedCut == cutVersion && sameSlice(storedSlice, slice) &&
+           storedMetrics == metrics;
+}
+
 support::Expected<agg::View>
 Session::viewWithin(bool with_stats, support::Deadline deadline) const
 {
-    // The mapping's metrics under Equation 1's default sum.
-    std::vector<agg::MetricRequest> requests;
-    for (trace::MetricId m : visMapping.referencedMetrics())
-        requests.emplace_back(m);
-    support::Expected<agg::View> v = agg::buildView(
-        tr, cutProj, slice, requests, with_stats, nThreads, deadline);
-    if (!v)
-        return VIVA_ERROR_CONTEXT(v.error(), "Session view");
-    return v;
+    std::vector<trace::MetricId> metrics = visMapping.referencedMetrics();
+    std::vector<agg::MetricRequest> requests = sumRequests(metrics);
+    if (with_stats) {
+        support::Expected<agg::View> v = agg::buildView(
+            tr, cutProj, slice, requests, true, nThreads, deadline);
+        if (!v)
+            return VIVA_ERROR_CONTEXT(v.error(), "Session view");
+        return v;
+    }
+    if (!storedValuesCurrent(metrics)) {
+        storedCut = 0;  // a partial fold is never served
+        support::Expected<void> folded =
+            agg::foldValues(tr, cutProj, slice, requests, storedValues,
+                            nThreads, deadline);
+        if (!folded)
+            return VIVA_ERROR_CONTEXT(folded.error(), "Session view");
+        storedCut = cutVersion;
+        storedSlice = slice;
+        storedMetrics = std::move(metrics);
+    }
+    return agg::assembleView(tr, cutProj, slice, requests, storedValues);
 }
 
 agg::View
@@ -701,9 +749,39 @@ Session::auditInvariants() const
                            " edges) differs from a fresh projection "
                            "of the cut");
 
-    // The aggregated view of the current cut and slice, including the
-    // Equation-1 conservation check against a serial recomputation.
-    merge("view", agg::auditView(tr, hierCut, view()));
+    // The aggregated view of the current cut and slice, built fresh
+    // (the audit stores nothing), including the Equation-1
+    // conservation check against a serial recomputation.
+    std::vector<trace::MetricId> metrics = visMapping.referencedMetrics();
+    std::vector<agg::MetricRequest> requests = sumRequests(metrics);
+    std::vector<double> fresh;
+    agg::foldValues(tr, cutProj, slice, requests, fresh).value();
+    merge("view", agg::auditView(tr, hierCut,
+                                 agg::assembleView(tr, cutProj, slice,
+                                                   requests, fresh)));
+
+    // Views serve the stored values while their key is current: a
+    // change of the cut, slice or mapping that bypassed the key would
+    // leave them describing an older view.
+    if (storedValuesCurrent(metrics)) {
+        if (storedValues.size() != fresh.size())
+            support::auditFail(log, "stored view: ", storedValues.size(),
+                               " stored values for ", fresh.size(),
+                               " in the current view");
+        for (std::size_t i = 0; i < storedValues.size() &&
+                                i < fresh.size();
+             ++i) {
+            if (std::bit_cast<std::uint64_t>(storedValues[i]) ==
+                std::bit_cast<std::uint64_t>(fresh[i]))
+                continue;
+            support::auditFail(log, "stored view: value ", i, " (node ",
+                               i / requests.size(), ") is ",
+                               support::formatDouble(storedValues[i]),
+                               ", a fresh fold gives ",
+                               support::formatDouble(fresh[i]));
+            break;
+        }
+    }
     return log;
 }
 

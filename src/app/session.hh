@@ -211,7 +211,13 @@ class Session
 
     // --- output -----------------------------------------------------------
 
-    /** The aggregated view for the current cut and slice. */
+    /**
+     * The aggregated view for the current cut and slice. The plain
+     * view's Eq.-1 values are folded once per (cut, slice, mapping)
+     * and stored, so a frame's view() and scene() fold once; a view
+     * with statistics is always built fresh. Storing them makes view()
+     * unsafe to call concurrently with any other call on the session.
+     */
     agg::View view(bool with_stats = false) const;
 
     /**
@@ -389,6 +395,13 @@ class Session
      */
     support::AuditLog auditInvariants() const;
 
+    /**
+     * Fault injection for audit tests: the stored Eq.-1 values of the
+     * current plain view, mutable, so a test can make them stale.
+     * Never call outside tests.
+     */
+    std::vector<double> &debugStoredValues() { return storedValues; }
+
   private:
     /**
      * Project the current cut (the one update point of cutProj: every
@@ -409,9 +422,18 @@ class Session
     template <typename T, typename Run>
     support::Expected<T> runLayout(const char *what, Run run);
 
-    /** The current view; cancellable by `deadline`. */
+    /**
+     * The current view; cancellable by `deadline`. A plain view is
+     * assembled from cutProj and the stored values, folded first when
+     * their key is not the current one; an aborted fold leaves nothing
+     * stored.
+     */
     support::Expected<agg::View>
     viewWithin(bool with_stats, support::Deadline deadline) const;
+
+    /** Do the stored values belong to the current cut, slice and metrics? */
+    bool storedValuesCurrent(
+        const std::vector<trace::MetricId> &metrics) const;
 
     /** view -> position snapshot -> scene; cancellable by `deadline`. */
     support::Expected<viz::Scene>
@@ -441,6 +463,19 @@ class Session
     viz::TypeScaling typeScaling;
     layout::LayoutGraph graph;
     agg::CutProjection cutProj;
+    /** Bumped by syncLayout, the one point every cut change passes. */
+    std::uint64_t cutVersion = 0;
+    /**
+     * The Eq.-1 values of the current plain view, cutProj.size() x
+     * metrics, node-major (agg::foldValues): a flat vector, so a refold
+     * reuses its capacity. Keyed by the cut version (0: nothing
+     * stored), the slice's bits and the mapping's metrics; mutable
+     * because view() is a read-only query whose result it caches.
+     */
+    mutable std::vector<double> storedValues;
+    mutable std::uint64_t storedCut = 0;
+    mutable agg::TimeSlice storedSlice;
+    mutable std::vector<trace::MetricId> storedMetrics;
     layout::ForceLayout force;
     std::size_t nThreads;
     support::RetryPolicy ioRetry;

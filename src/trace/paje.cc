@@ -565,27 +565,35 @@ writePajeTrace(const Trace &trace, std::ostream &out)
     // --- states (Push/Pop pairs reconstruct the exact intervals).
     // Events must leave in chronological order for the reader's stack
     // semantics; pops sort before pushes at equal timestamps so
-    // back-to-back states chain correctly.
+    // back-to-back states chain correctly. Remaining ties break by
+    // container, then by state record, so the order is a total one and
+    // the bytes never depend on the sort's choice among equal keys.
     struct StateEvent
     {
         double time;
         int kind;  // 0 = pop, 1 = push
         ContainerId container;
+        std::size_t record;
         const std::string *value;
     };
     std::vector<StateEvent> events;
     events.reserve(trace.states().size() * 2);
-    for (const Trace::StateRecord &s : trace.states()) {
+    for (std::size_t i = 0; i < trace.states().size(); ++i) {
+        const Trace::StateRecord &s = trace.states()[i];
         if (s.begin >= s.end)
             continue;  // zero-length states are unrepresentable
-        events.push_back({s.begin, 1, s.container, &s.state});
-        events.push_back({s.end, 0, s.container, nullptr});
+        events.push_back({s.begin, 1, s.container, i, &s.state});
+        events.push_back({s.end, 0, s.container, i, nullptr});
     }
     std::sort(events.begin(), events.end(),
               [](const StateEvent &a, const StateEvent &b) {
                   if (a.time != b.time)
                       return a.time < b.time;
-                  return a.kind < b.kind;
+                  if (a.kind != b.kind)
+                      return a.kind < b.kind;
+                  if (a.container != b.container)
+                      return a.container < b.container;
+                  return a.record < b.record;
               });
     for (const StateEvent &e : events) {
         if (e.kind == 1) {

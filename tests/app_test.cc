@@ -18,6 +18,7 @@
 #include "layout/metrics.hh"
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
+#include "support/obs.hh"
 #include "trace/builder.hh"
 
 namespace va = viva::agg;
@@ -122,6 +123,91 @@ TEST(Session, ViewReflectsSlice)
     EXPECT_DOUBLE_EQ(s.view().valueOf(host_a, power), 100.0);
     s.setTimeSlice({4.0, 8.0});
     EXPECT_DOUBLE_EQ(s.view().valueOf(host_a, power), 10.0);
+}
+
+TEST(Session, FrameFoldsTheViewOnce)
+{
+    namespace obs = viva::support::obs;
+    obs::Registry &reg = obs::Registry::global();
+    const obs::HistogramId builds = reg.histogram("agg.build_view");
+    auto folds = [&] { return reg.histogramValue(builds).count; };
+
+    vap::Session s(vt::makeFigure1Trace());
+    const std::string svg = tempDir() + "/frame_folds_once.svg";
+
+    // An animation frame: one fold serves the view, the scene and the
+    // SVG render.
+    s.setSliceOf(va::SliceIndex{1}, 4);
+    std::uint64_t before = folds();
+    const va::View view = s.view();
+    (void)s.scene();
+    ASSERT_TRUE(s.renderSvg(svg).ok());
+    EXPECT_EQ(folds() - before, 1u);
+
+    // A slice change, a cut change and a remap each fold once more.
+    s.setSliceOf(va::SliceIndex{2}, 4);
+    before = folds();
+    (void)s.view();
+    (void)s.scene();
+    EXPECT_EQ(folds() - before, 1u);
+
+    s.aggregateToDepth(1);
+    before = folds();
+    (void)s.scene();
+    (void)s.view();
+    EXPECT_EQ(folds() - before, 1u);
+
+    viva::viz::MappingRule host =
+        *s.mapping().rule(vt::ContainerKind::Host);
+    host.fillMetric = vt::kNoMetric;
+    s.mapping().setRule(vt::ContainerKind::Host, host);
+    before = folds();
+    EXPECT_EQ(s.view().requests.size(), view.requests.size() - 1);
+    (void)s.view();
+    EXPECT_EQ(folds() - before, 1u);
+    std::filesystem::remove(svg);
+}
+
+TEST(Aggregation, ViewCountsEachValueOnce)
+{
+    // agg.values and the closure counters count one per (node, metric)
+    // of a view, as per-value counting did, so perfbench's
+    // agg.closure_lookups keeps its meaning.
+    namespace obs = viva::support::obs;
+    obs::Registry &reg = obs::Registry::global();
+    const obs::CounterId values = reg.counter("agg.values");
+    const obs::CounterId hits = reg.counter("agg.closure.hits");
+    const obs::CounterId misses = reg.counter("agg.closure.misses");
+
+    vp::Platform p = vp::makeTwoClusterPlatform();
+    vt::Trace t;
+    vp::mirrorPlatform(p, t);
+    va::HierarchyCut cut(t);
+    cut.aggregate(t.findByName("adonis"));
+    const std::vector<va::MetricRequest> requests{
+        va::MetricRequest(t.findMetric("power")),
+        va::MetricRequest(t.findMetric("power_used"),
+                          va::SpatialOp::Max)};
+    // The stale closure first (misses), then the cached one (hits).
+    for (bool accelerated : {false, true}) {
+        if (accelerated)
+            t.ensureQueryAcceleration();
+        for (std::size_t threads : {1u, 4u}) {
+            const std::uint64_t v0 = reg.counterValue(values);
+            const std::uint64_t h0 = reg.counterValue(hits);
+            const std::uint64_t m0 = reg.counterValue(misses);
+            va::View v = va::buildView(t, cut, {0.0, 1.0}, requests,
+                                       false, threads)
+                             .value();
+            const std::uint64_t expect = v.nodes.size() * requests.size();
+            ASSERT_GT(expect, 0u);
+            EXPECT_EQ(reg.counterValue(values) - v0, expect);
+            EXPECT_EQ(reg.counterValue(hits) - h0,
+                      accelerated ? expect : 0u);
+            EXPECT_EQ(reg.counterValue(misses) - m0,
+                      accelerated ? 0u : expect);
+        }
+    }
 }
 
 TEST(Session, AggregateByNameAndPath)

@@ -403,3 +403,28 @@ TEST(SessionAudit, DetectsACutChangeThatBypassesTheProjection)
                            }),
               log.end());
 }
+
+TEST(SessionAudit, DetectsStaleStoredValues)
+{
+    viva::app::Session session(makeTrace());
+    (void)session.view();  // folds and stores the current view's values
+    EXPECT_TRUE(session.auditInvariants().empty());
+
+    // Fault injection: one stored value goes stale while its key (cut,
+    // slice, metrics) still claims the current view.
+    std::vector<double> &stored = session.debugStoredValues();
+    ASSERT_FALSE(stored.empty());
+    stored.back() += 1.0;
+    vs::AuditLog log = session.auditInvariants();
+    EXPECT_NE(std::find_if(log.begin(), log.end(),
+                           [](const std::string &line) {
+                               return line.rfind("stored view: ", 0) == 0;
+                           }),
+              log.end());
+
+    // A new slice is a new key: the next view refolds, and the audit
+    // is clean again.
+    session.setSliceOf(va::SliceIndex{1}, 2);
+    (void)session.view();
+    EXPECT_TRUE(session.auditInvariants().empty());
+}

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
@@ -281,6 +283,59 @@ TEST(Paje, WriterRoundTripsFigure1)
                      10.0);
     EXPECT_DOUBLE_EQ(back.states()[0].begin, 0.0);
     EXPECT_DOUBLE_EQ(back.states()[0].end, 4.0);
+}
+
+TEST(Paje, WriterOrdersEqualTimeStatesCanonically)
+{
+    // Equal-time pushes and pops across two containers and within one
+    // (twelve states of HostA all start at 0), in a record order that
+    // interleaves the containers: enough events that an unstable sort
+    // on (time, kind) alone would pick its own order among the ties.
+    vt::Trace t = vt::makeFigure1Trace();
+    const vt::ContainerId a = t.findByName("HostA");
+    const vt::ContainerId b = t.findByName("HostB");
+    ASSERT_LT(a, b);
+    for (int i = 0; i < 12; ++i) {
+        t.addState(b, 0.0, 2.0, "b" + std::to_string(i));
+        t.addState(a, 0.0, 2.0, "a" + std::to_string(i));
+    }
+    t.addState(b, 2.0, 3.0, "b-next");
+    t.addState(a, 2.0, 3.0, "a-next");
+
+    // Ties break by container, then by state record.
+    std::vector<std::string> expect;
+    auto push = [&](vt::ContainerId c, const std::string &time,
+                    const std::string &value) {
+        std::ostringstream line;
+        line << "5 " << time << " S c" << c << " \"" << value << '"';
+        expect.push_back(line.str());
+    };
+    auto pop = [&](vt::ContainerId c, const std::string &time) {
+        std::ostringstream line;
+        line << "6 " << time << " S c" << c;
+        expect.push_back(line.str());
+    };
+    for (int i = 0; i < 12; ++i)
+        push(a, "0", "a" + std::to_string(i));
+    for (int i = 0; i < 12; ++i)
+        push(b, "0", "b" + std::to_string(i));
+    for (int i = 0; i < 12; ++i)
+        pop(a, "2");
+    for (int i = 0; i < 12; ++i)
+        pop(b, "2");
+    push(a, "2", "a-next");
+    push(b, "2", "b-next");
+    pop(a, "3");
+    pop(b, "3");
+
+    std::ostringstream out;
+    vt::writePajeTrace(t, out);
+    std::vector<std::string> events;
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);)
+        if (line.rfind("5 ", 0) == 0 || line.rfind("6 ", 0) == 0)
+            events.push_back(line);
+    EXPECT_EQ(events, expect);
 }
 
 TEST(Paje, WriterRoundTripsPlatformMirror)

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -435,6 +437,49 @@ TEST(ParallelAggregation, WithStatsValuesAreBitwisePlainValues)
                                     << (accelerated ? " cached"
                                                     : " stale");
                     }
+                }
+            }
+        }
+    }
+}
+
+TEST(ParallelAggregation, InlineFoldEqualsTheChunkedFoldBitwise)
+{
+    // Up to one 64-term chunk folds inline; 65 terms take the pool in
+    // both, so the boundary is covered from both sides.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    viva::support::Rng rng(41);
+    for (std::size_t n : {0u, 1u, 63u, 64u, 65u}) {
+        // Finite terms, then NaN, +inf, -inf and both infinities
+        // planted at the first, a middle and the last position.
+        std::vector<std::vector<double>> cases;
+        std::vector<double> finite(n);
+        for (double &x : finite)
+            x = rng.uniform(-1e3, 1e3);
+        cases.push_back(finite);
+        for (std::size_t at : {std::size_t(0), n / 2, n - 1}) {
+            if (n == 0)
+                break;
+            for (double special : {nan, inf, -inf}) {
+                cases.push_back(finite);
+                cases.back()[at] = special;
+            }
+            cases.push_back(finite);
+            cases.back()[at] = inf;
+            cases.back()[(at + 1) % n] = -inf;
+        }
+        for (const std::vector<double> &terms : cases) {
+            for (auto op : {va::SpatialOp::Sum, va::SpatialOp::Average,
+                            va::SpatialOp::Max, va::SpatialOp::Min}) {
+                for (std::size_t threads : {1u, 4u}) {
+                    double inline_fold = va::spatialFold(terms, op, threads);
+                    double chunked = va::chunkedFold(terms, op, threads);
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(inline_fold),
+                              std::bit_cast<std::uint64_t>(chunked))
+                        << "n " << n << " op " << int(op) << " threads "
+                        << threads << ": " << inline_fold << " vs "
+                        << chunked;
                 }
             }
         }

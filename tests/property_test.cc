@@ -23,6 +23,9 @@
 #include "sim/tracer.hh"
 #include "support/random.hh"
 #include "trace/io.hh"
+#include "layout/metrics.hh"
+#include "support/clock.hh"
+#include "viz/scene.hh"
 #include "viz/treemap.hh"
 
 namespace va = viva::agg;
@@ -436,6 +439,86 @@ class GestureSequence : public ::testing::TestWithParam<int>
         }
         ASSERT_EQ(got.edges, want.edges);
     }
+
+    /** Same bits in every field a renderer reads. */
+    static void
+    expectBitwiseEqual(const vv::Scene &got, const vv::Scene &want)
+    {
+        auto same = [](double a, double b) {
+            return std::bit_cast<std::uint64_t>(a) ==
+                   std::bit_cast<std::uint64_t>(b);
+        };
+        ASSERT_TRUE(same(got.width, want.width));
+        ASSERT_TRUE(same(got.height, want.height));
+        ASSERT_TRUE(same(got.slice.begin, want.slice.begin));
+        ASSERT_TRUE(same(got.slice.end, want.slice.end));
+        ASSERT_EQ(got.nodes.size(), want.nodes.size());
+        for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+            const vv::SceneNode &a = got.nodes[i];
+            const vv::SceneNode &b = want.nodes[i];
+            ASSERT_EQ(a.id, b.id) << "node " << i;
+            ASSERT_EQ(a.label, b.label) << "node " << i;
+            ASSERT_EQ(a.aggregated, b.aggregated) << "node " << i;
+            ASSERT_EQ(a.leafCount, b.leafCount) << "node " << i;
+            ASSERT_EQ(a.shape, b.shape) << "node " << i;
+            ASSERT_EQ(a.color, b.color) << "node " << i;
+            ASSERT_EQ(a.hasSecondary, b.hasSecondary) << "node " << i;
+            for (auto [x, y] : {std::pair{a.x, b.x}, {a.y, b.y},
+                                {a.sizePx, b.sizePx}, {a.fill, b.fill},
+                                {a.secondarySizePx, b.secondarySizePx},
+                                {a.secondaryFill, b.secondaryFill},
+                                {a.heterogeneity, b.heterogeneity}})
+                ASSERT_TRUE(same(x, y)) << "node " << i;
+            ASSERT_EQ(a.segments.size(), b.segments.size()) << "node " << i;
+            for (std::size_t k = 0; k < a.segments.size(); ++k)
+                ASSERT_TRUE(same(a.segments[k].fraction,
+                                 b.segments[k].fraction))
+                    << "node " << i << " segment " << k;
+        }
+        ASSERT_EQ(got.edges.size(), want.edges.size());
+        for (std::size_t i = 0; i < got.edges.size(); ++i) {
+            ASSERT_EQ(got.edges[i].a, want.edges[i].a) << "edge " << i;
+            ASSERT_EQ(got.edges[i].b, want.edges[i].b) << "edge " << i;
+            ASSERT_EQ(got.edges[i].multiplicity,
+                      want.edges[i].multiplicity)
+                << "edge " << i;
+            ASSERT_TRUE(same(got.edges[i].widthPx, want.edges[i].widthPx))
+                << "edge " << i;
+        }
+    }
+
+    /**
+     * view(), view(true) and scene() are bitwise a fresh build of the
+     * current cut, slice and mapping, at 1 and 4 threads: the stored
+     * values never serve a view they were not folded for.
+     */
+    static void
+    expectFreshViews(vap::Session &s, const std::string &after)
+    {
+        SCOPED_TRACE(after);
+        std::vector<va::MetricRequest> requests;
+        for (vt::MetricId m : s.mapping().referencedMetrics())
+            requests.emplace_back(m);
+        for (std::size_t threads : {1u, 4u}) {
+            s.setThreads(threads);
+            for (bool with_stats : {false, true}) {
+                va::View want = va::buildView(s.trace(), s.cut(),
+                                              s.timeSlice(), requests,
+                                              with_stats, threads)
+                                    .value();
+                expectBitwiseEqual(s.view(with_stats), want);
+            }
+            vv::TypeScaling scaling = s.scaling();
+            vv::Scene want = vv::composeScene(
+                va::buildView(s.trace(), s.cut(), s.timeSlice(), requests,
+                              false, threads)
+                    .value(),
+                s.trace(), viva::layout::snapshotPositions(s.layoutGraph()),
+                s.mapping(), scaling);
+            expectBitwiseEqual(s.scene(), want);
+        }
+        s.setThreads(1);
+    }
 };
 
 TEST_P(GestureSequence, LayoutMatchesARestoredSessionAfterEveryGesture)
@@ -446,8 +529,24 @@ TEST_P(GestureSequence, LayoutMatchesARestoredSessionAfterEveryGesture)
     std::vector<std::string> groups;
     for (vt::ContainerId id : mirror.groupContainer)
         groups.push_back(t.fullName(id));
+    // A utilization history per host, so every slice folds to its own
+    // values.
+    for (vt::ContainerId host : mirror.hostContainer) {
+        vt::Variable &used = t.variable(host, mirror.powerUsed);
+        double time = 0.0;
+        for (int k = 0; k < 4; ++k) {
+            used.set(time, rng.uniform(0.0, 1000.0));
+            time += rng.uniform(0.5, 2.0);
+        }
+    }
     vap::Session s(std::move(t));
     s.setThreads(1);
+    const vt::MetricId power = s.trace().findMetric("power");
+    const vt::MetricId power_used = s.trace().findMetric("power_used");
+    const std::string frames =
+        (std::filesystem::temp_directory_path() /
+         ("viva_gesture_frames_" + std::to_string(GetParam())))
+            .string();
 
     const std::string path =
         (std::filesystem::temp_directory_path() /
@@ -457,7 +556,7 @@ TEST_P(GestureSequence, LayoutMatchesARestoredSessionAfterEveryGesture)
     vap::Session restored(vt::makeFigure1Trace());
     for (int gesture = 0; gesture < 12; ++gesture) {
         const std::string &group = groups[rng.index(groups.size())];
-        switch (rng.index(6)) {
+        switch (rng.index(9)) {
         case 0:
             ASSERT_TRUE(s.aggregate(group));
             break;
@@ -473,31 +572,66 @@ TEST_P(GestureSequence, LayoutMatchesARestoredSessionAfterEveryGesture)
         case 4:
             s.aggregateToDepth(std::uint16_t(rng.index(4)));
             break;
-        default:
+        case 5:
             ASSERT_TRUE(s.stepLayout(1 + rng.index(3)).ok());
             break;
+        case 6: {
+            // A slice change, then a remap: hosts filled by another
+            // metric, or by none, changes the view's metric set.
+            std::size_t n = 1 + rng.index(8);
+            s.setSliceOf(va::SliceIndex(std::uint32_t(rng.index(n))), n);
+            expectFreshViews(s, "slice change");
+            vv::MappingRule host = *s.mapping().rule(vt::ContainerKind::Host);
+            host.fillMetric = host.fillMetric == power_used
+                                  ? (rng.index(2) ? power : vt::kNoMetric)
+                                  : power_used;
+            s.mapping().setRule(vt::ContainerKind::Host, host);
+            break;
+        }
+        default: {
+            // Store the current view, then render another slice (or
+            // animate) under a deadline that trips mid-fold (or never,
+            // on a small cut), and come back to the stored slice: an
+            // aborted fold must leave nothing stored, or its partial
+            // values would be served here.
+            const va::TimeSlice stored = s.timeSlice();
+            (void)s.view();
+            viva::support::FakeClock clock(0, 1000);
+            viva::support::ClockOverride guard(clock);
+            s.setOperationDeadline(1000 * (1 + rng.index(64)));
+            if (rng.index(2)) {
+                s.setSliceOf(va::SliceIndex(std::uint32_t(rng.index(5))),
+                             5);
+                viva::support::Expected<void> drawn =
+                    s.renderSvg(frames + ".svg");
+                ASSERT_TRUE(drawn.ok() ||
+                            drawn.error().code() ==
+                                viva::support::Errc::Deadline);
+                s.setTimeSlice(stored);
+            } else {
+                // An abort rolls the slice back to the stored one.
+                viva::support::Expected<std::size_t> drawn =
+                    s.animate(2, frames, "frame", 1);
+                ASSERT_TRUE(drawn.ok() ||
+                            drawn.error().code() ==
+                                viva::support::Errc::Deadline);
+            }
+            s.setOperationDeadline(0);
+            break;
+        }
         }
         // The graph holds exactly the visible nodes: no dead slots.
         const viva::layout::LayoutGraph &g = s.layoutGraph();
         ASSERT_EQ(g.rawNodes().size(), g.nodeCount());
         ASSERT_EQ(g.nodeCount(), s.cut().visibleCount());
 
-        // The stored projection is the cut's, and the session's view
-        // is bitwise a freshly built view, for any thread count.
+        // The stored projection is the cut's, and the session's views
+        // and scene are bitwise freshly built ones, for any thread
+        // count.
         ASSERT_TRUE(s.projection() == va::project(s.trace(), s.cut()))
             << "after gesture " << gesture;
-        std::vector<va::MetricRequest> requests;
-        for (vt::MetricId m : s.mapping().referencedMetrics())
-            requests.emplace_back(m);
-        for (std::size_t threads : {1u, 4u}) {
-            s.setThreads(threads);
-            expectBitwiseEqual(
-                s.view(),
-                va::buildView(s.trace(), s.cut(), s.timeSlice(), requests,
-                              false, threads)
-                    .value());
-        }
-        s.setThreads(1);
+        expectFreshViews(s, "gesture " + std::to_string(gesture));
+        ASSERT_TRUE(s.auditInvariants().empty());
 
         // A restore rebuilds the graph from scratch at the same cut;
         // the long session must cost exactly what that one does.
@@ -513,6 +647,8 @@ TEST_P(GestureSequence, LayoutMatchesARestoredSessionAfterEveryGesture)
     ASSERT_TRUE(restored.stepLayout(20).ok());
     EXPECT_EQ(s.stateDigest(), restored.stateDigest());
     std::filesystem::remove(path);
+    std::filesystem::remove(frames + ".svg");
+    std::filesystem::remove_all(frames);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GestureSequence, ::testing::Range(1, 5));
