@@ -25,7 +25,7 @@ namespace
 namespace va = viva::agg;
 namespace vt = viva::trace;
 
-/** A variable with n random change points over [0, 1000). */
+/** A frozen variable with n random change points over [0, 1000). */
 vt::Variable
 makeVariable(std::size_t n)
 {
@@ -37,6 +37,7 @@ makeVariable(std::size_t n)
         t += rng.uniform(0.5 * mean_gap, 1.5 * mean_gap);
         v.set(t, rng.uniform(0.0, 100.0));
     }
+    v.freeze();
     return v;
 }
 
@@ -62,7 +63,7 @@ BM_VariableValueAt(benchmark::State &state)
 
 /**
  * The mirrored Grid'5000 trace with one utilization point per host,
- * query-accelerated as a Session's trace is.
+ * frozen as a Session's trace is.
  */
 const vt::Trace &
 gridTrace()
@@ -76,7 +77,7 @@ gridTrace()
             t.variable(c, mirror.powerUsed)
                 .set(0.0, rng.uniform(0.0, 5000.0));
         }
-        t.ensureQueryAcceleration();
+        t.freeze();
         return t;
     }();
     return trace;
@@ -114,9 +115,8 @@ BM_VisibleEdges(benchmark::State &state)
 /**
  * A 10,000-host synthetic grid (10 sites x 10 clusters x 100 hosts)
  * with a short piecewise-constant utilization history per host -- the
- * input for the parallel-aggregation speedup benchmarks. Accelerated
- * (slice indexes and closure cache), so the benchmarks time the path a
- * Session runs rather than the stale-closure fallback.
+ * input for the parallel-aggregation speedup benchmarks. Frozen, as
+ * every queried trace is.
  */
 const vt::Trace &
 bigTrace()
@@ -136,7 +136,7 @@ bigTrace()
                 time += vals.uniform(0.5, 2.0);
             }
         }
-        t.ensureQueryAcceleration();
+        t.freeze();
         return t;
     }();
     return trace;

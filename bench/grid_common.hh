@@ -63,6 +63,7 @@ runGridScenario(viva::workload::MwPolicy policy, std::size_t tasks = 6000)
     a1.start();
     a2.start();
     run.engine.run();
+    run.trace.freeze();
 
     GridOutcome out;
     out.trace = std::move(run.trace);

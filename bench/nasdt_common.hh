@@ -46,6 +46,7 @@ runDt(bool locality)
                  : viva::workload::sequentialDeployment(platform, params);
     viva::workload::DtResult result =
         viva::workload::runNasDtWhiteHole(run, params, deployment);
+    run.trace.freeze();
     return {std::move(run.trace), result.makespanS};
 }
 

@@ -147,20 +147,6 @@ foldTerms(std::size_t n, SpatialOp op, std::size_t threads, Term &&term)
 }
 
 /**
- * The carrier list an Eq.-1 query reduces: the closure's cached span
- * when fresh, otherwise the same list recomputed into `stale`.
- */
-std::span<const trace::Variable *const>
-carrierList(const trace::Trace &trace, ContainerId node, MetricId m,
-            std::vector<const trace::Variable *> &stale)
-{
-    if (trace.closureFresh())
-        return trace.carriers(node, m);
-    stale = trace.collectCarriers(node, m);
-    return stale;
-}
-
-/**
  * Equation 1 for one container and metric, uncounted: value() counts
  * per call, foldValues() once per view.
  */
@@ -169,9 +155,8 @@ foldValue(const trace::Trace &trace, ContainerId node, MetricId m,
           const TimeSlice &slice, SpatialOp op, TemporalOp top,
           std::size_t threads)
 {
-    std::vector<const trace::Variable *> stale;
     std::span<const trace::Variable *const> carried =
-        carrierList(trace, node, m, stale);
+        trace.carriers(node, m);
     return foldTerms(carried.size(), op, threads, [&](std::size_t i) {
         return reduce(*carried[i], slice, top);
     });
@@ -202,7 +187,6 @@ Aggregator::Aggregator(const trace::Trace &trace, std::size_t threads)
     obs::Registry &reg = obs::Registry::global();
     valuesCounter = reg.counter("agg.values");
     closureHits = reg.counter("agg.closure.hits");
-    closureMisses = reg.counter("agg.closure.misses");
 }
 
 double
@@ -214,10 +198,8 @@ Aggregator::value(ContainerId node, MetricId m, const TimeSlice &slice,
     // here would dominate the quantity being measured. buildView()
     // times the enclosing pass instead.
     obs::Registry &reg = obs::Registry::global();
-    if (reg.enabled()) {
-        reg.add(valuesCounter);
-        reg.add(tr->closureFresh() ? closureHits : closureMisses);
-    }
+    reg.add(valuesCounter);
+    reg.add(closureHits);
     return foldValue(*tr, node, m, slice, op, top, nthreads);
 }
 
@@ -225,9 +207,8 @@ support::Samples
 Aggregator::distribution(ContainerId node, MetricId m,
                          const TimeSlice &slice, TemporalOp top) const
 {
-    std::vector<const trace::Variable *> stale;
     support::Samples samples;
-    for (const trace::Variable *var : carrierList(*tr, node, m, stale))
+    for (const trace::Variable *var : tr->carriers(node, m))
         samples.add(reduce(*var, slice, top));
     return samples;
 }
@@ -382,8 +363,6 @@ foldValues(const trace::Trace &trace, const CutProjection &projection,
     static const obs::HistogramId phase = reg.histogram("agg.build_view");
     static const obs::CounterId counted = reg.counter("agg.values");
     static const obs::CounterId hits = reg.counter("agg.closure.hits");
-    static const obs::CounterId misses =
-        reg.counter("agg.closure.misses");
     obs::ScopedPhase timer(phase);
 
     // Each value folds serially inside its worker (threads = 1 below),
@@ -403,10 +382,8 @@ foldValues(const trace::Trace &trace, const CutProjection &projection,
     if (!folded)
         return VIVA_ERROR_CONTEXT(folded.error(), "Eq.-1 fold");
     // Counted once per view, with value()'s per-call totals.
-    if (reg.enabled()) {
-        reg.add(counted, values.size());
-        reg.add(trace.closureFresh() ? hits : misses, values.size());
-    }
+    reg.add(counted, values.size());
+    reg.add(hits, values.size());
     return {};
 }
 

@@ -92,13 +92,11 @@ double chunkedFold(std::span<const double> terms, SpatialOp op,
                    std::size_t threads = 1);
 
 /**
- * Computes aggregated values against one trace. Stateless apart from
- * the borrowed trace and the thread knob; cheap to construct.
+ * Computes aggregated values against one frozen trace. Stateless apart
+ * from the borrowed trace and the thread knob; cheap to construct.
  *
- * Every query reads one carrier list -- the trace's cached
- * carriers(node, m) when its closure is fresh, otherwise the same list
- * from collectCarriers(node, m) -- so a stale closure changes the cost
- * of a query, never its bits. value() reduces that list over
+ * Every query reads the trace's carrier list carriers(node, m).
+ * value() reduces that list over
  * fixed-size chunks whose partials combine in ascending chunk order,
  * so the result is bitwise identical for every thread count (the chunk
  * decomposition never depends on it).
@@ -146,12 +144,10 @@ class Aggregator
     std::size_t nthreads = 1;
     /**
      * Registered once at construction (not per query with a static
-     * local), so the disarmed hot path pays one relaxed enabled() load
-     * and zero registry lookups.
+     * local), so a query pays no registry lookup.
      */
     support::obs::CounterId valuesCounter;
     support::obs::CounterId closureHits;
-    support::obs::CounterId closureMisses;
 };
 
 /** An edge between two visible nodes of an aggregated view. */
@@ -251,7 +247,7 @@ struct View
  * request j), reusing its capacity. Each value is bitwise the one
  * Aggregator::value computes, for every thread count. Records one
  * agg.build_view phase and adds the fold's values and closure lookups
- * to agg.values and agg.closure.* once, on success.
+ * to agg.values and agg.closure.hits once, on success.
  *
  * Cancellable like buildView: past the `deadline` it returns
  * Errc::Deadline and `values` holds a partial fold.

@@ -60,11 +60,9 @@ Session::Session(trace::Trace trace_in)
       graph(), force(graph), nThreads(support::defaultThreadCount())
 {
     force.params().threads = nThreads;
-    // Hand-built traces (tests, examples) may arrive unaccelerated;
-    // readers and TraceBuilder::take() have already done this. The
-    // session never mutates the trace outside load()/restore(), so the
-    // caches stay fresh across every interactive command.
-    tr.ensureQueryAcceleration();
+    // Hand-built traces (tests, examples) may arrive unfrozen; readers
+    // and TraceBuilder::take() have already frozen theirs.
+    tr.freeze();
     syncLayout();
     maybeAudit("Session::Session");
 }
@@ -121,7 +119,6 @@ Session::load(const std::string &path, const trace::ParseBudget &budget)
     for (const std::string &w : import_warnings)
         support::warnLimited("paje.import", "Session::load", w);
     tr = std::move(staged);
-    tr.ensureQueryAcceleration();
     traceSpan = tr.span();
     hierCut = agg::HierarchyCut(tr);
     slice = traceSpan;
@@ -1106,7 +1103,6 @@ Session::restore(const std::string &path,
     // constructor order (the ForceLayout borrows `graph` by
     // reference), then overlay the persisted node state.
     tr = std::move(staged);
-    tr.ensureQueryAcceleration();
     traceSpan = tr.span();
     hierCut = agg::HierarchyCut(tr);
     support::Expected<void> applied =

@@ -40,7 +40,7 @@ auditFail(AuditLog &log, Args &&...args)
     log.push_back(detail::concat(std::forward<Args>(args)...));
 }
 
-/** True in -DVIVA_VALIDATE=ON builds (audits run after mutations). */
+/** True in -DVIVA_VALIDATE=ON builds (audits run after each mutating call). */
 constexpr bool
 validateEnabled()
 {

@@ -9,7 +9,6 @@
 #include <cctype>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -225,13 +224,11 @@ readTrace(std::istream &in, const ParseBudget &budget)
     std::string_view rest;
     std::size_t records = 0;
     // Points arrive in runs of one (container, metric): the variable is
-    // fetched once per run. A run that breaks its variable's time order
-    // is remembered, and each such variable is sorted once at the end.
+    // fetched once per run. freeze() sorts, once, every variable whose
+    // runs broke its time order.
     Variable *run = nullptr;
     std::size_t run_c = 0;
     std::size_t run_m = 0;
-    bool run_ordered = true;
-    std::vector<Variable *> unordered;
 
     while ((got = lines.next(line)) != LineReader::Status::End) {
         ++line_no;
@@ -266,15 +263,12 @@ readTrace(std::istream &in, const ParseBudget &budget)
                 return fail(Errc::Budget,
                             "record count exceeds the parse budget");
             if (!run || c != run_c || m != run_m) {
-                if (!run_ordered)
-                    unordered.push_back(run);
                 run = &trace.variable(ContainerId::fromIndex(c),
                                       MetricId::fromIndex(m));
                 run_c = c;
                 run_m = m;
-                run_ordered = true;
             }
-            run_ordered &= run->push(t, v);
+            run->push(t, v);
         } else if (verb == "container") {
             if (!splitFields(body, 3, fields, rest) || rest.empty())
                 return fail(Errc::Parse, "malformed container record");
@@ -363,19 +357,11 @@ readTrace(std::istream &in, const ParseBudget &budget)
 
     if (in.bad())
         return fail(Errc::Io, "stream read failure");
-    if (!run_ordered)
-        unordered.push_back(run);
-    // A variable may have broken its order in several runs: sort once.
-    std::sort(unordered.begin(), unordered.end(), std::less<>());
-    unordered.erase(std::unique(unordered.begin(), unordered.end()),
-                    unordered.end());
-    for (Variable *var : unordered)
-        var->sortPoints();
     reg.add(record_count, records + trace.containerCount() - 1 +
                               trace.metricCount());
-    // Load time is when the O(log n) query structures are built, so
-    // every later slice query (interactive or batch) starts indexed.
-    trace.ensureQueryAcceleration();
+    // Load time is when the trace freezes: every later slice query
+    // (interactive or batch) finds it sorted and indexed.
+    trace.freeze();
     return trace;
 }
 

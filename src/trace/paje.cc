@@ -450,8 +450,8 @@ readPajeTrace(std::istream &in, const ParseBudget &budget)
         }
     }
 
-    // Build the query acceleration at load time, like the native reader.
-    trace.ensureQueryAcceleration();
+    // Freeze at load time, like the native reader.
+    trace.freeze();
     return result;
 }
 

@@ -86,25 +86,17 @@ Trace::Trace(const Trace &other)
     : nodes(other.nodes), metricTable(other.metricTable),
       metricByName(other.metricByName), vars(other.vars),
       rels(other.rels), relSet(other.relSet),
-      stateLog(other.stateLog), mutations(other.mutations)
+      stateLog(other.stateLog), isFrozen(other.isFrozen)
 {
-    // `closure` stays empty: it would point into `other`'s variables.
+    if (isFrozen)
+        buildClosure();
 }
 
 Trace &
 Trace::operator=(const Trace &other)
 {
-    if (this == &other)
-        return *this;
-    nodes = other.nodes;
-    metricTable = other.metricTable;
-    metricByName = other.metricByName;
-    vars = other.vars;
-    rels = other.rels;
-    relSet = other.relSet;
-    stateLog = other.stateLog;
-    mutations = other.mutations;
-    closure = Closure{};
+    if (this != &other)
+        *this = Trace(other);
     return *this;
 }
 
@@ -112,7 +104,7 @@ ContainerId
 Trace::addContainer(const std::string &name, ContainerKind kind,
                     ContainerId parent)
 {
-    ++mutations;
+    VIVA_ASSERT(!isFrozen, "addContainer() on a frozen trace");
     VIVA_ASSERT(parent.index() < nodes.size(), "bad parent container id ", parent);
     VIVA_ASSERT(!name.empty(), "container name must not be empty");
     VIVA_ASSERT(name.find('/') == std::string::npos,
@@ -264,12 +256,12 @@ MetricId
 Trace::addMetric(const std::string &name, const std::string &unit,
                  MetricNature nature, MetricId capacity_of)
 {
+    VIVA_ASSERT(!isFrozen, "addMetric() on a frozen trace");
     auto it = metricByName.find(name);
     if (it != metricByName.end())
         return it->second;
     VIVA_ASSERT(capacity_of == kNoMetric || capacity_of.index() < metricTable.size(),
                 "bad capacity metric id ", capacity_of);
-    ++mutations;
     Metric m;
     m.id = MetricId::fromIndex(metricTable.size());
     m.name = name;
@@ -300,8 +292,8 @@ Trace::variable(ContainerId c, MetricId m)
 {
     VIVA_ASSERT(c.index() < nodes.size(), "bad container id ", c);
     VIVA_ASSERT(m.index() < metricTable.size(), "bad metric id ", m);
-    // The caller gets a mutable reference, so assume it mutates.
-    ++mutations;
+    // The caller gets a mutable reference: a frozen trace hands out none.
+    VIVA_ASSERT(!isFrozen, "variable() on a frozen trace");
     return vars[varKey(c, m)];
 }
 
@@ -332,13 +324,13 @@ Trace::pointCount() const
 void
 Trace::addRelation(ContainerId a, ContainerId b)
 {
+    VIVA_ASSERT(!isFrozen, "addRelation() on a frozen trace");
     VIVA_ASSERT(a.index() < nodes.size() && b.index() < nodes.size(),
                 "bad relation endpoints ", a, ", ", b);
     if (a == b)
         return;
     if (!relSet.insert(relKey(a, b)).second)
         return;
-    ++mutations;
     rels.push_back({a, b});
 }
 
@@ -360,8 +352,8 @@ Trace::addState(ContainerId c, double begin, double end,
                 const std::string &state)
 {
     VIVA_ASSERT(c.index() < nodes.size(), "bad container id ", c);
+    VIVA_ASSERT(!isFrozen, "addState() on a frozen trace");
     VIVA_ASSERT(begin <= end, "reversed state interval");
-    ++mutations;
     stateLog.push_back({c, begin, end, state});
 }
 
@@ -392,35 +384,36 @@ Trace::span() const
 }
 
 void
-Trace::ensureSliceIndexes()
+Trace::freeze()
 {
-    namespace obs = support::obs;
-    obs::Registry &reg = obs::Registry::global();
-    static const obs::HistogramId phase =
-        reg.histogram("trace.index.build");
-    obs::ScopedPhase timer(phase);
+    if (isFrozen)
+        return;
+    {
+        namespace obs = support::obs;
+        static const obs::HistogramId phase =
+            obs::Registry::global().histogram("trace.index.build");
+        obs::ScopedPhase timer(phase);
 
-    // Sorted key order: the build sequence (and any diagnostics it may
-    // ever emit) is independent of the hash layout.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(vars.size());
-    for (const auto &entry : vars)  // viva-lint: allow(unordered-iter)
-        keys.push_back(entry.first);
-    std::sort(keys.begin(), keys.end());
-    for (std::uint64_t key : keys)
-        vars.at(key).buildIndex();
+        // Sorted key order: the build sequence (and any diagnostics it
+        // may ever emit) is independent of the hash layout.
+        std::vector<std::uint64_t> keys;
+        keys.reserve(vars.size());
+        for (const auto &entry : vars)  // viva-lint: allow(unordered-iter)
+            keys.push_back(entry.first);
+        std::sort(keys.begin(), keys.end());
+        for (std::uint64_t key : keys)
+            vars.at(key).freeze();
+    }
+    buildClosure();
+    isFrozen = true;
 }
 
 void
-Trace::ensureClosure()
+Trace::buildClosure()
 {
-    if (closureFresh())
-        return;
-
     namespace obs = support::obs;
-    obs::Registry &reg = obs::Registry::global();
     static const obs::HistogramId phase =
-        reg.histogram("trace.closure.build");
+        obs::Registry::global().histogram("trace.closure.build");
     obs::ScopedPhase timer(phase);
 
     // Preorder of the whole tree; every subtree is one contiguous slab
@@ -455,20 +448,12 @@ Trace::ensureClosure()
         }
         off[slots] = std::uint32_t(closure.carrierVars.size());
     }
-    closure.builtVersion = mutations;
-}
-
-void
-Trace::ensureQueryAcceleration()
-{
-    ensureSliceIndexes();
-    ensureClosure();
 }
 
 std::span<const ContainerId>
 Trace::cachedSubtree(ContainerId id) const
 {
-    VIVA_ASSERT(closureFresh(), "closure cache is stale");
+    VIVA_ASSERT(isFrozen, "cachedSubtree() on an unfrozen trace");
     VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
     return {closure.preorder.data() + closure.preIndex[id.index()],
             closure.subtreeSize[id.index()]};
@@ -485,18 +470,10 @@ Trace::appendCarriers(std::span<const ContainerId> members, MetricId m,
     }
 }
 
-std::vector<const Variable *>
-Trace::collectCarriers(ContainerId c, MetricId m) const
-{
-    std::vector<const Variable *> out;
-    appendCarriers(subtree(c), m, out);
-    return out;
-}
-
 std::span<const Variable *const>
 Trace::carriers(ContainerId c, MetricId m) const
 {
-    VIVA_ASSERT(closureFresh(), "closure cache is stale");
+    VIVA_ASSERT(isFrozen, "carriers() on an unfrozen trace");
     VIVA_ASSERT(c.index() < nodes.size(), "bad container id ", c);
     // An unknown metric carries nothing -- same answer findVariable
     // gives (nullptr), so lookups with a failed findMetric stay benign.
@@ -602,10 +579,10 @@ Trace::auditInvariants() const
             if (points[i - 1].time >= points[i].time)
                 auditFail(log, "variable (", c, ", ", m,
                           ") has unsorted change points at index ", i);
-        if (!var.indexConsistent())
+        if (var.frozen() != isFrozen || !var.indexConsistent())
             auditFail(log, "variable (", c, ", ", m,
                       ") carries a slice index inconsistent with its "
-                      "points");
+                      "points or with the trace's freeze");
     }
 
     // Relations: valid distinct endpoints, deduplicated.
@@ -634,10 +611,9 @@ Trace::auditInvariants() const
             auditFail(log, "state ", i, " has a reversed interval");
     }
 
-    // Closure cache: when fresh, every cached subtree and carrier list
-    // must equal an independent recomputation from the hierarchy. A
-    // stale cache is vacuously fine -- queries refuse to read it.
-    if (closureFresh()) {
+    // Closure: once frozen, every cached subtree and carrier list must
+    // equal an independent recomputation from the hierarchy.
+    if (isFrozen) {
         if (closure.preIndex.size() != nodes.size() ||
             closure.subtreeSize.size() != nodes.size() ||
             closure.preorder.size() != nodes.size() ||
@@ -678,7 +654,6 @@ Container &
 Trace::debugMutableContainer(ContainerId id)
 {
     VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
-    ++mutations;
     return nodes[id.index()];
 }
 

@@ -53,10 +53,10 @@ class Trace
     Trace();
 
     /**
-     * Copies drop the query-acceleration caches: the closure cache
-     * holds Variable pointers into this trace's storage, which a
-     * copied trace must not share. Moves keep them (unordered_map
-     * nodes keep their addresses across a move).
+     * A copy of a frozen trace is frozen and rebuilds its own closure:
+     * the closure holds Variable pointers into this trace's storage,
+     * which a copy must not share. Moves keep it (unordered_map nodes
+     * keep their addresses across a move).
      */
     Trace(const Trace &other);
     Trace &operator=(const Trace &other);
@@ -182,64 +182,39 @@ class Trace
     /** The observation period T: hull of all variable points and states. */
     support::Interval span() const;
 
-    // --- query acceleration ------------------------------------------------
+    // --- freezing ---------------------------------------------------------
 
     /**
-     * Monotone mutation version, bumped by every mutating call
-     * (containers, metrics, variables, relations, states). The closure
-     * cache records the version it was built against, so a stale cache
-     * can never be served after a mutation.
+     * Make the trace immutable and queryable: freeze every variable
+     * (sort, trim, build its slice index; see Variable::freeze) in
+     * sorted (container, metric) key order, then build the hierarchy
+     * closure (the preorder subtree of every container and the carrier
+     * list of every (container, metric)). Idempotent. Every mutator
+     * aborts on a frozen trace; carriers() and cachedSubtree() abort
+     * on an unfrozen one. Readers, TraceBuilder::take() and Session
+     * freeze; builders such as sim::Tracer and mirrorPlatform do not.
      */
-    std::uint64_t version() const { return mutations; }
+    void freeze();
 
-    /**
-     * Build the per-variable slice-query indexes (see
-     * Variable::buildIndex), in sorted (container, metric) key order so
-     * the build is deterministic. Sequential; idempotent when clean.
-     */
-    void ensureSliceIndexes();
-
-    /**
-     * Build (or refresh) the hierarchy-closure cache: the preorder
-     * subtree member list of every container plus, per (container,
-     * metric), its carrier list (see collectCarriers). No-op when
-     * already fresh.
-     */
-    void ensureClosure();
-
-    /** ensureSliceIndexes() + ensureClosure(). */
-    void ensureQueryAcceleration();
-
-    /** True when the closure cache matches the current version. */
-    bool closureFresh() const
-    {
-        return closure.builtVersion == mutations;
-    }
+    /** True once freeze() has run. */
+    bool frozen() const { return isFrozen; }
 
     /**
      * The cached preorder subtree of a container (id included).
-     * Requires a fresh closure; identical to subtree(id) without the
+     * Requires a frozen trace; identical to subtree(id) without the
      * allocation.
      */
     std::span<const ContainerId> cachedSubtree(ContainerId id) const;
 
     /**
-     * The cached carrier list of (c, m). Requires a fresh closure. An
-     * out-of-range metric (e.g. a failed findMetric) yields an empty
-     * span, matching findVariable's nullptr.
+     * The carrier list of (c, m): the non-empty variables carrying
+     * metric m inside the subtree of c, in preorder -- the sequence
+     * the Eq.-1 fold reduces. Requires a frozen trace. An out-of-range
+     * metric (e.g. a failed findMetric) yields an empty span, matching
+     * findVariable's nullptr.
      */
     std::span<const Variable *const> carriers(ContainerId c,
                                               MetricId m) const;
-
-    /**
-     * The carrier list of (c, m) recomputed from the hierarchy: the
-     * non-empty variables carrying metric m inside the subtree of c,
-     * in preorder-member order -- the sequence the Eq.-1 fold reduces.
-     * Equal to carriers(c, m) whenever the closure is fresh; serves
-     * queries against a stale one.
-     */
-    std::vector<const Variable *> collectCarriers(ContainerId c,
-                                                  MetricId m) const;
 
     // --- auditing ---------------------------------------------------------
 
@@ -248,8 +223,8 @@ class Trace
      * consistent parent/child/depth records and unique sibling names,
      * metrics and their name index agree, every variable belongs to a
      * real (container, metric) pair with time-sorted points, the
-     * relations are deduplicated with valid endpoints, and a fresh
-     * closure cache equals its recomputation from the hierarchy.
+     * relations are deduplicated with valid endpoints, and, once
+     * frozen, every slice index and the closure equal a fresh rebuild.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
@@ -265,11 +240,14 @@ class Trace
      * The one definition of a carrier list: append the non-empty
      * variables carrying m among `members` (a preorder subtree span),
      * in member order. Every member counts, not just leaves: traces
-     * may attach measurements at any level. The closure build,
-     * collectCarriers and the audit all derive their lists here.
+     * may attach measurements at any level. The closure build and the
+     * audit both derive their lists here.
      */
     void appendCarriers(std::span<const ContainerId> members, MetricId m,
                         std::vector<const Variable *> &out) const;
+
+    /** Build `closure` from the hierarchy and the variables. */
+    void buildClosure();
 
     static std::uint64_t
     varKey(ContainerId c, MetricId m)
@@ -294,12 +272,11 @@ class Trace
      * `carrierOff[m * (preorder.size() + 1) + s]` counts the carriers before
      * preorder slot s (offset by the metric's start), and the carrier
      * list of a subtree is the run between its slab's two bounds.
-     * Pointers reference `vars` storage, so copies must drop the cache;
-     * mutations invalidate it via `mutations` != `builtVersion`.
+     * Pointers reference `vars` storage, so a copy rebuilds it. Built
+     * by freeze(), after which nothing can change what it records.
      */
     struct Closure
     {
-        std::uint64_t builtVersion = 0;  ///< 0: never built
         std::vector<ContainerId> preorder;
         std::vector<std::uint32_t> preIndex;
         std::vector<std::uint32_t> subtreeSize;
@@ -314,9 +291,8 @@ class Trace
     std::vector<Relation> rels;
     std::unordered_set<std::uint64_t> relSet;
     std::vector<StateRecord> stateLog;
-    /** Starts at 1 so builtVersion == 0 always reads as stale. */
-    std::uint64_t mutations = 1;
     Closure closure;
+    bool isFrozen = false;
 };
 
 } // namespace viva::trace

@@ -18,14 +18,24 @@ namespace
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-/** Entries before level k of a sparse table over n points. */
+/** Points per block of the max/min decomposition. */
+constexpr std::size_t kBlock = 32;
+
+/** Blocks of kBlock points (the last one partial) covering n points. */
+std::size_t
+blockCount(std::size_t n)
+{
+    return (n + kBlock - 1) / kBlock;
+}
+
+/** Entries before level k of a sparse table over n blocks. */
 std::size_t
 levelOffset(std::size_t n, std::size_t k)
 {
     return k * (n + 1) - ((std::size_t(1) << k) - 1);
 }
 
-/** Entries of a whole sparse table over n points (bit_width(n) levels). */
+/** Entries of a whole sparse table over n blocks (bit_width(n) levels). */
 std::size_t
 tableSize(std::size_t n)
 {
@@ -50,7 +60,7 @@ Variable::indexAt(double t) const
 void
 Variable::set(double t, double v)
 {
-    indexClean = false;
+    VIVA_ASSERT(!isFrozen, "set() on a frozen variable");
     if (points.empty() || points.back().time < t) {
         points.push_back({t, v});
         return;
@@ -73,7 +83,7 @@ Variable::set(double t, double v)
 bool
 Variable::push(double t, double v)
 {
-    indexClean = false;
+    VIVA_ASSERT(!isFrozen, "push() on a frozen variable");
     if (!points.empty() && points.back().time == t) {
         points.back().value = v;
         return true;
@@ -86,7 +96,7 @@ Variable::push(double t, double v)
 void
 Variable::sortPoints()
 {
-    indexClean = false;
+    VIVA_ASSERT(!isFrozen, "sortPoints() on a frozen variable");
     std::stable_sort(points.begin(), points.end(),
                      [](const Point &a, const Point &b) {
                          return a.time < b.time;
@@ -117,35 +127,8 @@ Variable::valueAt(double t) const
 }
 
 double
-Variable::integrateScan(double a, double b) const
+Variable::integral(double a, double b) const
 {
-    VIVA_ASSERT(a <= b, "reversed integration bounds [", a, ", ", b, ")");
-    if (points.empty() || a == b)
-        return 0.0;
-
-    double total = 0.0;
-    std::size_t i = indexAt(a);
-    double cursor = a;
-    double current = i == npos ? 0.0 : points[i].value;
-    // Walk the change points inside (a, b).
-    std::size_t next = (i == npos) ? 0 : i + 1;
-    while (next < points.size() && points[next].time < b) {
-        double t = std::max(points[next].time, a);
-        total += current * (t - cursor);
-        cursor = t;
-        current = points[next].value;
-        ++next;
-    }
-    total += current * (b - cursor);
-    return total;
-}
-
-double
-Variable::integrate(double a, double b) const
-{
-    if (!indexClean)
-        return integrateScan(a, b);
-    VIVA_ASSERT(a <= b, "reversed integration bounds [", a, ", ", b, ")");
     if (points.empty() || a == b)
         return 0.0;
 
@@ -167,139 +150,117 @@ Variable::integrate(double a, double b) const
 }
 
 double
-Variable::average(double a, double b) const
+Variable::integrate(double a, double b) const
 {
-    VIVA_ASSERT(a <= b, "reversed slice [", a, ", ", b, ")");
-    if (a == b)
-        return valueAt(a);
-    return integrate(a, b) / (b - a);
+    VIVA_ASSERT(isFrozen, "integrate() on an unfrozen variable");
+    VIVA_ASSERT(a <= b, "reversed integration bounds [", a, ", ", b, ")");
+    return integral(a, b);
 }
 
 double
-Variable::maxOverScan(double a, double b) const
+Variable::average(double a, double b) const
 {
-    double best = valueAt(a);
+    VIVA_ASSERT(isFrozen, "average() on an unfrozen variable");
+    VIVA_ASSERT(a <= b, "reversed slice [", a, ", ", b, ")");
+    if (a == b)
+        return valueAt(a);
+    return integral(a, b) / (b - a);
+}
+
+template <class Pick>
+double
+Variable::extremum(double a, double b, const double *table,
+                   Pick pick) const
+{
     std::size_t i = indexAt(a);
-    std::size_t next = (i == npos) ? 0 : i + 1;
-    while (next < points.size() && points[next].time < b) {
-        best = std::max(best, points[next].value);
-        ++next;
+    double best = i == npos ? 0.0 : points[i].value;
+    // The points strictly inside (a, b) -- the set a scan visits --
+    // are [lo, end).
+    std::size_t lo = (i == npos) ? 0 : i + 1;
+    std::size_t end = std::size_t(
+        std::lower_bound(points.begin(), points.end(), b,
+                         [](const Point &p, double rhs) {
+                             return p.time < rhs;
+                         }) -
+        points.begin());
+    if (lo >= end)
+        return best;
+    // Left to right, as a scan would pick: the partial block at each
+    // edge point by point, the whole blocks between from the table.
+    // std::max and std::min keep the earlier of equal values, so ties
+    // such as -0.0 and 0.0 resolve as in the scan.
+    const std::size_t hi = end - 1;
+    const std::size_t bl = lo / kBlock;
+    const std::size_t bh = hi / kBlock;
+    const std::size_t left_end = bl == bh ? end : (bl + 1) * kBlock;
+    for (std::size_t k = lo; k < left_end; ++k)
+        best = pick(best, points[k].value);
+    if (bl == bh)
+        return best;
+    if (bl + 1 < bh) {
+        const std::size_t m = blockCount(points.size());
+        const std::size_t first = bl + 1;
+        const std::size_t len = bh - first;
+        const std::size_t k = std::size_t(std::bit_width(len)) - 1;
+        const double *level = table + levelOffset(m, k);
+        best = pick(best, pick(level[first],
+                               level[bh - (std::size_t(1) << k)]));
     }
+    for (std::size_t k = bh * kBlock; k <= hi; ++k)
+        best = pick(best, points[k].value);
     return best;
 }
 
 double
 Variable::maxOver(double a, double b) const
 {
-    if (!indexClean)
-        return maxOverScan(a, b);
-    double best = valueAt(a);
-    std::size_t i = indexAt(a);
-    std::size_t first = (i == npos) ? 0 : i + 1;
-    // Last point strictly before b; the sparse table covers the points
-    // inside (a, b), exactly the set the scan visits.
-    auto it = std::lower_bound(points.begin(), points.end(), b,
-                               [](const Point &p, double rhs) {
-                                   return p.time < rhs;
-                               });
-    if (it == points.begin())
-        return best;
-    std::size_t last = std::size_t(it - points.begin()) - 1;
-    if (first <= last)
-        best = std::max(best, rangeMax(first, last));
-    return best;
-}
-
-double
-Variable::minOverScan(double a, double b) const
-{
-    double best = valueAt(a);
-    std::size_t i = indexAt(a);
-    std::size_t next = (i == npos) ? 0 : i + 1;
-    while (next < points.size() && points[next].time < b) {
-        best = std::min(best, points[next].value);
-        ++next;
-    }
-    return best;
+    VIVA_ASSERT(isFrozen, "maxOver() on an unfrozen variable");
+    return extremum(a, b, index.data() + points.size(),
+                    [](double x, double y) { return std::max(x, y); });
 }
 
 double
 Variable::minOver(double a, double b) const
 {
-    if (!indexClean)
-        return minOverScan(a, b);
-    double best = valueAt(a);
-    std::size_t i = indexAt(a);
-    std::size_t first = (i == npos) ? 0 : i + 1;
-    auto it = std::lower_bound(points.begin(), points.end(), b,
-                               [](const Point &p, double rhs) {
-                                   return p.time < rhs;
-                               });
-    if (it == points.begin())
-        return best;
-    std::size_t last = std::size_t(it - points.begin()) - 1;
-    if (first <= last)
-        best = std::min(best, rangeMin(first, last));
-    return best;
-}
-
-const double *
-Variable::maxLevel(std::size_t k) const
-{
-    const std::size_t n = points.size();
-    return index.data() + n + levelOffset(n, k);
-}
-
-const double *
-Variable::minLevel(std::size_t k) const
-{
-    const std::size_t n = points.size();
-    return index.data() + n + tableSize(n) + levelOffset(n, k);
-}
-
-double
-Variable::rangeMax(std::size_t lo, std::size_t hi) const
-{
-    std::size_t len = hi - lo + 1;
-    std::size_t k = std::size_t(std::bit_width(len)) - 1;
-    const double *level = maxLevel(k);
-    return std::max(level[lo], level[hi + 1 - (std::size_t(1) << k)]);
-}
-
-double
-Variable::rangeMin(std::size_t lo, std::size_t hi) const
-{
-    std::size_t len = hi - lo + 1;
-    std::size_t k = std::size_t(std::bit_width(len)) - 1;
-    const double *level = minLevel(k);
-    return std::min(level[lo], level[hi + 1 - (std::size_t(1) << k)]);
+    VIVA_ASSERT(isFrozen, "minOver() on an unfrozen variable");
+    return extremum(a, b,
+                    index.data() + points.size() +
+                        tableSize(blockCount(points.size())),
+                    [](double x, double y) { return std::min(x, y); });
 }
 
 void
 Variable::computeIndex(std::vector<double> &out) const
 {
     const std::size_t n = points.size();
-    const std::size_t table = tableSize(n);
+    const std::size_t m = blockCount(n);
+    const std::size_t table = tableSize(m);
     out.assign(n + 2 * table, 0.0);
     double *cum = out.data();
     for (std::size_t i = 1; i < n; ++i)
         cum[i] = cum[i - 1] +
                  points[i - 1].value * (points[i].time - points[i - 1].time);
 
-    if (n == 0)
-        return;
     double *max_tab = out.data() + n;
     double *min_tab = max_tab + table;
-    for (std::size_t i = 0; i < n; ++i) {
-        max_tab[i] = points[i].value;
-        min_tab[i] = points[i].value;
+    for (std::size_t b = 0; b < m; ++b) {
+        const std::size_t lo = b * kBlock;
+        const std::size_t hi = std::min(n, lo + kBlock);
+        double mx = points[lo].value;
+        double mn = points[lo].value;
+        for (std::size_t i = lo + 1; i < hi; ++i) {
+            mx = std::max(mx, points[i].value);
+            mn = std::min(mn, points[i].value);
+        }
+        max_tab[b] = mx;
+        min_tab[b] = mn;
     }
-    const std::size_t levels = std::size_t(std::bit_width(n));
+    const std::size_t levels = std::size_t(std::bit_width(m));
     for (std::size_t k = 1; k < levels; ++k) {
         const std::size_t w = std::size_t(1) << k;
-        const std::size_t prev = levelOffset(n, k - 1);
-        const std::size_t cur = levelOffset(n, k);
-        for (std::size_t i = 0; i + w <= n; ++i) {
+        const std::size_t prev = levelOffset(m, k - 1);
+        const std::size_t cur = levelOffset(m, k);
+        for (std::size_t i = 0; i + w <= m; ++i) {
             max_tab[cur + i] =
                 std::max(max_tab[prev + i], max_tab[prev + i + w / 2]);
             min_tab[cur + i] =
@@ -309,19 +270,25 @@ Variable::computeIndex(std::vector<double> &out) const
 }
 
 void
-Variable::buildIndex()
+Variable::freeze()
 {
-    if (indexClean)
+    if (isFrozen)
         return;
+    if (std::adjacent_find(points.begin(), points.end(),
+                           [](const Point &x, const Point &y) {
+                               return x.time >= y.time;
+                           }) != points.end())
+        sortPoints();
+    points.shrink_to_fit();
     computeIndex(index);
-    indexClean = true;
+    isFrozen = true;
 }
 
 bool
 Variable::indexConsistent() const
 {
-    if (!indexClean)
-        return true;
+    if (!isFrozen)
+        return index.empty();
     std::vector<double> ref;
     computeIndex(ref);
     return index == ref;
@@ -342,9 +309,9 @@ Variable::lastTime() const
 std::size_t
 Variable::compact()
 {
+    VIVA_ASSERT(!isFrozen, "compact() on a frozen variable");
     if (points.size() < 2)
         return 0;
-    indexClean = false;
     std::size_t before = points.size();
     std::vector<Point> kept;
     kept.reserve(points.size());

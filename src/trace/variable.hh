@@ -20,7 +20,7 @@ namespace viva::trace
  * A piecewise-constant function of time built from timestamped set/add
  * events. Change points are kept sorted; appends at the end are O(1),
  * out-of-order inserts are supported but O(n) (bulk loaders push() in
- * any order and sortPoints() once instead).
+ * any order and let freeze() sort once instead).
  */
 class Variable
 {
@@ -40,7 +40,8 @@ class Variable
      * Bulk loading: append a change point in any time order. A point
      * at the last point's time replaces its value, as set() does; an
      * earlier time is appended as is and leaves the points unsorted
-     * until sortPoints(). O(1), where an out-of-order set() is O(n).
+     * until sortPoints() or freeze(). O(1), where an out-of-order set()
+     * is O(n).
      * @return false when t comes before the last point's time
      */
     bool push(double t, double v);
@@ -63,9 +64,9 @@ class Variable
     double valueAt(double t) const;
 
     /**
-     * Exact integral of the function over [a, b).
-     * Linear in the number of change points inside the interval, plus a
-     * binary search.
+     * Exact integral of the function over [a, b): two binary searches
+     * and a prefix difference. Requires a frozen variable, as do
+     * average(), maxOver() and minOver().
      */
     double integrate(double a, double b) const;
 
@@ -90,7 +91,11 @@ class Variable
         return average(slice.begin, slice.end);
     }
 
-    /** Largest value attained inside [a, b) (including the value at a). */
+    /**
+     * Largest value attained inside [a, b) (including the value at a):
+     * two binary searches, at most two partial blocks and one sparse
+     * table lookup.
+     */
     double maxOver(double a, double b) const;
 
     /** Smallest value attained inside [a, b). */
@@ -118,35 +123,25 @@ class Variable
      */
     std::size_t compact();
 
-    // --- slice-query index -------------------------------------------
+    // --- freezing ----------------------------------------------------
 
     /**
-     * Build (or refresh) the slice-query index: a cumulative-integral
-     * prefix array plus sparse max/min tables over the point values,
-     * turning integrate/average/maxOver/minOver into O(log n) lookups.
-     * Sequential and deterministic; idempotent when already clean. The
-     * index is an accelerator, never a requirement: queries on a dirty
-     * index fall back to the linear scan, so correctness never depends
-     * on callers remembering to build.
+     * Make the variable immutable and queryable: restore time order if
+     * push() broke it, trim the point vector to size and build the
+     * slice-query index (see `index`). Sequential, deterministic and
+     * idempotent. Mutators abort on a frozen variable; the slice
+     * queries integrate/average/maxOver/minOver abort on an unfrozen
+     * one.
      */
-    void buildIndex();
+    void freeze();
 
-    /** True when the index reflects the current change points. */
-    bool indexed() const { return indexClean; }
-
-    /** Reference linear-scan integral (differential tests, audits). */
-    double integrateScan(double a, double b) const;
-
-    /** Reference linear-scan maximum over [a, b). */
-    double maxOverScan(double a, double b) const;
-
-    /** Reference linear-scan minimum over [a, b). */
-    double minOverScan(double a, double b) const;
+    /** True once freeze() has run. */
+    bool frozen() const { return isFrozen; }
 
     /**
-     * True when the index is clean and bitwise-identical to a fresh
-     * rebuild from the current points (used by the VALIDATE audits).
-     * A dirty index is vacuously consistent.
+     * True when the index is bitwise-identical to a fresh rebuild from
+     * the current points (used by the VALIDATE audits). An unfrozen
+     * variable has no index and is consistent when it holds none.
      */
     bool indexConsistent() const;
 
@@ -154,17 +149,20 @@ class Variable
     /** Index of the last point with time <= t, or npos. */
     std::size_t indexAt(double t) const;
 
-    /** Max over the inclusive point-index range via the sparse table. */
-    double rangeMax(std::size_t lo, std::size_t hi) const;
+    /**
+     * The indexed integral over [a, b), behind integrate() and
+     * average(), which check the freeze and the bounds once.
+     */
+    double integral(double a, double b) const;
 
-    /** Min over the inclusive point-index range via the sparse table. */
-    double rangeMin(std::size_t lo, std::size_t hi) const;
-
-    /** Level k of the max sparse table inside `index`. */
-    const double *maxLevel(std::size_t k) const;
-
-    /** Level k of the min sparse table inside `index`. */
-    const double *minLevel(std::size_t k) const;
+    /**
+     * maxOver/minOver over [a, b) with `pick` (std::max or std::min)
+     * and its block table (see `index`): the value at a, then the
+     * points strictly inside (a, b) folded left to right.
+     */
+    template <class Pick>
+    double extremum(double a, double b, const double *table,
+                    Pick pick) const;
 
     /** Recompute the index from `points` into `out`. */
     void computeIndex(std::vector<double> &out) const;
@@ -173,15 +171,18 @@ class Variable
 
     /**
      * The slice-query index in one allocation, laid out from the point
-     * count n alone: cum[0 .. n), where cum[i] is the exact integral
-     * from points[0].time to points[i].time; then the max sparse table;
-     * then the min table. A table has bit_width(n) levels, and level k
-     * holds the n - 2^k + 1 extrema of the 2^k point values starting
-     * at each i.
+     * count n alone. First cum[0 .. n), where cum[i] is the exact
+     * integral from points[0].time to points[i].time. Then a sparse
+     * table over the maxima of the m = ceil(n / 32) blocks of 32
+     * points (kBlock in variable.cc), then the same over the minima.
+     * Level 0 of a table holds the m block extrema; level k holds the
+     * m - 2^k + 1 extrema of 2^k blocks starting at each block, up to
+     * level bit_width(m) - 1. So the index holds n + 2 S(m) doubles,
+     * with S(m) = sum over k of (m - 2^k + 1) and
+     * 2 S(m) about (n / 16) log2(n / 32): O(n).
      */
     std::vector<double> index;
-    /** Index freshness; any mutation clears it. */
-    bool indexClean = false;
+    bool isFrozen = false;
 };
 
 } // namespace viva::trace

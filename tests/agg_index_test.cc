@@ -1,13 +1,16 @@
 /**
  * @file
  * Differential tests of the slice-query index (indexed vs linear-scan
- * temporal reductions) and of the hierarchy-closure cache behind the
- * parallel Equation-1 fold: the accelerated paths must agree with the
- * reference scans to 1e-12 relative error, and every mutating Trace
- * call must invalidate the caches so stale answers are impossible.
+ * temporal reductions) and of the hierarchy closure behind the
+ * parallel Equation-1 fold: integrals must agree with the reference
+ * scans to 1e-12 relative error, extrema bit for bit; every mutation
+ * made before freeze() must reach the index and the closure; and a
+ * copied trace must aggregate exactly like its original.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +22,14 @@
 #include "trace/trace.hh"
 #include "trace/variable.hh"
 
+#include "scan_oracle.hh"
+
 namespace va = viva::agg;
 namespace vt = viva::trace;
+
+using vt::testing::integrateScan;
+using vt::testing::maxOverScan;
+using vt::testing::minOverScan;
 
 namespace
 {
@@ -49,25 +58,75 @@ randomVariable(std::size_t n, std::uint64_t seed)
     return v;
 }
 
+/** The bits of a double: tells -0.0 from 0.0 where == does not. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
 /** Every reduction, indexed vs scan, on one slice. */
 void
 expectAllOpsAgree(const vt::Variable &v, double a, double b)
 {
-    ASSERT_TRUE(v.indexed());
-    EXPECT_LE(relErr(v.integrate(a, b), v.integrateScan(a, b)), kTol)
+    ASSERT_TRUE(v.frozen());
+    EXPECT_LE(relErr(v.integrate(a, b), integrateScan(v, a, b)), kTol)
         << "integrate over [" << a << ", " << b << ")";
-    EXPECT_EQ(v.maxOver(a, b), v.maxOverScan(a, b))
-        << "maxOver over [" << a << ", " << b << ")";
-    EXPECT_EQ(v.minOver(a, b), v.minOverScan(a, b))
-        << "minOver over [" << a << ", " << b << ")";
+    EXPECT_EQ(bits(v.maxOver(a, b)), bits(maxOverScan(v, a, b)))
+        << "maxOver over [" << a << ", " << b << ") of "
+        << v.pointCount() << " points";
+    EXPECT_EQ(bits(v.minOver(a, b)), bits(minOverScan(v, a, b)))
+        << "minOver over [" << a << ", " << b << ") of "
+        << v.pointCount() << " points";
     // average = integrate / width, so it inherits the integral bound;
     // check it anyway because it is the Equation-1 default.
     double width = b - a;
     if (width > 0.0) {
-        EXPECT_LE(relErr(v.average(a, b),
-                         v.integrateScan(a, b) / width),
+        EXPECT_LE(relErr(v.average(a, b), integrateScan(v, a, b) / width),
                   kTol);
     }
+}
+
+/** Points per block of the slice index's max/min decomposition. */
+constexpr std::size_t kBlock = 32;
+
+/**
+ * Slices of every shape the block decomposition distinguishes: inside
+ * one block, across two adjacent blocks, over many blocks, on and
+ * between change points, and outside the points altogether.
+ */
+std::vector<std::pair<double, double>>
+blockSlices(const vt::Variable &v, viva::support::Rng &rng)
+{
+    const auto &pts = v.changePoints();
+    const std::size_t n = pts.size();
+    std::vector<std::pair<double, double>> out{{-10.0, -5.0},
+                                               {-10.0, 1e9},
+                                               {1e9, 2e9}};
+    if (n == 0)
+        return out;
+    auto at = [&](std::size_t i) { return pts[std::min(i, n - 1)].time; };
+    auto between = [&](std::size_t i) {
+        return i + 1 < n ? 0.5 * (pts[i].time + pts[i + 1].time)
+                         : pts[n - 1].time + 1.0;
+    };
+    for (int round = 0; round < 40; ++round) {
+        std::size_t i = std::size_t(rng.uniform(0.0, double(n)));
+        i = std::min(i, n - 1);
+        std::size_t block_end = (i / kBlock + 1) * kBlock - 1;
+        std::size_t j = i + std::size_t(rng.uniform(0.0, double(kBlock)));
+        out.push_back({at(i), at(std::min(j, block_end))});  // one block
+        out.push_back({between(i), between(std::min(j, block_end))});
+        out.push_back({at(i), at(block_end + 1 + (j - i))});  // adjacent
+        out.push_back({between(i), between(block_end + 1 + (j - i))});
+        out.push_back({at(i % kBlock), at(n - 1 - i % kBlock)});  // many
+        out.push_back({between(i % kBlock), at(n - 1) + 5.0});
+        out.push_back({at(0) - 3.0, between(i)});  // from before the points
+    }
+    for (auto &[a, b] : out)
+        if (a > b)
+            std::swap(a, b);
+    return out;
 }
 
 } // namespace
@@ -77,7 +136,7 @@ expectAllOpsAgree(const vt::Variable &v, double a, double b)
 TEST(AggIndexDifferential, RandomSlicesAllOpsAgree)
 {
     vt::Variable v = randomVariable(500, 1);
-    v.buildIndex();
+    v.freeze();
     ASSERT_TRUE(v.indexConsistent());
 
     viva::support::Rng rng(2);
@@ -88,6 +147,32 @@ TEST(AggIndexDifferential, RandomSlicesAllOpsAgree)
         double b = a + rng.uniform(0.0, 0.5 * span);
         expectAllOpsAgree(v, a, b);
     }
+
+    // Block boundaries of the max/min decomposition: point counts on
+    // either side of one and two blocks, then random sizes, each with
+    // plain values and with values drawn from a set full of ties
+    // (-0.0 against 0.0 included) that only a left-to-right pick
+    // resolves as the scan does.
+    std::vector<std::size_t> sizes{0,          1,          kBlock - 1,
+                                   kBlock,     kBlock + 1, 2 * kBlock + 1};
+    for (int extra = 0; extra < 8; ++extra)
+        sizes.push_back(std::size_t(rng.uniform(2.0, 4000.0)));
+    const double ties[] = {-1.0, -0.0, 0.0, 1.0};
+    for (std::size_t n : sizes) {
+        for (bool tied : {false, true}) {
+            vt::Variable w = randomVariable(n, 100 + n);
+            if (tied) {
+                vt::Variable t;
+                for (const auto &p : w.changePoints())
+                    t.set(p.time, ties[std::size_t(rng.uniform(0.0, 4.0)) % 4]);
+                w = t;
+            }
+            w.freeze();
+            ASSERT_TRUE(w.indexConsistent());
+            for (const auto &[a, b] : blockSlices(w, rng))
+                expectAllOpsAgree(w, a, b);
+        }
+    }
 }
 
 TEST(AggIndexDifferential, TinySlicesDeepIntoTheTrace)
@@ -95,7 +180,7 @@ TEST(AggIndexDifferential, TinySlicesDeepIntoTheTrace)
     // The cancellation stress: a slice much narrower than the prefix
     // integral it would naively be computed from.
     vt::Variable v = randomVariable(2000, 3);
-    v.buildIndex();
+    v.freeze();
     viva::support::Rng rng(4);
     for (int i = 0; i < 200; ++i) {
         double a = rng.uniform(v.firstTime(), v.lastTime());
@@ -107,7 +192,7 @@ TEST(AggIndexDifferential, TinySlicesDeepIntoTheTrace)
 TEST(AggIndexDifferential, SliceBoundariesOnChangePoints)
 {
     vt::Variable v = randomVariable(64, 5);
-    v.buildIndex();
+    v.freeze();
     const auto &pts = v.changePoints();
     for (std::size_t i = 0; i < pts.size(); ++i)
         for (std::size_t j = i; j < pts.size(); j += 7)
@@ -117,8 +202,8 @@ TEST(AggIndexDifferential, SliceBoundariesOnChangePoints)
 TEST(AggIndexDifferential, EmptyVariable)
 {
     vt::Variable v;
-    v.buildIndex();
-    EXPECT_TRUE(v.indexed());
+    v.freeze();
+    EXPECT_TRUE(v.frozen());
     expectAllOpsAgree(v, 0.0, 10.0);
     EXPECT_DOUBLE_EQ(v.integrate(0.0, 10.0), 0.0);
     EXPECT_DOUBLE_EQ(v.average(0.0, 10.0), 0.0);
@@ -128,7 +213,7 @@ TEST(AggIndexDifferential, SinglePointVariable)
 {
     vt::Variable v;
     v.set(5.0, 42.0);
-    v.buildIndex();
+    v.freeze();
     expectAllOpsAgree(v, 0.0, 4.0);    // entirely before
     expectAllOpsAgree(v, 6.0, 9.0);    // entirely after the point
     expectAllOpsAgree(v, 0.0, 10.0);   // spanning
@@ -138,7 +223,7 @@ TEST(AggIndexDifferential, SinglePointVariable)
 TEST(AggIndexDifferential, DegenerateAndOutOfRangeSlices)
 {
     vt::Variable v = randomVariable(100, 6);
-    v.buildIndex();
+    v.freeze();
     double lo = v.firstTime(), hi = v.lastTime();
 
     // Degenerate: a == b.
@@ -158,24 +243,31 @@ TEST(AggIndexDifferential, DegenerateAndOutOfRangeSlices)
     expectAllOpsAgree(v, lo - 100.0, hi + 100.0);
 }
 
-// --- index invalidation ----------------------------------------------------
+// --- what freeze() indexes -------------------------------------------------
+// A frozen index cannot go stale: every mutator aborts on a frozen
+// variable (TraceDeath.FrozenVariableRefusesMutation). These check the
+// other half: every mutation made before freeze() reaches the index.
 
 TEST(AggIndexDifferential, SetInvalidatesTheIndex)
 {
     vt::Variable v = randomVariable(50, 7);
-    v.buildIndex();
-    ASSERT_TRUE(v.indexed());
-
-    v.set(1e6, 3.0);
-    EXPECT_FALSE(v.indexed());
-    // Queries on a dirty index fall back to the scan -- identical by
-    // construction, but assert the contract anyway.
-    EXPECT_DOUBLE_EQ(v.integrate(0.0, 2e6), v.integrateScan(0.0, 2e6));
-
-    v.buildIndex();
-    EXPECT_TRUE(v.indexed());
+    const auto &pts = v.changePoints();
+    double mid = pts[pts.size() / 2].time;
+    double before = pts[pts.size() / 2 - 1].time;
+    v.set(1e6, 3.0);                          // past the last point
+    v.set(mid, 1e3);                          // replaces a point
+    v.set(0.5 * (before + mid), -1e3);        // inserted out of order
+    v.freeze();
+    ASSERT_TRUE(v.frozen());
     EXPECT_TRUE(v.indexConsistent());
+    EXPECT_EQ(v.pointCount(), 52u);
+    EXPECT_EQ(v.maxOver(0.0, 2e6), 1e3);
+    EXPECT_EQ(v.minOver(0.0, 2e6), -1e3);
+    EXPECT_EQ(v.maxOver(1e6, 2e6), 3.0);
+    EXPECT_EQ(v.minOver(1e6, 2e6), 3.0);
     expectAllOpsAgree(v, 0.0, 2e6);
+    expectAllOpsAgree(v, before, mid);
+    expectAllOpsAgree(v, mid, 1e6 + 1.0);
 }
 
 TEST(AggIndexDifferential, AddAndCompactInvalidate)
@@ -183,18 +275,18 @@ TEST(AggIndexDifferential, AddAndCompactInvalidate)
     vt::Variable v;
     v.set(0.0, 5.0);
     v.set(1.0, 5.0);  // redundant: compact() removes it
-    v.buildIndex();
-    ASSERT_TRUE(v.indexed());
-
     v.add(2.0, 1.0);
-    EXPECT_FALSE(v.indexed());
-    v.buildIndex();
-    ASSERT_TRUE(v.indexed());
-
     EXPECT_EQ(v.compact(), 1u);
-    EXPECT_FALSE(v.indexed());
-    v.buildIndex();
+    v.freeze();
+    ASSERT_TRUE(v.frozen());
     EXPECT_TRUE(v.indexConsistent());
+    EXPECT_EQ(v.pointCount(), 2u);
+    EXPECT_EQ(v.maxOver(0.0, 3.0), 6.0);
+    EXPECT_EQ(v.minOver(0.0, 3.0), 5.0);
+    EXPECT_EQ(v.integrate(0.0, 3.0), 16.0);
+    expectAllOpsAgree(v, 0.0, 3.0);
+    expectAllOpsAgree(v, 0.5, 2.5);
+    expectAllOpsAgree(v, 2.0, 10.0);
 }
 
 // --- the hierarchy-closure cache ------------------------------------------
@@ -233,7 +325,7 @@ struct ClosureFixture
         t.variable(h4, power).set(0.0, 40.0);
         t.variable(h1, power).set(10.0, 10.0);
 
-        trace = b.take();  // take() builds the acceleration structures
+        trace = b.take();  // take() freezes
     }
 };
 
@@ -242,10 +334,11 @@ struct ClosureFixture
 TEST(ClosureCache, BuilderTakeBuildsAcceleration)
 {
     ClosureFixture f;
-    EXPECT_TRUE(f.trace.closureFresh());
+    EXPECT_TRUE(f.trace.frozen());
     const vt::Variable *v = f.trace.findVariable(f.h1, f.power);
     ASSERT_NE(v, nullptr);
-    EXPECT_TRUE(v->indexed());
+    EXPECT_TRUE(v->frozen());
+    EXPECT_TRUE(f.trace.auditInvariants().empty());
 }
 
 TEST(ClosureCache, CachedSubtreeMatchesRecomputation)
@@ -284,100 +377,126 @@ TEST(ClosureCache, CarriersMatchFindVariable)
 
 TEST(ClosureCache, MutationInvalidatesAndFallbackStaysCorrect)
 {
-    ClosureFixture f;
-    va::Aggregator agg(f.trace);
-    va::TimeSlice slice{0.0, 10.0};
+    // A frozen closure cannot go stale: every mutator aborts on a
+    // frozen trace (TraceDeath.FrozenTraceRefusesEveryMutator). A
+    // mutation made before freeze() reaches the answers, and a copy,
+    // which rebuilds its closure, gives the same ones.
+    vt::Trace t;
+    vt::ContainerId s = t.addContainer("s", vt::ContainerKind::Site,
+                                       t.root());
+    vt::ContainerId h1 = t.addContainer("h1", vt::ContainerKind::Host, s);
+    vt::ContainerId h2 = t.addContainer("h2", vt::ContainerKind::Host, s);
+    vt::MetricId power = t.addMetric("power", "MFlops",
+                                     vt::MetricNature::Capacity);
+    t.variable(h1, power).set(0.0, 10.0);
+    t.variable(h2, power).set(0.0, 20.0);
+    t.variable(h1, power).set(10.0, 50.0);
+    t.freeze();
 
-    ASSERT_TRUE(f.trace.closureFresh());
-    double cached_total = agg.value(f.trace.root(), f.power, slice);
-    EXPECT_DOUBLE_EQ(cached_total, 100.0);
-
-    std::uint64_t before = f.trace.version();
-    f.trace.variable(f.h1, f.power).set(10.0, 50.0);
-    EXPECT_GT(f.trace.version(), before);
-    EXPECT_FALSE(f.trace.closureFresh());
-
-    // The stale-cache path answers from the recomputed carrier list --
-    // same value for an unchanged slice.
-    EXPECT_DOUBLE_EQ(agg.value(f.trace.root(), f.power, slice),
-                     cached_total);
-
-    // Rebuilding re-arms the cache and the answers still agree.
-    f.trace.ensureQueryAcceleration();
-    EXPECT_TRUE(f.trace.closureFresh());
-    EXPECT_DOUBLE_EQ(agg.value(f.trace.root(), f.power, slice),
-                     cached_total);
+    const vt::Trace copy = t;
+    va::Aggregator agg(t);
+    va::Aggregator copied(copy);
+    va::TimeSlice before{0.0, 10.0}, after{10.0, 20.0};
+    EXPECT_DOUBLE_EQ(agg.value(t.root(), power, before), 30.0);
+    EXPECT_DOUBLE_EQ(agg.value(t.root(), power, after), 70.0);
+    EXPECT_DOUBLE_EQ(agg.value(h1, power, after), 50.0);
+    EXPECT_EQ(copied.value(copy.root(), power, before),
+              agg.value(t.root(), power, before));
+    EXPECT_EQ(copied.value(copy.root(), power, after),
+              agg.value(t.root(), power, after));
 }
 
 TEST(ClosureCache, EveryMutatorBumpsTheVersion)
 {
-    ClosureFixture f;
-    std::uint64_t v = f.trace.version();
+    // The effect of every mutator called before freeze() reaches the
+    // frozen closure and the audit.
+    vt::TraceBuilder b;
+    vt::Trace &t = b.trace();
+    vt::ContainerId s = t.addContainer("s", vt::ContainerKind::Site,
+                                       t.root());
+    vt::ContainerId h1 = t.addContainer("h1", vt::ContainerKind::Host, s);
+    vt::MetricId power = t.addMetric("power", "MFlops",
+                                     vt::MetricNature::Capacity);
+    t.variable(h1, power).set(0.0, 1.0);
 
-    vt::ContainerId extra = f.trace.addContainer(
-        "h5", vt::ContainerKind::Host, f.s2);
-    EXPECT_GT(f.trace.version(), v);
-    v = f.trace.version();
+    vt::ContainerId h2 = t.addContainer("h2", vt::ContainerKind::Host, s);
+    vt::MetricId load = t.addMetric("load", "ratio",
+                                    vt::MetricNature::Gauge);
+    t.variable(h2, load).set(0.0, 0.5);
+    t.variable(h2, power).set(1.0, 2.0);
+    t.addRelation(h1, h2);
+    t.addState(h1, 0.0, 1.0, "run");
 
-    f.trace.addRelation(f.h1, extra);
-    EXPECT_GT(f.trace.version(), v);
-    v = f.trace.version();
-
-    f.trace.addMetric("load", "ratio", vt::MetricNature::Gauge);
-    EXPECT_GT(f.trace.version(), v);
-    v = f.trace.version();
-
-    f.trace.variable(extra, f.power);
-    EXPECT_GT(f.trace.version(), v);
+    vt::Trace frozen = b.take();
+    ASSERT_TRUE(frozen.frozen());
+    EXPECT_TRUE(frozen.auditInvariants().empty());
+    EXPECT_EQ(frozen.cachedSubtree(s).size(), 3u);
+    ASSERT_EQ(frozen.carriers(s, power).size(), 2u);
+    EXPECT_EQ(frozen.carriers(s, power)[1], frozen.findVariable(h2, power));
+    ASSERT_EQ(frozen.carriers(s, load).size(), 1u);
+    EXPECT_EQ(frozen.carriers(s, load)[0], frozen.findVariable(h2, load));
+    EXPECT_TRUE(frozen.carriers(h1, load).empty());
+    EXPECT_EQ(frozen.relations().size(), 1u);
+    EXPECT_EQ(frozen.states().size(), 1u);
 }
+
+namespace
+{
+
+const va::TemporalOp kTemporalOps[] = {
+    va::TemporalOp::Average, va::TemporalOp::Max, va::TemporalOp::Min,
+    va::TemporalOp::Integral};
+
+} // namespace
 
 TEST(ClosureCache, CachedAndFallbackAggregationsAgreeOnAllOps)
 {
+    // The closure take() built against the one a copy rebuilds over its
+    // own variables: every aggregate must be bitwise equal.
     ClosureFixture f;
-    va::Aggregator agg(f.trace);
-    va::TimeSlice slice{2.0, 8.0};
+    const vt::Trace copy = f.trace;
+    ASSERT_TRUE(copy.frozen());
+    EXPECT_TRUE(copy.auditInvariants().empty());
+    ASSERT_EQ(copy.carriers(copy.root(), f.power).size(), 4u);
+    EXPECT_EQ(copy.carriers(copy.root(), f.power)[0],
+              copy.findVariable(f.h1, f.power));
+    EXPECT_NE(copy.carriers(copy.root(), f.power)[0],
+              f.trace.findVariable(f.h1, f.power));
 
+    va::Aggregator original(f.trace);
+    va::Aggregator copied(copy);
+    va::TimeSlice slice{2.0, 8.0};
     const va::SpatialOp sops[] = {va::SpatialOp::Sum,
                                   va::SpatialOp::Average,
                                   va::SpatialOp::Max, va::SpatialOp::Min};
-    const va::TemporalOp tops[] = {
-        va::TemporalOp::Average, va::TemporalOp::Max, va::TemporalOp::Min,
-        va::TemporalOp::Integral};
-
-    // Compute once against the fresh closure, then dirty the trace (a
-    // no-op mutation: variable() on an existing pair) and recompute via
-    // the fallback. Bitwise equality is the contract: the cached fold
-    // runs the same chunk decomposition over the same variable list.
-    for (va::SpatialOp s : sops) {
-        for (va::TemporalOp t : tops) {
-            f.trace.ensureQueryAcceleration();
-            ASSERT_TRUE(f.trace.closureFresh());
-            double cached =
-                agg.value(f.s1, f.power, slice, s, t);
-            f.trace.variable(f.h2, f.power);  // bump: cache goes stale
-            ASSERT_FALSE(f.trace.closureFresh());
-            double fallback =
-                agg.value(f.s1, f.power, slice, s, t);
-            EXPECT_EQ(cached, fallback)
-                << "spatial " << int(s) << " temporal " << int(t);
-        }
-    }
+    for (vt::ContainerId node : {f.trace.root(), f.s1, f.s2, f.h3})
+        for (va::TemporalOp t : kTemporalOps)
+            for (va::SpatialOp s : sops)
+                EXPECT_EQ(original.value(node, f.power, slice, s, t),
+                          copied.value(node, f.power, slice, s, t))
+                    << "spatial " << int(s) << " temporal " << int(t);
 }
 
 TEST(ClosureCache, DistributionAgreesCachedAndStale)
 {
+    // As above, for the per-carrier distributions behind the spatial ops.
     ClosureFixture f;
-    va::Aggregator agg(f.trace);
+    const vt::Trace copy = f.trace;
+    va::Aggregator original(f.trace);
+    va::Aggregator copied(copy);
     va::TimeSlice slice{0.0, 10.0};
-
-    f.trace.ensureQueryAcceleration();
-    viva::support::Samples cached =
-        agg.distribution(f.trace.root(), f.power, slice);
-    f.trace.variable(f.h3, f.power);  // stale
-    viva::support::Samples stale =
-        agg.distribution(f.trace.root(), f.power, slice);
-    ASSERT_EQ(cached.count(), stale.count());
-    ASSERT_EQ(cached.count(), 4u);
-    for (std::size_t i = 0; i < cached.count(); ++i)
-        EXPECT_EQ(cached.data()[i], stale.data()[i]);
+    for (vt::ContainerId node : {f.trace.root(), f.s1, f.s2, f.h3}) {
+        for (va::TemporalOp t : kTemporalOps) {
+            viva::support::Samples a =
+                original.distribution(node, f.power, slice, t);
+            viva::support::Samples b =
+                copied.distribution(node, f.power, slice, t);
+            ASSERT_EQ(a.count(), b.count());
+            if (node == f.trace.root()) {
+                EXPECT_EQ(a.count(), 4u);
+            }
+            for (std::size_t i = 0; i < a.count(); ++i)
+                EXPECT_EQ(a.data()[i], b.data()[i]);
+        }
+    }
 }

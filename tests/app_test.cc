@@ -18,8 +18,11 @@
 #include "layout/metrics.hh"
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
+#include "sim/tracer.hh"
 #include "support/obs.hh"
+#include "support/random.hh"
 #include "trace/builder.hh"
+#include "workload/masterworker.hh"
 
 namespace va = viva::agg;
 namespace vap = viva::app;
@@ -170,42 +173,137 @@ TEST(Session, FrameFoldsTheViewOnce)
 
 TEST(Aggregation, ViewCountsEachValueOnce)
 {
-    // agg.values and the closure counters count one per (node, metric)
-    // of a view, as per-value counting did, so perfbench's
+    // agg.values and agg.closure.hits count one per (node, metric) of
+    // a view, as per-value counting did, so perfbench's
     // agg.closure_lookups keeps its meaning.
     namespace obs = viva::support::obs;
     obs::Registry &reg = obs::Registry::global();
     const obs::CounterId values = reg.counter("agg.values");
     const obs::CounterId hits = reg.counter("agg.closure.hits");
-    const obs::CounterId misses = reg.counter("agg.closure.misses");
 
     vp::Platform p = vp::makeTwoClusterPlatform();
     vt::Trace t;
     vp::mirrorPlatform(p, t);
+    t.freeze();
     va::HierarchyCut cut(t);
     cut.aggregate(t.findByName("adonis"));
     const std::vector<va::MetricRequest> requests{
         va::MetricRequest(t.findMetric("power")),
         va::MetricRequest(t.findMetric("power_used"),
                           va::SpatialOp::Max)};
-    // The stale closure first (misses), then the cached one (hits).
-    for (bool accelerated : {false, true}) {
-        if (accelerated)
-            t.ensureQueryAcceleration();
-        for (std::size_t threads : {1u, 4u}) {
-            const std::uint64_t v0 = reg.counterValue(values);
-            const std::uint64_t h0 = reg.counterValue(hits);
-            const std::uint64_t m0 = reg.counterValue(misses);
-            va::View v = va::buildView(t, cut, {0.0, 1.0}, requests,
-                                       false, threads)
-                             .value();
-            const std::uint64_t expect = v.nodes.size() * requests.size();
-            ASSERT_GT(expect, 0u);
-            EXPECT_EQ(reg.counterValue(values) - v0, expect);
-            EXPECT_EQ(reg.counterValue(hits) - h0,
-                      accelerated ? expect : 0u);
-            EXPECT_EQ(reg.counterValue(misses) - m0,
-                      accelerated ? 0u : expect);
+    for (std::size_t threads : {1u, 4u}) {
+        const std::uint64_t v0 = reg.counterValue(values);
+        const std::uint64_t h0 = reg.counterValue(hits);
+        va::View v =
+            va::buildView(t, cut, {0.0, 1.0}, requests, false, threads)
+                .value();
+        const std::uint64_t expect = v.nodes.size() * requests.size();
+        ASSERT_GT(expect, 0u);
+        EXPECT_EQ(reg.counterValue(values) - v0, expect);
+        EXPECT_EQ(reg.counterValue(hits) - h0, expect);
+    }
+}
+
+TEST(Aggregation, CountersCountWhileTimersAreDisarmed)
+{
+    // setEnabled(false) disarms the timers only: the same view and the
+    // same value() calls add the same counter deltas either way.
+    namespace obs = viva::support::obs;
+    obs::Registry &reg = obs::Registry::global();
+    const obs::CounterId values = reg.counter("agg.values");
+    const obs::CounterId hits = reg.counter("agg.closure.hits");
+    const bool was_enabled = reg.enabled();
+
+    vp::Platform p = vp::makeTwoClusterPlatform();
+    vt::Trace t;
+    vp::mirrorPlatform(p, t);
+    t.freeze();
+    va::HierarchyCut cut(t);
+    cut.aggregate(t.findByName("adonis"));
+    const std::vector<va::MetricRequest> requests{
+        va::MetricRequest(t.findMetric("power")),
+        va::MetricRequest(t.findMetric("power_used"))};
+    va::Aggregator agg(t);
+    std::vector<std::uint64_t> deltas;
+    for (bool armed : {true, false}) {
+        reg.setEnabled(armed);
+        const std::uint64_t v0 = reg.counterValue(values);
+        const std::uint64_t h0 = reg.counterValue(hits);
+        (void)va::buildView(t, cut, {0.0, 1.0}, requests, false, 2).value();
+        (void)agg.value(t.root(), t.findMetric("power"), {0.0, 1.0});
+        deltas.push_back(reg.counterValue(values) - v0);
+        deltas.push_back(reg.counterValue(hits) - h0);
+    }
+    reg.setEnabled(was_enabled);
+    ASSERT_EQ(deltas.size(), 4u);
+    EXPECT_GT(deltas[0], 1u);
+    EXPECT_EQ(deltas[0], deltas[2]);  // agg.values
+    EXPECT_EQ(deltas[1], deltas[3]);  // agg.closure.hits
+}
+
+TEST(FrozenTrace, SimulatedAggregatorEqualsSessionBitwise)
+{
+    // One query path: a freshly simulated trace, frozen in place, and
+    // a Session's own frozen copy of it fold every Eq.-1 value -- every
+    // TemporalOp, several cuts and slices -- to the same bits.
+    viva::support::Rng rng(21);
+    vp::Platform plat = vp::makeSyntheticGrid(2, 3, 6, rng);
+    viva::sim::SimulationRun run(plat, {"mw"});
+    viva::workload::MwParams params;
+    params.name = "mw";
+    params.master = vp::HostId{0};
+    for (std::size_t h = 1; h < plat.hostCount(); ++h)
+        params.workers.push_back(vp::HostId::fromIndex(h));
+    params.totalTasks = 400;
+    params.taskMflop = 3000.0;
+    viva::workload::MasterWorkerApp app(run, params, 1);
+    app.start();
+    run.engine.run();
+    ASSERT_TRUE(app.finished());
+    run.trace.freeze();
+    ASSERT_GT(run.trace.pointCount(), 2000u);
+
+    vap::Session session(run.trace);  // a copy with its own closure
+    const vt::Trace &own = session.trace();
+    ASSERT_TRUE(own.frozen());
+    std::vector<vt::MetricId> metrics;
+    for (vt::MetricId m{0}; m.index() < own.metricCount(); ++m)
+        metrics.push_back(m);
+
+    auto expectSameValues = [](const va::View &a, const va::View &b) {
+        ASSERT_EQ(a.nodes.size(), b.nodes.size());
+        for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+            ASSERT_EQ(a.nodes[i].id, b.nodes[i].id);
+            for (std::size_t k = 0; k < a.requests.size(); ++k)
+                EXPECT_EQ(a.nodes[i].values[k], b.nodes[i].values[k])
+                    << "node " << a.nodes[i].id << " request " << k;
+        }
+    };
+    for (std::uint16_t depth : {1, 2, 3, 4}) {
+        session.aggregateToDepth(depth);
+        for (std::uint32_t part : {0u, 3u, 6u}) {
+            session.setSliceOf(va::SliceIndex{part}, 7);
+            const va::TimeSlice slice = session.timeSlice();
+            // The session's own view against a bare Aggregator's.
+            va::View shown = session.view();
+            expectSameValues(shown,
+                             va::buildView(run.trace, session.cut(), slice,
+                                           shown.requests, false, 1)
+                                 .value());
+            for (va::TemporalOp top :
+                 {va::TemporalOp::Average, va::TemporalOp::Max,
+                  va::TemporalOp::Min, va::TemporalOp::Integral}) {
+                std::vector<va::MetricRequest> requests;
+                for (vt::MetricId m : metrics)
+                    requests.emplace_back(m, va::SpatialOp::Sum, top);
+                expectSameValues(
+                    va::buildView(own, session.cut(), slice, requests,
+                                  false, 1)
+                        .value(),
+                    va::buildView(run.trace, session.cut(), slice,
+                                  requests, false, 1)
+                        .value());
+            }
         }
     }
 }

@@ -236,7 +236,8 @@ struct CompositionFixture
     vt::ContainerId g, h1, h2;
     vt::MetricId power, used_a, used_b;
 
-    CompositionFixture()
+    /** `with_states` gives h1 a busy and an idle state. */
+    explicit CompositionFixture(bool with_states = false)
     {
         vt::TraceBuilder b;
         power = b.powerMetric();
@@ -253,6 +254,10 @@ struct CompositionFixture
         t.variable(h2, power).set(0.0, 100.0);
         t.variable(h1, used_a).set(0.0, 50.0);
         t.variable(h2, used_b).set(0.0, 30.0);
+        if (with_states) {
+            t.addState(h1, 0.0, 1.0, "busy");
+            t.addState(h1, 1.0, 4.0, "idle");
+        }
         trace = b.take();
         g = trace.findByName("g");
     }
@@ -314,9 +319,7 @@ TEST(Composition, LeavesGetNoCompositionPie)
 
 TEST(Composition, StatePiesOverrideComposition)
 {
-    CompositionFixture f;
-    f.trace.addState(f.h1, 0.0, 1.0, "busy");
-    f.trace.addState(f.h1, 1.0, 4.0, "idle");
+    CompositionFixture f(true);
 
     vv::VisualMapping mapping = vv::VisualMapping::defaults(f.trace);
     va::HierarchyCut cut(f.trace);
@@ -582,6 +585,7 @@ TEST(Treemap, GridScaleIsFast)
     vp::Platform p = vp::makeGrid5000();
     vt::Trace t;
     vp::mirrorPlatform(p, t);
+    t.freeze();
     vv::Treemap map = vv::buildTreemap(t, t.findMetric("power"),
                                        {0.0, 1.0},
                                        vv::TreemapOptions());
@@ -703,6 +707,7 @@ TEST(ProcessContainers, DtRanksNestUnderHosts)
     params.createProcessContainers = true;
     vw::Deployment dep = vw::sequentialDeployment(plat, params);
     vw::runNasDtWhiteHole(run, params, dep);
+    run.trace.freeze();
 
     // 21 rank containers, each a Process under the right host.
     auto processes =

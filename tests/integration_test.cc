@@ -76,6 +76,7 @@ class NasDtCase : public ::testing::Test
                                  ? vw::localityDeployment(plat, p)
                                  : vw::sequentialDeployment(plat, p);
         vw::DtResult result = vw::runNasDtWhiteHole(run, p, dep);
+        run.trace.freeze();
         return {std::move(run.trace), result.makespanS};
     }
 };
@@ -209,6 +210,7 @@ class MasterWorkerCase : public ::testing::Test
 
         EXPECT_TRUE(app1.finished());
         EXPECT_TRUE(app2.finished());
+        sim.trace.freeze();
         return {std::move(sim.trace), app1.result().tasksPerWorker,
                 app2.result().tasksPerWorker, p1.workers};
     }

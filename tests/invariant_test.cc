@@ -207,12 +207,14 @@ TEST(CutAudit, NestedCollapsedFlagsAreLegal)
 
 TEST(CutAudit, DetectsStaleFlagVector)
 {
-    vt::Trace trace = makeTrace();
+    // The trace grows after the cut was built (only an unfrozen trace
+    // can): the flag vector no longer matches the containers.
+    vt::Trace trace;
+    vt::ContainerId site =
+        trace.addContainer("site", vt::ContainerKind::Site, trace.root());
+    trace.addContainer("h1", vt::ContainerKind::Host, site);
     va::HierarchyCut cut(trace);
-    // The trace grows after the cut was built: the flag vector no
-    // longer matches the containers.
-    trace.addContainer("h4", vt::ContainerKind::Host,
-                       trace.findByName("site"));
+    trace.addContainer("h4", vt::ContainerKind::Host, site);
     vs::AuditLog log = cut.auditInvariants();
     ASSERT_FALSE(log.empty());
     EXPECT_NE(log[0].find("flag vector"), std::string::npos);

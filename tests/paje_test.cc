@@ -13,12 +13,40 @@
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
 #include "trace/builder.hh"
+#include "trace/io.hh"
 #include "trace/paje.hh"
 
 namespace vt = viva::trace;
 
 namespace
 {
+
+/** One state record to add to Figure 1's trace. */
+struct StateLine
+{
+    std::string host;
+    double begin;
+    double end;
+    std::string state;
+};
+
+/**
+ * Figure 1's trace with extra state records, in the given order. A
+ * frozen trace takes no more states, so they go through the native
+ * format: its reader appends them to the state log as they come.
+ */
+vt::Trace
+figure1WithStates(const std::vector<StateLine> &states)
+{
+    const vt::Trace base = vt::makeFigure1Trace();
+    std::ostringstream text;
+    vt::writeTrace(base, text);
+    for (const StateLine &s : states)
+        text << "state " << base.findByName(s.host) << ' ' << s.begin << ' '
+             << s.end << ' ' << s.state << '\n';
+    std::istringstream in(text.str());
+    return vt::readTrace(in).value();
+}
 
 /** A minimal, classic hand-written Paje trace. */
 const char *kClassicTrace = R"(
@@ -257,9 +285,8 @@ TEST(Paje, VariableOnUnknownContainerWarns)
 
 TEST(Paje, WriterRoundTripsFigure1)
 {
-    vt::Trace original = vt::makeFigure1Trace();
-    original.addState(original.findByName("HostA"), 0.0, 4.0, "busy");
-    original.addState(original.findByName("HostA"), 4.0, 8.0, "idle");
+    const vt::Trace original = figure1WithStates(
+        {{"HostA", 0.0, 4.0, "busy"}, {"HostA", 4.0, 8.0, "idle"}});
 
     std::ostringstream out;
     vt::writePajeTrace(original, out);
@@ -291,16 +318,17 @@ TEST(Paje, WriterOrdersEqualTimeStatesCanonically)
     // (twelve states of HostA all start at 0), in a record order that
     // interleaves the containers: enough events that an unstable sort
     // on (time, kind) alone would pick its own order among the ties.
-    vt::Trace t = vt::makeFigure1Trace();
+    std::vector<StateLine> states;
+    for (int i = 0; i < 12; ++i) {
+        states.push_back({"HostB", 0.0, 2.0, "b" + std::to_string(i)});
+        states.push_back({"HostA", 0.0, 2.0, "a" + std::to_string(i)});
+    }
+    states.push_back({"HostB", 2.0, 3.0, "b-next"});
+    states.push_back({"HostA", 2.0, 3.0, "a-next"});
+    const vt::Trace t = figure1WithStates(states);
     const vt::ContainerId a = t.findByName("HostA");
     const vt::ContainerId b = t.findByName("HostB");
     ASSERT_LT(a, b);
-    for (int i = 0; i < 12; ++i) {
-        t.addState(b, 0.0, 2.0, "b" + std::to_string(i));
-        t.addState(a, 0.0, 2.0, "a" + std::to_string(i));
-    }
-    t.addState(b, 2.0, 3.0, "b-next");
-    t.addState(a, 2.0, 3.0, "a-next");
 
     // Ties break by container, then by state record.
     std::vector<std::string> expect;

@@ -302,6 +302,7 @@ struct GridFixture
                 t += vals.uniform(0.1, 1.5);
             }
         }
+        trace.freeze();
     }
 };
 
@@ -401,42 +402,35 @@ TEST(ParallelAggregation, WithStatsValuesAreBitwisePlainValues)
     ASSERT_GT(f.trace.leavesUnder(f.trace.root()).size(), 64u);
 
     const va::TimeSlice slice{0.4, 3.7};
-    // Both carrier sources: the stale closure first, then the cache.
-    for (bool accelerated : {false, true}) {
-        if (accelerated)
-            f.trace.ensureQueryAcceleration();
-        for (const va::HierarchyCut *cut : {&whole, &sites}) {
-            for (auto sop : {va::SpatialOp::Sum, va::SpatialOp::Average,
-                             va::SpatialOp::Max, va::SpatialOp::Min}) {
-                for (auto top :
-                     {va::TemporalOp::Average, va::TemporalOp::Max,
-                      va::TemporalOp::Min, va::TemporalOp::Integral}) {
-                    std::vector<va::MetricRequest> requests{
-                        va::MetricRequest(f.used, sop, top),
-                        va::MetricRequest(f.power, sop, top)};
-                    for (std::size_t threads : {1u, 4u}) {
-                        va::View plain =
-                            va::buildView(f.trace, *cut, slice, requests,
-                                          false, threads)
-                                .value();
-                        va::View stats =
-                            va::buildView(f.trace, *cut, slice, requests,
-                                          true, threads)
-                                .value();
-                        ASSERT_EQ(plain.nodes.size(), stats.nodes.size());
-                        for (std::size_t i = 0; i < plain.nodes.size();
-                             ++i)
-                            for (std::size_t k = 0; k < requests.size();
-                                 ++k)
-                                ASSERT_EQ(plain.nodes[i].values[k],
-                                          stats.nodes[i].values[k])
-                                    << "spatial " << int(sop)
-                                    << " temporal " << int(top)
-                                    << " threads " << threads << " node "
-                                    << i << " metric " << k
-                                    << (accelerated ? " cached"
-                                                    : " stale");
-                    }
+    for (const va::HierarchyCut *cut : {&whole, &sites}) {
+        for (auto sop : {va::SpatialOp::Sum, va::SpatialOp::Average,
+                         va::SpatialOp::Max, va::SpatialOp::Min}) {
+            for (auto top :
+                 {va::TemporalOp::Average, va::TemporalOp::Max,
+                  va::TemporalOp::Min, va::TemporalOp::Integral}) {
+                std::vector<va::MetricRequest> requests{
+                    va::MetricRequest(f.used, sop, top),
+                    va::MetricRequest(f.power, sop, top)};
+                for (std::size_t threads : {1u, 4u}) {
+                    va::View plain =
+                        va::buildView(f.trace, *cut, slice, requests,
+                                      false, threads)
+                            .value();
+                    va::View stats =
+                        va::buildView(f.trace, *cut, slice, requests,
+                                      true, threads)
+                            .value();
+                    ASSERT_EQ(plain.nodes.size(), stats.nodes.size());
+                    for (std::size_t i = 0; i < plain.nodes.size();
+                         ++i)
+                        for (std::size_t k = 0; k < requests.size();
+                             ++k)
+                            ASSERT_EQ(plain.nodes[i].values[k],
+                                      stats.nodes[i].values[k])
+                                << "spatial " << int(sop)
+                                << " temporal " << int(top)
+                                << " threads " << threads << " node "
+                                << i << " metric " << k;
                 }
             }
         }

@@ -88,6 +88,7 @@ TEST_P(EngineConservation, TracedWorkEqualsInjectedWork)
     Workload injected = inject(run, rng);
     run.engine.run();
     ASSERT_TRUE(run.engine.idle());
+    run.trace.freeze();
 
     // Integrate the traced utilization over the whole run: it must
     // equal the injected work exactly (the fluid model conserves it).
@@ -134,6 +135,7 @@ TEST_P(EngineConservation, RunInPiecesMatchesRunWhole)
                 run.engine.run(t);
         }
         run.engine.run();
+        run.trace.freeze();
         va::Aggregator agg(run.trace);
         return agg.value(run.trace.root(), run.mirror.powerUsed,
                          run.trace.span(), va::SpatialOp::Sum,
@@ -194,6 +196,7 @@ TEST_P(CutPartition, ConservationUnderRandomCuts)
     vp::Platform plat = vp::makeSyntheticGrid(2, 2, 4, rng);
     vt::Trace trace;
     auto mirror = vp::mirrorPlatform(plat, trace);
+    trace.freeze();
 
     va::HierarchyCut cut(trace);
     for (int op = 0; op < 20; ++op)
@@ -333,6 +336,7 @@ TEST_P(TreemapGeometry, CellsStayInCanvasAndNest)
         1 + rng.index(3), 1 + rng.index(3), 1 + rng.index(6), rng);
     vt::Trace trace;
     vp::mirrorPlatform(plat, trace);
+    trace.freeze();
 
     vv::TreemapOptions options;
     options.width = 640;

@@ -32,6 +32,7 @@ TEST(Variable, EmptyIsZeroEverywhere)
     EXPECT_TRUE(v.empty());
     EXPECT_DOUBLE_EQ(v.valueAt(0.0), 0.0);
     EXPECT_DOUBLE_EQ(v.valueAt(100.0), 0.0);
+    v.freeze();
     EXPECT_DOUBLE_EQ(v.integrate(0.0, 10.0), 0.0);
 }
 
@@ -124,6 +125,7 @@ TEST(Variable, IntegrateExactRectangles)
     v.set(0.0, 2.0);
     v.set(4.0, 6.0);
     v.set(8.0, 0.0);
+    v.freeze();
     // [0,4): 2*4 = 8 ; [4,8): 6*4 = 24 ; [8,12): 0
     EXPECT_DOUBLE_EQ(v.integrate(0.0, 12.0), 32.0);
     EXPECT_DOUBLE_EQ(v.integrate(2.0, 6.0), 2.0 * 2 + 6.0 * 2);
@@ -138,6 +140,7 @@ TEST(Variable, IntegrateIsAdditive)
     v.set(1.5, 4.0);
     v.set(3.25, 2.5);
     v.set(9.0, 0.5);
+    v.freeze();
     double whole = v.integrate(0.0, 12.0);
     double parts = v.integrate(0.0, 2.0) + v.integrate(2.0, 7.7) +
                    v.integrate(7.7, 12.0);
@@ -149,6 +152,7 @@ TEST(Variable, AverageMatchesIntegral)
     vt::Variable v;
     v.set(0.0, 10.0);
     v.set(5.0, 0.0);
+    v.freeze();
     EXPECT_DOUBLE_EQ(v.average(0.0, 10.0), 5.0);
     // Zero-length slice degenerates to the instantaneous value.
     EXPECT_DOUBLE_EQ(v.average(3.0, 3.0), 10.0);
@@ -160,6 +164,7 @@ TEST(Variable, MinMaxOverWindow)
     v.set(0.0, 5.0);
     v.set(2.0, 9.0);
     v.set(4.0, 1.0);
+    v.freeze();
     EXPECT_DOUBLE_EQ(v.maxOver(0.0, 10.0), 9.0);
     EXPECT_DOUBLE_EQ(v.minOver(0.0, 10.0), 1.0);
     EXPECT_DOUBLE_EQ(v.maxOver(0.0, 2.0), 5.0);  // change at 2 excluded
@@ -179,6 +184,24 @@ TEST(Variable, CompactRemovesRepeats)
     EXPECT_DOUBLE_EQ(v.valueAt(1.5), 1.0);
     EXPECT_DOUBLE_EQ(v.valueAt(3.5), 2.0);
     EXPECT_DOUBLE_EQ(v.valueAt(4.5), 1.0);
+}
+
+TEST(Variable, FreezeSortsTrimsAndIndexes)
+{
+    vt::Variable by_set;
+    vt::Variable by_push;
+    for (double t : {4.0, 1.0, 3.0, 1.0, 2.0}) {
+        by_set.set(t, t * 10.0);
+        by_push.push(t, t * 10.0);
+    }
+    by_push.freeze();
+    EXPECT_TRUE(by_push.frozen());
+    EXPECT_EQ(by_push.changePoints(), by_set.changePoints());
+    EXPECT_EQ(by_push.changePoints().capacity(), by_push.pointCount());
+    EXPECT_TRUE(by_push.indexConsistent());
+    by_push.freeze();  // idempotent
+    EXPECT_DOUBLE_EQ(by_push.integrate(1.0, 3.0), 10.0 + 20.0);
+    EXPECT_DOUBLE_EQ(by_push.maxOver(0.0, 3.5), 30.0);
 }
 
 TEST(Variable, FirstLastTime)
@@ -235,6 +258,66 @@ TEST(TraceDeath, DuplicateSiblingIsFatal)
     t.addContainer("x", vt::ContainerKind::Host, t.root());
     EXPECT_DEATH(t.addContainer("x", vt::ContainerKind::Host, t.root()),
                  "duplicate");
+}
+
+// Freezing: mutators abort on a frozen trace or variable, slice and
+// closure queries on an unfrozen one.
+
+TEST(TraceDeath, FrozenVariableRefusesMutation)
+{
+    vt::Variable v;
+    v.set(1.0, 2.0);
+    v.set(3.0, 4.0);
+    v.freeze();
+    EXPECT_DEATH(v.set(5.0, 1.0), "frozen variable");
+    EXPECT_DEATH(v.push(5.0, 1.0), "frozen variable");
+    EXPECT_DEATH(v.add(2.0, 1.0), "frozen variable");
+    EXPECT_DEATH(v.sortPoints(), "frozen variable");
+    EXPECT_DEATH(v.compact(), "frozen variable");
+    EXPECT_EQ(v.pointCount(), 2u);
+}
+
+TEST(TraceDeath, FrozenTraceRefusesEveryMutator)
+{
+    vt::TraceBuilder b;
+    vt::ContainerId h1 = b.host("h1");
+    vt::ContainerId h2 = b.host("h2");
+    vt::MetricId power = b.powerMetric();
+    b.set(h1, "power", 0.0, 1.0);
+    vt::Trace t = b.take();
+    ASSERT_TRUE(t.frozen());
+    EXPECT_DEATH(t.addContainer("h3", vt::ContainerKind::Host, t.root()),
+                 "frozen trace");
+    EXPECT_DEATH(t.addMetric("load", "ratio", vt::MetricNature::Gauge),
+                 "frozen trace");
+    EXPECT_DEATH(t.variable(h1, power), "frozen trace");
+    EXPECT_DEATH(t.addRelation(h1, h2), "frozen trace");
+    EXPECT_DEATH(t.addState(h1, 0.0, 1.0, "run"), "frozen trace");
+    // A copy is frozen too.
+    vt::Trace copy = t;
+    EXPECT_TRUE(copy.frozen());
+    EXPECT_DEATH(copy.variable(h2, power), "frozen trace");
+}
+
+TEST(TraceDeath, UnfrozenQueriesAreFatal)
+{
+    vt::Variable v;
+    v.set(1.0, 2.0);
+    EXPECT_DEATH((void)v.integrate(0.0, 2.0), "unfrozen variable");
+    EXPECT_DEATH((void)v.average(0.0, 2.0), "unfrozen variable");
+    EXPECT_DEATH((void)v.maxOver(0.0, 2.0), "unfrozen variable");
+    EXPECT_DEATH((void)v.minOver(0.0, 2.0), "unfrozen variable");
+
+    vt::Trace t;
+    vt::ContainerId h = t.addContainer("h", vt::ContainerKind::Host, t.root());
+    vt::MetricId m = t.addMetric("power", "MFlops",
+                                 vt::MetricNature::Capacity);
+    t.variable(h, m).set(0.0, 1.0);
+    EXPECT_DEATH((void)t.carriers(t.root(), m), "unfrozen trace");
+    EXPECT_DEATH((void)t.cachedSubtree(t.root()), "unfrozen trace");
+    t.freeze();
+    EXPECT_EQ(t.carriers(t.root(), m).size(), 1u);
+    EXPECT_EQ(t.cachedSubtree(t.root()).size(), 2u);
 }
 
 TEST(Trace, SubtreeAndLeaves)
@@ -585,12 +668,14 @@ TEST(TraceIo, OutOfOrderPointsLoadLikeSortedOnes)
 TEST(TraceClosure, CarriersEqualTheirRecomputation)
 {
     for (vt::Trace &t : simulatedTraces()) {
-        t.ensureQueryAcceleration();
+        t.freeze();
         for (vt::ContainerId c{0}; c.index() < t.containerCount(); ++c)
             for (vt::MetricId m{0}; m.index() < t.metricCount(); ++m) {
                 std::span<const vt::Variable *const> cached = t.carriers(c, m);
-                std::vector<const vt::Variable *> fresh =
-                    t.collectCarriers(c, m);
+                std::vector<const vt::Variable *> fresh;
+                for (vt::ContainerId member : t.subtree(c))
+                    if (t.hasVariable(member, m))
+                        fresh.push_back(t.findVariable(member, m));
                 ASSERT_TRUE(std::equal(cached.begin(), cached.end(),
                                        fresh.begin(), fresh.end()))
                     << "container " << c << ", metric " << m;

@@ -37,6 +37,7 @@ TEST(Tracer, RecordsComputeUtilization)
     vs::SimulationRun run(p);
     run.engine.startCompute(vp::HostId{0}, 2000.0, [] {});
     run.engine.run();
+    run.trace.freeze();
 
     const vt::Variable *used = run.trace.findVariable(
         run.mirror.hostContainer[0], run.mirror.powerUsed);
@@ -53,6 +54,7 @@ TEST(Tracer, RecordsLinkUtilization)
     vs::SimulationRun run(p);
     run.engine.startComm(vp::HostId{0}, vp::HostId{1}, 200.0, [] {});  // 2 s at 100 Mbit/s
     run.engine.run();
+    run.trace.freeze();
 
     const vt::Variable *used = run.trace.findVariable(
         run.mirror.linkContainer[0], run.mirror.bandwidthUsed);
@@ -70,6 +72,7 @@ TEST(Tracer, UtilizationNeverExceedsCapacity)
     for (int i = 0; i < 8; ++i)
         run.engine.startComm(vp::HostId{0}, vp::HostId{1}, 25.0, [] {});
     run.engine.run();
+    run.trace.freeze();
 
     const vt::Variable *used = run.trace.findVariable(
         run.mirror.linkContainer[0], run.mirror.bandwidthUsed);
@@ -89,6 +92,7 @@ TEST(Tracer, SkipsRepeatedValues)
     // initial 0 -> exactly one point for it.
     run.engine.startComm(vp::HostId{0}, vp::HostId{1}, 100.0, [] {});
     run.engine.run();
+    run.trace.freeze();
 
     const vt::Variable *idle_host = run.trace.findVariable(
         run.mirror.hostContainer[1], run.mirror.powerUsed);
@@ -104,6 +108,7 @@ TEST(Tracer, PerTagMetricsEmitted)
     run.engine.startCompute(vp::HostId{0}, 1000.0, [] {}, 1);
     run.engine.startCompute(vp::HostId{0}, 500.0, [] {}, 2);
     run.engine.run();
+    run.trace.freeze();
 
     vt::MetricId m_cpu = run.trace.findMetric("power_used:cpu");
     vt::MetricId m_net = run.trace.findMetric("power_used:net");
@@ -133,6 +138,7 @@ TEST(Tracer, NoPerTagMetricsWithoutTags)
     vs::SimulationRun run(p);
     run.engine.startCompute(vp::HostId{0}, 100.0, [] {});
     run.engine.run();
+    run.trace.freeze();
     EXPECT_EQ(run.trace.findMetric("power_used:default"), vt::kNoMetric);
 }
 
@@ -142,6 +148,7 @@ TEST(Tracer, TraceSpanCoversTheRun)
     vs::SimulationRun run(p);
     run.engine.startCompute(vp::HostId{0}, 5000.0, [] {});  // 5 s
     run.engine.run();
+    run.trace.freeze();
     EXPECT_DOUBLE_EQ(run.trace.span().begin, 0.0);
     EXPECT_NEAR(run.trace.span().end, 5.0, 1e-9);
     EXPECT_GT(run.tracer.pointsWritten(), 0u);
