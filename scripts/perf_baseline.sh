@@ -32,5 +32,22 @@ mkdir -p "$WORKDIR"
 
 # Fake-clock exports are noise-free: disable the noise floor so every
 # phase participates in the comparison.
-"$PERFDIFF" --min-ns 0 "$BASELINE" "$WORKDIR/candidate.json"
+REPORT="$WORKDIR/perfdiff.txt"
+status=0
+"$PERFDIFF" --min-ns 0 "$BASELINE" "$WORKDIR/candidate.json" \
+    >"$REPORT" 2>&1 || status=$?
+cat "$REPORT"
+if [ "$status" -ne 0 ]; then
+    exit "$status"
+fi
+
+# viva-perfdiff only notes a phase that one side lacks. Here that means
+# the baseline no longer describes the workload, and the phase would go
+# ungated, so it fails: regenerate the baseline as shown above.
+if grep -q -e "new in the candidate" -e "missing from the candidate" \
+    "$REPORT"; then
+    echo "perf_baseline.sh: the candidate's phases differ from the" \
+        "committed baseline's; regenerate '$BASELINE'" >&2
+    exit 1
+fi
 echo "perf_baseline.sh: candidate matches the committed baseline"

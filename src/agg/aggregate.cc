@@ -37,21 +37,34 @@ namespace
  */
 constexpr std::size_t kLeafChunk = 64;
 
-/** The temporal reduction of one variable over a slice. */
-double
-reduce(const trace::Variable &var, const TimeSlice &slice, TemporalOp top)
+/**
+ * `use(reduce)`, where `reduce(var)` is the temporal reduction `top` of
+ * one variable over `slice`: the operator is chosen once per carrier
+ * list, not once per carrier.
+ */
+template <class Use>
+decltype(auto)
+withReduction(const TimeSlice &slice, TemporalOp top, Use &&use)
 {
     switch (top) {
-      case TemporalOp::Average:
-        return var.average(slice);
       case TemporalOp::Max:
-        return var.maxOver(slice.begin, slice.end);
+        return use([&slice](const trace::Variable &var) {
+            return var.maxOver(slice.begin, slice.end);
+        });
       case TemporalOp::Min:
-        return var.minOver(slice.begin, slice.end);
+        return use([&slice](const trace::Variable &var) {
+            return var.minOver(slice.begin, slice.end);
+        });
       case TemporalOp::Integral:
-        return var.integrate(slice);
+        return use([&slice](const trace::Variable &var) {
+            return var.integrate(slice);
+        });
+      case TemporalOp::Average:
+        break;
     }
-    return 0.0;
+    return use([&slice](const trace::Variable &var) {
+        return var.average(slice);
+    });
 }
 
 /** Partial spatial reduction of one chunk of subtree members. */
@@ -155,10 +168,10 @@ foldValue(const trace::Trace &trace, ContainerId node, MetricId m,
           const TimeSlice &slice, SpatialOp op, TemporalOp top,
           std::size_t threads)
 {
-    std::span<const trace::Variable *const> carried =
-        trace.carriers(node, m);
-    return foldTerms(carried.size(), op, threads, [&](std::size_t i) {
-        return reduce(*carried[i], slice, top);
+    std::span<const trace::Variable> carried = trace.carriers(node, m);
+    return withReduction(slice, top, [&](auto reduce) {
+        return foldTerms(carried.size(), op, threads,
+                         [&](std::size_t i) { return reduce(carried[i]); });
     });
 }
 
@@ -208,8 +221,10 @@ Aggregator::distribution(ContainerId node, MetricId m,
                          const TimeSlice &slice, TemporalOp top) const
 {
     support::Samples samples;
-    for (const trace::Variable *var : tr->carriers(node, m))
-        samples.add(reduce(*var, slice, top));
+    withReduction(slice, top, [&](auto reduce) {
+        for (const trace::Variable &var : tr->carriers(node, m))
+            samples.add(reduce(var));
+    });
     return samples;
 }
 

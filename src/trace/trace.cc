@@ -82,24 +82,6 @@ Trace::Trace()
     nodes.push_back(std::move(root_node));
 }
 
-Trace::Trace(const Trace &other)
-    : nodes(other.nodes), metricTable(other.metricTable),
-      metricByName(other.metricByName), vars(other.vars),
-      rels(other.rels), relSet(other.relSet),
-      stateLog(other.stateLog), isFrozen(other.isFrozen)
-{
-    if (isFrozen)
-        buildClosure();
-}
-
-Trace &
-Trace::operator=(const Trace &other)
-{
-    if (this != &other)
-        *this = Trace(other);
-    return *this;
-}
-
 ContainerId
 Trace::addContainer(const std::string &name, ContainerKind kind,
                     ContainerId parent)
@@ -300,8 +282,32 @@ Trace::variable(ContainerId c, MetricId m)
 const Variable *
 Trace::findVariable(ContainerId c, MetricId m) const
 {
-    auto it = vars.find(varKey(c, m));
-    return it == vars.end() ? nullptr : &it->second;
+    if (!isFrozen) {
+        auto it = vars.find(varKey(c, m));
+        return it == vars.end() ? nullptr : &it->second;
+    }
+    if (c.index() >= nodes.size() || m.index() >= metricTable.size())
+        return nullptr;
+    // A slot holds at most one carrier per metric: its own variable.
+    const std::uint32_t *slot = carrierSlot(c, m);
+    if (slot[1] != slot[0])
+        return &store[slot[0]];
+    auto it = std::lower_bound(emptyKeys.begin(), emptyKeys.end(),
+                               varKey(c, m));
+    if (it == emptyKeys.end() || *it != varKey(c, m))
+        return nullptr;
+    return &store[store.size() - emptyKeys.size() +
+                  std::size_t(it - emptyKeys.begin())];
+}
+
+template <class Visit>
+void
+Trace::forEachVariable(Visit &&visit) const
+{
+    for (const Variable &var : store)
+        visit(var);
+    for (const auto &[key, var] : vars)  // viva-lint: allow(unordered-iter)
+        visit(var);
 }
 
 bool
@@ -316,8 +322,7 @@ Trace::pointCount() const
 {
     std::size_t n = 0;
     // Integer sum: exactly order-independent.
-    for (const auto &[key, var] : vars)  // viva-lint: allow(unordered-iter)
-        n += var.pointCount();
+    forEachVariable([&n](const Variable &var) { n += var.pointCount(); });
     return n;
 }
 
@@ -375,9 +380,10 @@ Trace::span() const
     };
     // min/max hull: exactly commutative, any visit order yields the
     // same bits.
-    for (const auto &[key, var] : vars)  // viva-lint: allow(unordered-iter)
+    forEachVariable([&fold](const Variable &var) {
         if (!var.empty())
             fold(var.firstTime(), var.lastTime());
+    });
     for (const StateRecord &s : stateLog)
         fold(s.begin, s.end);
     return support::Interval(lo, hi);
@@ -388,66 +394,81 @@ Trace::freeze()
 {
     if (isFrozen)
         return;
+    namespace obs = support::obs;
+    obs::Registry &reg = obs::Registry::global();
     {
-        namespace obs = support::obs;
         static const obs::HistogramId phase =
-            obs::Registry::global().histogram("trace.index.build");
+            reg.histogram("trace.closure.build");
         obs::ScopedPhase timer(phase);
 
-        // Sorted key order: the build sequence (and any diagnostics it
-        // may ever emit) is independent of the hash layout.
-        std::vector<std::uint64_t> keys;
-        keys.reserve(vars.size());
-        for (const auto &entry : vars)  // viva-lint: allow(unordered-iter)
-            keys.push_back(entry.first);
-        std::sort(keys.begin(), keys.end());
-        for (std::uint64_t key : keys)
-            vars.at(key).freeze();
+        // Preorder of the whole tree; every subtree is one contiguous
+        // slab of it. Sizes are filled right-to-left so children are
+        // done before their parent.
+        closure.preorder = subtree(root());
+        closure.preIndex.assign(nodes.size(), 0);
+        closure.subtreeSize.assign(nodes.size(), 0);
+        for (std::size_t slot = 0; slot < closure.preorder.size(); ++slot)
+            closure.preIndex[closure.preorder[slot].index()] =
+                std::uint32_t(slot);
+        for (std::size_t slot = closure.preorder.size(); slot-- > 0;) {
+            ContainerId id = closure.preorder[slot];
+            std::uint32_t size = 1;
+            for (ContainerId child : nodes[id.index()].children)
+                size += closure.subtreeSize[child.index()];
+            closure.subtreeSize[id.index()] = size;
+        }
     }
-    buildClosure();
-    isFrozen = true;
-}
 
-void
-Trace::buildClosure()
-{
-    namespace obs = support::obs;
-    static const obs::HistogramId phase =
-        obs::Registry::global().histogram("trace.closure.build");
+    static const obs::HistogramId phase = reg.histogram("trace.index.build");
     obs::ScopedPhase timer(phase);
 
-    // Preorder of the whole tree; every subtree is one contiguous slab
-    // of it. Sizes are filled right-to-left so children are done
-    // before their parent.
-    closure.preorder = subtree(root());
-    closure.preIndex.assign(nodes.size(), 0);
-    closure.subtreeSize.assign(nodes.size(), 0);
-    for (std::size_t slot = 0; slot < closure.preorder.size(); ++slot)
-        closure.preIndex[closure.preorder[slot].index()] =
-            std::uint32_t(slot);
-    for (std::size_t slot = closure.preorder.size(); slot-- > 0;) {
-        ContainerId id = closure.preorder[slot];
-        std::uint32_t size = 1;
-        for (ContainerId child : nodes[id.index()].children)
-            size += closure.subtreeSize[child.index()];
-        closure.subtreeSize[id.index()] = size;
-    }
+    // The variables that never got a point go after the carriers, in
+    // key order, so findVariable still tells them from never-set ones.
+    for (const auto &[key, var] : vars)  // viva-lint: allow(unordered-iter)
+        if (var.empty())
+            emptyKeys.push_back(key);
+    std::sort(emptyKeys.begin(), emptyKeys.end());
 
     // Per metric: the carriers of the whole preorder, one slot at a
-    // time, with the running count before every slot. A subtree's
-    // carrier list is then the run between its slab's bounds.
+    // time, each frozen and moved into the store as it is reached, with
+    // the store size before every slot. A subtree's carrier list is
+    // then the store run between its slab's bounds.
+    //
+    // The fold streams the blocks in this order, so they should lie in
+    // it too, and a block lands in whatever memory was freed last. So
+    // the hash map's nodes, scattered in load order, go only at the
+    // end, and so do the build vectors of short histories (at most
+    // kShortHistory points): their blocks are most carriers and one or
+    // two cache lines each. Long histories hold most points, and their
+    // build vectors go at once, which bounds the memory held twice.
+    constexpr std::size_t kShortHistory = 32;
+    std::vector<std::vector<Variable::Point>> spent;
+    spent.reserve(vars.size());
     const std::size_t slots = closure.preorder.size();
-    closure.carrierVars.clear();
+    store.reserve(vars.size());
     closure.carrierOff.assign(metricTable.size() * (slots + 1), 0);
     for (std::size_t mi = 0; mi < metricTable.size(); ++mi) {
         std::uint32_t *off = closure.carrierOff.data() + mi * (slots + 1);
         for (std::size_t slot = 0; slot < slots; ++slot) {
-            off[slot] = std::uint32_t(closure.carrierVars.size());
-            appendCarriers({closure.preorder.data() + slot, 1},
-                           MetricId::fromIndex(mi), closure.carrierVars);
+            off[slot] = std::uint32_t(store.size());
+            auto it = vars.find(
+                varKey(closure.preorder[slot], MetricId::fromIndex(mi)));
+            if (it == vars.end() || it->second.empty())
+                continue;
+            std::vector<Variable::Point> built = it->second.freeze();
+            if (built.size() <= kShortHistory)
+                spent.push_back(std::move(built));
+            store.push_back(std::move(it->second));
         }
-        off[slots] = std::uint32_t(closure.carrierVars.size());
+        off[slots] = std::uint32_t(store.size());
     }
+    for (std::uint64_t key : emptyKeys) {
+        Variable &var = vars.at(key);
+        var.freeze();
+        store.push_back(std::move(var));
+    }
+    decltype(vars)().swap(vars);
+    isFrozen = true;
 }
 
 std::span<const ContainerId>
@@ -459,18 +480,15 @@ Trace::cachedSubtree(ContainerId id) const
             closure.subtreeSize[id.index()]};
 }
 
-void
-Trace::appendCarriers(std::span<const ContainerId> members, MetricId m,
-                      std::vector<const Variable *> &out) const
+const std::uint32_t *
+Trace::carrierSlot(ContainerId c, MetricId m) const
 {
-    for (ContainerId member : members) {
-        const Variable *var = findVariable(member, m);
-        if (var && !var->empty())
-            out.push_back(var);
-    }
+    return closure.carrierOff.data() +
+           m.index() * (closure.preorder.size() + 1) +
+           closure.preIndex[c.index()];
 }
 
-std::span<const Variable *const>
+std::span<const Variable>
 Trace::carriers(ContainerId c, MetricId m) const
 {
     VIVA_ASSERT(isFrozen, "carriers() on an unfrozen trace");
@@ -479,12 +497,9 @@ Trace::carriers(ContainerId c, MetricId m) const
     // gives (nullptr), so lookups with a failed findMetric stay benign.
     if (m.index() >= metricTable.size())
         return {};
-    const std::uint32_t *off =
-        closure.carrierOff.data() +
-        m.index() * (closure.preorder.size() + 1) +
-        closure.preIndex[c.index()];
+    const std::uint32_t *off = carrierSlot(c, m);
     const std::uint32_t end = off[closure.subtreeSize[c.index()]];
-    return {closure.carrierVars.data() + off[0], end - off[0]};
+    return {store.data() + off[0], end - off[0]};
 }
 
 support::AuditLog
@@ -559,22 +574,15 @@ Trace::auditInvariants() const
         auditFail(log, "metric name index holds ", metricByName.size(),
                   " entries for ", metricTable.size(), " metrics");
 
-    // Variables: valid (container, metric) key, time-sorted points.
-    // Keys are sorted first so the log order is deterministic.
-    std::vector<std::uint64_t> var_keys;
-    var_keys.reserve(vars.size());
-    for (const auto &entry : vars)  // viva-lint: allow(unordered-iter)
-        var_keys.push_back(entry.first);
-    std::sort(var_keys.begin(), var_keys.end());
-    for (std::uint64_t key : var_keys) {
-        ContainerId c = ContainerId::fromIndex(key >> 16);
-        MetricId m = MetricId::fromIndex(key & 0xFFFF);
+    // Variables: valid (container, metric) key, time-sorted points,
+    // an index consistent with them and with the trace's freeze.
+    auto audit_variable = [&](ContainerId c, MetricId m,
+                              const Variable &var) {
         if (c.index() >= nodes.size())
             auditFail(log, "variable key references bad container ", c);
         if (m.index() >= metricTable.size())
             auditFail(log, "variable key references bad metric ", m);
-        const Variable &var = vars.at(key);
-        const auto &points = var.changePoints();
+        std::span<const Variable::Point> points = var.changePoints();
         for (std::size_t i = 1; i < points.size(); ++i)
             if (points[i - 1].time >= points[i].time)
                 auditFail(log, "variable (", c, ", ", m,
@@ -583,7 +591,22 @@ Trace::auditInvariants() const
             auditFail(log, "variable (", c, ", ", m,
                       ") carries a slice index inconsistent with its "
                       "points or with the trace's freeze");
-    }
+    };
+    // Unfrozen, the hash map holds them (keys sorted first so the log
+    // order is deterministic); frozen, the store does, audited with
+    // the closure below.
+    if (isFrozen ? !vars.empty() : !store.empty())
+        auditFail(log, "variables held outside the ",
+                  isFrozen ? "store of a frozen" : "hash map of an unfrozen",
+                  " trace");
+    std::vector<std::uint64_t> var_keys;
+    var_keys.reserve(vars.size());
+    for (const auto &entry : vars)  // viva-lint: allow(unordered-iter)
+        var_keys.push_back(entry.first);
+    std::sort(var_keys.begin(), var_keys.end());
+    for (std::uint64_t key : var_keys)
+        audit_variable(ContainerId::fromIndex(key >> 16),
+                       MetricId::fromIndex(key & 0xFFFF), vars.at(key));
 
     // Relations: valid distinct endpoints, deduplicated.
     for (std::size_t i = 0; i < rels.size(); ++i) {
@@ -611,8 +634,11 @@ Trace::auditInvariants() const
             auditFail(log, "state ", i, " has a reversed interval");
     }
 
-    // Closure: once frozen, every cached subtree and carrier list must
-    // equal an independent recomputation from the hierarchy.
+    // Closure: once frozen, every cached subtree must equal an
+    // independent recomputation from the hierarchy, and the store must
+    // hold, metric after metric, one non-empty variable per slot whose
+    // carrier count steps, then the empty ones under their keys, so
+    // that every carrier list is one run of it.
     if (isFrozen) {
         if (closure.preIndex.size() != nodes.size() ||
             closure.subtreeSize.size() != nodes.size() ||
@@ -628,23 +654,58 @@ Trace::auditInvariants() const
             std::span<const ContainerId> cached = cachedSubtree(id);
             if (cached.size() != expect.size() ||
                 !std::equal(cached.begin(), cached.end(),
-                            expect.begin())) {
+                            expect.begin()))
                 auditFail(log, "cached subtree of container ", ni,
                           " disagrees with the hierarchy");
-                continue;
+        }
+        const std::size_t slots = closure.preorder.size();
+        std::uint32_t carried = 0;
+        for (std::size_t mi = 0; mi < metricTable.size(); ++mi) {
+            MetricId m = MetricId::fromIndex(mi);
+            const std::uint32_t *off =
+                closure.carrierOff.data() + mi * (slots + 1);
+            if (off[0] != carried)
+                auditFail(log, "carriers of metric ", mi,
+                          " do not start where metric ", mi - 1,
+                          "'s carriers end");
+            for (std::size_t slot = 0; slot < slots; ++slot) {
+                if (off[slot + 1] < off[slot] ||
+                    off[slot + 1] - off[slot] > 1 ||
+                    off[slot + 1] > store.size()) {
+                    auditFail(log, "carrier offsets of metric ", mi,
+                              " break at preorder slot ", slot);
+                    return log;
+                }
+                if (off[slot + 1] == off[slot])
+                    continue;
+                const Variable &var = store[off[slot]];
+                if (var.empty())
+                    auditFail(log, "carrier (", closure.preorder[slot],
+                              ", ", m, ") holds no point");
+                audit_variable(closure.preorder[slot], m, var);
             }
-            for (std::size_t mi = 0; mi < metricTable.size(); ++mi) {
-                MetricId m = MetricId::fromIndex(mi);
-                std::vector<const Variable *> expect_vars;
-                appendCarriers(expect, m, expect_vars);
-                std::span<const Variable *const> cached_vars =
-                    carriers(id, m);
-                if (cached_vars.size() != expect_vars.size() ||
-                    !std::equal(cached_vars.begin(), cached_vars.end(),
-                                expect_vars.begin()))
-                    auditFail(log, "cached carriers of (", ni, ", ", mi,
-                              ") disagree with the variables");
-            }
+            carried = off[slots];
+        }
+        if (store.size() != carried + emptyKeys.size()) {
+            auditFail(log, "store holds ", store.size(), " variables for ",
+                      carried, " carriers and ", emptyKeys.size(),
+                      " empty ones");
+            return log;
+        }
+        for (std::size_t i = 0; i < emptyKeys.size(); ++i) {
+            ContainerId c = ContainerId::fromIndex(emptyKeys[i] >> 16);
+            MetricId m = MetricId::fromIndex(emptyKeys[i] & 0xFFFF);
+            if (i > 0 && emptyKeys[i - 1] >= emptyKeys[i])
+                auditFail(log, "empty variable keys are not sorted at ", i);
+            const Variable &var = store[carried + i];
+            if (!var.empty())
+                auditFail(log, "empty variable (", c, ", ", m,
+                          ") holds points");
+            audit_variable(c, m, var);
+            if (c.index() < nodes.size() && m.index() < metricTable.size() &&
+                carrierSlot(c, m)[1] != carrierSlot(c, m)[0])
+                auditFail(log, "empty variable (", c, ", ", m,
+                          ") shadows a carrier");
         }
     }
     return log;

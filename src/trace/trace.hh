@@ -53,13 +53,12 @@ class Trace
     Trace();
 
     /**
-     * A copy of a frozen trace is frozen and rebuilds its own closure:
-     * the closure holds Variable pointers into this trace's storage,
-     * which a copy must not share. Moves keep it (unordered_map nodes
-     * keep their addresses across a move).
+     * A plain copy: a frozen trace's store holds its variables by
+     * value and its closure only indices, so a copy of a frozen trace
+     * is frozen and shares nothing with the original.
      */
-    Trace(const Trace &other);
-    Trace &operator=(const Trace &other);
+    Trace(const Trace &) = default;
+    Trace &operator=(const Trace &) = default;
     Trace(Trace &&) = default;
     Trace &operator=(Trace &&) = default;
     ~Trace() = default;
@@ -145,14 +144,19 @@ class Trace
     /** The variable for (container, metric), created on first access. */
     Variable &variable(ContainerId c, MetricId m);
 
-    /** The variable for (container, metric), or nullptr if never set. */
+    /**
+     * The variable for (container, metric), or nullptr if never set.
+     * On a frozen trace this reads the closure slabs (an empty
+     * variable, one created but never given a point, is found among
+     * `emptyKeys`).
+     */
     const Variable *findVariable(ContainerId c, MetricId m) const;
 
     /** True when at least one point was recorded for (container, metric). */
     bool hasVariable(ContainerId c, MetricId m) const;
 
     /** Number of (container, metric) variables materialized. */
-    std::size_t variableCount() const { return vars.size(); }
+    std::size_t variableCount() const { return store.size() + vars.size(); }
 
     /** Total number of change points across all variables. */
     std::size_t pointCount() const;
@@ -185,14 +189,16 @@ class Trace
     // --- freezing ---------------------------------------------------------
 
     /**
-     * Make the trace immutable and queryable: freeze every variable
-     * (sort, trim, build its slice index; see Variable::freeze) in
-     * sorted (container, metric) key order, then build the hierarchy
-     * closure (the preorder subtree of every container and the carrier
-     * list of every (container, metric)). Idempotent. Every mutator
-     * aborts on a frozen trace; carriers() and cachedSubtree() abort
-     * on an unfrozen one. Readers, TraceBuilder::take() and Session
-     * freeze; builders such as sim::Tracer and mirrorPlatform do not.
+     * Make the trace immutable and queryable: build the hierarchy
+     * closure (the preorder subtree of every container), then move
+     * every variable out of the hash map into `store` in fold order,
+     * freezing each on the way (sort, one allocation for its points
+     * and slice index; see Variable::freeze), so the carrier list of
+     * every (container, metric) is one run of the store. Idempotent.
+     * Every mutator aborts on a frozen trace; carriers() and
+     * cachedSubtree() abort on an unfrozen one. Readers,
+     * TraceBuilder::take() and Session freeze; builders such as
+     * sim::Tracer and mirrorPlatform do not.
      */
     void freeze();
 
@@ -209,12 +215,13 @@ class Trace
     /**
      * The carrier list of (c, m): the non-empty variables carrying
      * metric m inside the subtree of c, in preorder -- the sequence
-     * the Eq.-1 fold reduces. Requires a frozen trace. An out-of-range
-     * metric (e.g. a failed findMetric) yields an empty span, matching
-     * findVariable's nullptr.
+     * the Eq.-1 fold reduces, contiguous in the store. Every member
+     * counts, not just leaves: traces may attach measurements at any
+     * level. Requires a frozen trace. An out-of-range metric (e.g. a
+     * failed findMetric) yields an empty span, matching findVariable's
+     * nullptr.
      */
-    std::span<const Variable *const> carriers(ContainerId c,
-                                              MetricId m) const;
+    std::span<const Variable> carriers(ContainerId c, MetricId m) const;
 
     // --- auditing ---------------------------------------------------------
 
@@ -237,17 +244,18 @@ class Trace
 
   private:
     /**
-     * The one definition of a carrier list: append the non-empty
-     * variables carrying m among `members` (a preorder subtree span),
-     * in member order. Every member counts, not just leaves: traces
-     * may attach measurements at any level. The closure build and the
-     * audit both derive their lists here.
+     * (c, m)'s entry in `carrierOff`: the store index of the first
+     * carrier at or after c's preorder slot; the next entry is the one
+     * after the slot. Requires a frozen trace and valid ids.
      */
-    void appendCarriers(std::span<const ContainerId> members, MetricId m,
-                        std::vector<const Variable *> &out) const;
+    const std::uint32_t *carrierSlot(ContainerId c, MetricId m) const;
 
-    /** Build `closure` from the hierarchy and the variables. */
-    void buildClosure();
+    /**
+     * Visit every variable, frozen or not (the store and the hash map;
+     * one of them is always empty), in no particular order.
+     */
+    template <class Visit>
+    void forEachVariable(Visit &&visit) const;
 
     static std::uint64_t
     varKey(ContainerId c, MetricId m)
@@ -267,27 +275,35 @@ class Trace
      * The hierarchy-closure cache. `preorder` is the root-first DFS
      * order of the whole tree; a container's subtree is the contiguous
      * slab preorder[preIndex[c] .. preIndex[c] + subtreeSize[c]).
-     * `carrierVars` holds, metric after metric, the carrier list of
-     * the whole preorder, so each carrier appears once. Per metric m,
-     * `carrierOff[m * (preorder.size() + 1) + s]` counts the carriers before
-     * preorder slot s (offset by the metric's start), and the carrier
-     * list of a subtree is the run between its slab's two bounds.
-     * Pointers reference `vars` storage, so a copy rebuilds it. Built
-     * by freeze(), after which nothing can change what it records.
+     * Per metric m, `carrierOff[m * (preorder.size() + 1) + s]` is the
+     * store index of the first carrier at or after preorder slot s, so
+     * the carrier list of a subtree is the store run between its
+     * slab's two bounds, and a slot whose two bounds differ carries
+     * its own variable there. Indices only: a copy is a plain copy.
+     * Built by freeze(), after which nothing can change what it
+     * records.
      */
     struct Closure
     {
         std::vector<ContainerId> preorder;
         std::vector<std::uint32_t> preIndex;
         std::vector<std::uint32_t> subtreeSize;
-        std::vector<const Variable *> carrierVars;
         std::vector<std::uint32_t> carrierOff;
     };
 
     std::vector<Container> nodes;
     std::vector<Metric> metricTable;
     std::unordered_map<std::string, MetricId> metricByName;
+    /** The variables while the trace is built; empty once frozen. */
     std::unordered_map<std::uint64_t, Variable> vars;
+    /**
+     * The frozen variables in fold order: metric after metric, the
+     * non-empty ones in preorder (each carrier once), then the empty
+     * ones in `emptyKeys` order. Empty until freeze().
+     */
+    std::vector<Variable> store;
+    /** Sorted keys of the frozen variables that hold no point. */
+    std::vector<std::uint64_t> emptyKeys;
     std::vector<Relation> rels;
     std::unordered_set<std::uint64_t> relSet;
     std::vector<StateRecord> stateLog;

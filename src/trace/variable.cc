@@ -7,6 +7,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <new>
+#include <utility>
 
 #include "support/logging.hh"
 
@@ -15,6 +18,12 @@ namespace viva::trace
 
 namespace
 {
+
+using Point = Variable::Point;
+
+// The index doubles follow the points in one block, so a point's size
+// must keep them aligned.
+static_assert(sizeof(Point) % alignof(double) == 0);
 
 constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
@@ -42,19 +51,155 @@ tableSize(std::size_t n)
     return levelOffset(n, std::size_t(std::bit_width(n)));
 }
 
+/** Doubles of the index over n points: cum, then the max and min tables. */
+std::size_t
+indexSize(std::size_t n)
+{
+    return n + 2 * tableSize(blockCount(n));
+}
+
+/** Bytes of a frozen block over n points: the points, then the index. */
+std::size_t
+blockBytes(std::size_t n)
+{
+    return n * sizeof(Point) + indexSize(n) * sizeof(double);
+}
+
+/**
+ * How many leading points satisfy `before`, the points being
+ * partitioned by it (all that do come first): std::partition_point's
+ * answer. Each step selects the half with a conditional move rather
+ * than a branch: where a slice bound falls among a variable's points
+ * is as good as random to the branch predictor, and the Eq.-1 fold
+ * asks twice per carrier.
+ */
+template <class Before>
+std::size_t
+countBefore(std::span<const Point> pts, Before before)
+{
+    if (pts.empty())
+        return 0;
+    const Point *base = pts.data();
+    std::size_t len = pts.size();
+    while (len > 1) {
+        const std::size_t half = len / 2;
+        base = before(base[half]) ? base + half : base;
+        len -= half;
+    }
+    return std::size_t(base - pts.data()) + (before(*base) ? 1 : 0);
+}
+
+/** Index of the last point with time <= t, or npos. */
+std::size_t
+indexAt(std::span<const Point> pts, double t)
+{
+    // The points not strictly after t, as std::upper_bound counts them.
+    std::size_t upto =
+        countBefore(pts, [t](const Point &p) { return !(t < p.time); });
+    return upto == 0 ? npos : upto - 1;
+}
+
+/** The index over pts[0 .. n) into out[0 .. indexSize(n)). */
+void
+computeIndex(const Point *pts, std::size_t n, double *out)
+{
+    const std::size_t m = blockCount(n);
+    const std::size_t table = tableSize(m);
+    double *cum = out;
+    if (n > 0)
+        cum[0] = 0.0;
+    for (std::size_t i = 1; i < n; ++i)
+        cum[i] = cum[i - 1] +
+                 pts[i - 1].value * (pts[i].time - pts[i - 1].time);
+
+    double *max_tab = out + n;
+    double *min_tab = max_tab + table;
+    for (std::size_t b = 0; b < m; ++b) {
+        const std::size_t lo = b * kBlock;
+        const std::size_t hi = std::min(n, lo + kBlock);
+        double mx = pts[lo].value;
+        double mn = pts[lo].value;
+        for (std::size_t i = lo + 1; i < hi; ++i) {
+            mx = std::max(mx, pts[i].value);
+            mn = std::min(mn, pts[i].value);
+        }
+        max_tab[b] = mx;
+        min_tab[b] = mn;
+    }
+    const std::size_t levels = std::size_t(std::bit_width(m));
+    for (std::size_t k = 1; k < levels; ++k) {
+        const std::size_t w = std::size_t(1) << k;
+        const std::size_t prev = levelOffset(m, k - 1);
+        const std::size_t cur = levelOffset(m, k);
+        for (std::size_t i = 0; i + w <= m; ++i) {
+            max_tab[cur + i] =
+                std::max(max_tab[prev + i], max_tab[prev + i + w / 2]);
+            min_tab[cur + i] =
+                std::min(min_tab[prev + i], min_tab[prev + i + w / 2]);
+        }
+    }
+}
+
 } // namespace
 
-std::size_t
-Variable::indexAt(double t) const
+Variable::Variable(const Variable &other)
+    : points(other.points), count(other.count), isFrozen(other.isFrozen)
 {
-    // upper_bound returns the first point strictly after t.
-    auto it = std::upper_bound(points.begin(), points.end(), t,
-                               [](double lhs, const Point &p) {
-                                   return lhs < p.time;
-                               });
-    if (it == points.begin())
-        return npos;
-    return std::size_t(it - points.begin()) - 1;
+    if (other.block) {
+        const std::size_t bytes = blockBytes(count);
+        block = std::make_unique_for_overwrite<std::byte[]>(bytes);
+        std::memcpy(block.get(), other.block.get(), bytes);
+    }
+}
+
+Variable &
+Variable::operator=(const Variable &other)
+{
+    if (this != &other)
+        *this = Variable(other);
+    return *this;
+}
+
+Variable::Variable(Variable &&other) noexcept
+    : points(std::move(other.points)), block(std::move(other.block)),
+      count(std::exchange(other.count, 0)),
+      isFrozen(std::exchange(other.isFrozen, false))
+{
+}
+
+Variable &
+Variable::operator=(Variable &&other) noexcept
+{
+    points = std::move(other.points);
+    block = std::move(other.block);
+    count = std::exchange(other.count, 0);
+    isFrozen = std::exchange(other.isFrozen, false);
+    return *this;
+}
+
+// A block holds no objects until freeze() writes them; the objects its
+// bytes implicitly create are reached through std::launder.
+const Point *
+Variable::frozenPoints() const
+{
+    return std::launder(reinterpret_cast<const Point *>(block.get()));
+}
+
+const double *
+Variable::frozenIndex() const
+{
+    return std::launder(reinterpret_cast<const double *>(
+        block.get() + count * sizeof(Point)));
+}
+
+std::span<const Point>
+Variable::changePoints() const
+{
+    if (!isFrozen)
+        return points;
+    if (count == 0)
+        return {};
+    return {frozenPoints(), count};
 }
 
 void
@@ -122,30 +267,32 @@ Variable::add(double t, double dv)
 double
 Variable::valueAt(double t) const
 {
-    std::size_t i = indexAt(t);
-    return i == npos ? 0.0 : points[i].value;
+    std::span<const Point> pts = changePoints();
+    std::size_t i = indexAt(pts, t);
+    return i == npos ? 0.0 : pts[i].value;
 }
 
-double
+inline double
 Variable::integral(double a, double b) const
 {
-    if (points.empty() || a == b)
+    if (count == 0 || a == b)
         return 0.0;
 
-    std::size_t ia = indexAt(a);
-    std::size_t ib = indexAt(b);
+    const Point *pts = frozenPoints();
+    std::size_t ia = indexAt({pts, count}, a);
+    std::size_t ib = indexAt({pts, count}, b);
     // Both bounds inside one segment (or before the first point): a
     // single multiply, with no prefix-difference cancellation.
     if (ia == ib)
-        return (ia == npos ? 0.0 : points[ia].value) * (b - a);
+        return (ia == npos ? 0.0 : pts[ia].value) * (b - a);
     // First partial segment, the whole segments between (a prefix
     // difference), then the last partial segment.
     std::size_t first = (ia == npos) ? 0 : ia + 1;
     double total =
-        ia == npos ? 0.0 : points[ia].value * (points[first].time - a);
-    const double *cum = index.data();
+        ia == npos ? 0.0 : pts[ia].value * (pts[first].time - a);
+    const double *cum = frozenIndex();
     total += cum[ib] - cum[first];
-    total += points[ib].value * (b - points[ib].time);
+    total += pts[ib].value * (b - pts[ib].time);
     return total;
 }
 
@@ -169,20 +316,19 @@ Variable::average(double a, double b) const
 
 template <class Pick>
 double
-Variable::extremum(double a, double b, const double *table,
+Variable::extremum(double a, double b, std::size_t table_at,
                    Pick pick) const
 {
-    std::size_t i = indexAt(a);
-    double best = i == npos ? 0.0 : points[i].value;
-    // The points strictly inside (a, b) -- the set a scan visits --
+    if (count == 0)
+        return 0.0;
+    const Point *pts = frozenPoints();
+    std::size_t i = indexAt({pts, count}, a);
+    double best = i == npos ? 0.0 : pts[i].value;
+    // The pts strictly inside (a, b) -- the set a scan visits --
     // are [lo, end).
     std::size_t lo = (i == npos) ? 0 : i + 1;
-    std::size_t end = std::size_t(
-        std::lower_bound(points.begin(), points.end(), b,
-                         [](const Point &p, double rhs) {
-                             return p.time < rhs;
-                         }) -
-        points.begin());
+    std::size_t end = countBefore(
+        {pts, count}, [b](const Point &p) { return p.time < b; });
     if (lo >= end)
         return best;
     // Left to right, as a scan would pick: the partial block at each
@@ -194,11 +340,12 @@ Variable::extremum(double a, double b, const double *table,
     const std::size_t bh = hi / kBlock;
     const std::size_t left_end = bl == bh ? end : (bl + 1) * kBlock;
     for (std::size_t k = lo; k < left_end; ++k)
-        best = pick(best, points[k].value);
+        best = pick(best, pts[k].value);
     if (bl == bh)
         return best;
     if (bl + 1 < bh) {
-        const std::size_t m = blockCount(points.size());
+        const std::size_t m = blockCount(count);
+        const double *table = frozenIndex() + table_at;
         const std::size_t first = bl + 1;
         const std::size_t len = bh - first;
         const std::size_t k = std::size_t(std::bit_width(len)) - 1;
@@ -207,7 +354,7 @@ Variable::extremum(double a, double b, const double *table,
                                level[bh - (std::size_t(1) << k)]));
     }
     for (std::size_t k = bh * kBlock; k <= hi; ++k)
-        best = pick(best, points[k].value);
+        best = pick(best, pts[k].value);
     return best;
 }
 
@@ -215,7 +362,7 @@ double
 Variable::maxOver(double a, double b) const
 {
     VIVA_ASSERT(isFrozen, "maxOver() on an unfrozen variable");
-    return extremum(a, b, index.data() + points.size(),
+    return extremum(a, b, count,
                     [](double x, double y) { return std::max(x, y); });
 }
 
@@ -223,87 +370,62 @@ double
 Variable::minOver(double a, double b) const
 {
     VIVA_ASSERT(isFrozen, "minOver() on an unfrozen variable");
-    return extremum(a, b,
-                    index.data() + points.size() +
-                        tableSize(blockCount(points.size())),
+    return extremum(a, b, count + tableSize(blockCount(count)),
                     [](double x, double y) { return std::min(x, y); });
 }
 
-void
-Variable::computeIndex(std::vector<double> &out) const
-{
-    const std::size_t n = points.size();
-    const std::size_t m = blockCount(n);
-    const std::size_t table = tableSize(m);
-    out.assign(n + 2 * table, 0.0);
-    double *cum = out.data();
-    for (std::size_t i = 1; i < n; ++i)
-        cum[i] = cum[i - 1] +
-                 points[i - 1].value * (points[i].time - points[i - 1].time);
-
-    double *max_tab = out.data() + n;
-    double *min_tab = max_tab + table;
-    for (std::size_t b = 0; b < m; ++b) {
-        const std::size_t lo = b * kBlock;
-        const std::size_t hi = std::min(n, lo + kBlock);
-        double mx = points[lo].value;
-        double mn = points[lo].value;
-        for (std::size_t i = lo + 1; i < hi; ++i) {
-            mx = std::max(mx, points[i].value);
-            mn = std::min(mn, points[i].value);
-        }
-        max_tab[b] = mx;
-        min_tab[b] = mn;
-    }
-    const std::size_t levels = std::size_t(std::bit_width(m));
-    for (std::size_t k = 1; k < levels; ++k) {
-        const std::size_t w = std::size_t(1) << k;
-        const std::size_t prev = levelOffset(m, k - 1);
-        const std::size_t cur = levelOffset(m, k);
-        for (std::size_t i = 0; i + w <= m; ++i) {
-            max_tab[cur + i] =
-                std::max(max_tab[prev + i], max_tab[prev + i + w / 2]);
-            min_tab[cur + i] =
-                std::min(min_tab[prev + i], min_tab[prev + i + w / 2]);
-        }
-    }
-}
-
-void
+std::vector<Point>
 Variable::freeze()
 {
     if (isFrozen)
-        return;
+        return {};
     if (std::adjacent_find(points.begin(), points.end(),
                            [](const Point &x, const Point &y) {
                                return x.time >= y.time;
                            }) != points.end())
         sortPoints();
-    points.shrink_to_fit();
-    computeIndex(index);
+    count = points.size();
+    if (count > 0) {
+        // One allocation: the points, then their index.
+        block =
+            std::make_unique_for_overwrite<std::byte[]>(blockBytes(count));
+        std::copy(points.begin(), points.end(),
+                  std::launder(reinterpret_cast<Point *>(block.get())));
+        computeIndex(frozenPoints(), count,
+                     std::launder(reinterpret_cast<double *>(
+                         block.get() + count * sizeof(Point))));
+    }
     isFrozen = true;
+    return std::exchange(points, {});
 }
 
 bool
 Variable::indexConsistent() const
 {
     if (!isFrozen)
-        return index.empty();
-    std::vector<double> ref;
-    computeIndex(ref);
-    return index == ref;
+        return !block;
+    if (!points.empty() || bool(block) != (count > 0))
+        return false;
+    if (count == 0)
+        return true;
+    std::vector<double> ref(indexSize(count));
+    computeIndex(frozenPoints(), count, ref.data());
+    return std::memcmp(ref.data(), frozenIndex(),
+                       ref.size() * sizeof(double)) == 0;
 }
 
 double
 Variable::firstTime() const
 {
-    return points.empty() ? 0.0 : points.front().time;
+    std::span<const Point> pts = changePoints();
+    return pts.empty() ? 0.0 : pts.front().time;
 }
 
 double
 Variable::lastTime() const
 {
-    return points.empty() ? 0.0 : points.back().time;
+    std::span<const Point> pts = changePoints();
+    return pts.empty() ? 0.0 : pts.back().time;
 }
 
 std::size_t

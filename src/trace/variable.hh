@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "support/interval.hh"
@@ -32,6 +34,15 @@ class Variable
         double value;
         bool operator==(const Point &other) const = default;
     };
+
+    Variable() = default;
+    /** Copies the frozen block, if any, into one new allocation. */
+    Variable(const Variable &other);
+    Variable &operator=(const Variable &other);
+    /** A moved-from variable is empty and unfrozen. */
+    Variable(Variable &&other) noexcept;
+    Variable &operator=(Variable &&other) noexcept;
+    ~Variable() = default;
 
     /** Set the value from time t on. Replaces an existing point at t. */
     void set(double t, double v);
@@ -108,13 +119,19 @@ class Variable
     double lastTime() const;
 
     /** Number of change points. */
-    std::size_t pointCount() const { return points.size(); }
+    std::size_t pointCount() const
+    {
+        return isFrozen ? count : points.size();
+    }
 
     /** True when no change point has been recorded. */
-    bool empty() const { return points.empty(); }
+    bool empty() const { return pointCount() == 0; }
 
-    /** The raw change points, sorted by time. */
-    const std::vector<Point> &changePoints() const { return points; }
+    /**
+     * The raw change points: sorted by time once frozen (or when only
+     * set() and in-order push() built them).
+     */
+    std::span<const Point> changePoints() const;
 
     /**
      * Remove successive points with equal values (produced e.g. by a
@@ -127,13 +144,16 @@ class Variable
 
     /**
      * Make the variable immutable and queryable: restore time order if
-     * push() broke it, trim the point vector to size and build the
-     * slice-query index (see `index`). Sequential, deterministic and
-     * idempotent. Mutators abort on a frozen variable; the slice
-     * queries integrate/average/maxOver/minOver abort on an unfrozen
-     * one.
+     * push() broke it, then copy the points into one allocation (see
+     * `block`) and build the slice-query index behind them. Hands back
+     * the build-time vector, which the variable no longer holds:
+     * dropping it frees it, and a caller freezing many variables may
+     * choose when. Sequential, deterministic and idempotent (a second
+     * call returns an empty vector). Mutators abort on a frozen
+     * variable; the slice queries integrate/average/maxOver/minOver
+     * abort on an unfrozen one.
      */
-    void freeze();
+    std::vector<Point> freeze();
 
     /** True once freeze() has run. */
     bool frozen() const { return isFrozen; }
@@ -146,8 +166,11 @@ class Variable
     bool indexConsistent() const;
 
   private:
-    /** Index of the last point with time <= t, or npos. */
-    std::size_t indexAt(double t) const;
+    /** The frozen points, block[0 .. count) as Points. */
+    const Point *frozenPoints() const;
+
+    /** The frozen index, the doubles after the points (see `block`). */
+    const double *frozenIndex() const;
 
     /**
      * The indexed integral over [a, b), behind integrate() and
@@ -157,31 +180,34 @@ class Variable
 
     /**
      * maxOver/minOver over [a, b) with `pick` (std::max or std::min)
-     * and its block table (see `index`): the value at a, then the
-     * points strictly inside (a, b) folded left to right.
+     * and its block table, which starts `table_at` doubles into the
+     * index (see `block`): the value at a, then the points strictly
+     * inside (a, b) folded left to right.
      */
     template <class Pick>
-    double extremum(double a, double b, const double *table,
+    double extremum(double a, double b, std::size_t table_at,
                     Pick pick) const;
 
-    /** Recompute the index from `points` into `out`. */
-    void computeIndex(std::vector<double> &out) const;
-
+    /** The build-time change points; empty once frozen. */
     std::vector<Point> points;
 
     /**
-     * The slice-query index in one allocation, laid out from the point
-     * count n alone. First cum[0 .. n), where cum[i] is the exact
-     * integral from points[0].time to points[i].time. Then a sparse
-     * table over the maxima of the m = ceil(n / 32) blocks of 32
-     * points (kBlock in variable.cc), then the same over the minima.
-     * Level 0 of a table holds the m block extrema; level k holds the
-     * m - 2^k + 1 extrema of 2^k blocks starting at each block, up to
-     * level bit_width(m) - 1. So the index holds n + 2 S(m) doubles,
-     * with S(m) = sum over k of (m - 2^k + 1) and
+     * A frozen variable's points and slice-query index in one
+     * allocation (none when it has no point), laid out from the point
+     * count n alone. First the n points. Then the index: cum[0 .. n),
+     * where cum[i] is the exact integral from the first point's time
+     * to point i's, then a sparse table over the maxima of the
+     * m = ceil(n / 32) blocks of 32 points (kBlock in variable.cc),
+     * then the same over the minima. Level 0 of a table holds the m
+     * block extrema; level k holds the m - 2^k + 1 extrema of 2^k
+     * blocks starting at each block, up to level bit_width(m) - 1. So
+     * the index holds n + 2 S(m) doubles, with
+     * S(m) = sum over k of (m - 2^k + 1) and
      * 2 S(m) about (n / 16) log2(n / 32): O(n).
      */
-    std::vector<double> index;
+    std::unique_ptr<std::byte[]> block;
+    /** The frozen point count n (0 while unfrozen). */
+    std::size_t count = 0;
     bool isFrozen = false;
 };
 

@@ -4,19 +4,25 @@
  * temporal reductions) and of the hierarchy closure behind the
  * parallel Equation-1 fold: integrals must agree with the reference
  * scans to 1e-12 relative error, extrema bit for bit; every mutation
- * made before freeze() must reach the index and the closure; and a
- * copied trace must aggregate exactly like its original.
+ * made before freeze() must reach the index and the closure; a
+ * copied trace must aggregate exactly like its original; and the
+ * carrier-ordered store must fold, look up and copy exactly like the
+ * variables it was frozen from.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "agg/aggregate.hh"
 #include "agg/hierarchy_cut.hh"
+#include "support/obs.hh"
 #include "support/random.hh"
 #include "trace/builder.hh"
 #include "trace/trace.hh"
@@ -365,11 +371,11 @@ TEST(ClosureCache, CarriersMatchFindVariable)
                     f.trace.findVariable(member, f.power);
                 v && !v->empty())
                 fresh.push_back(v);
-        std::span<const vt::Variable *const> cached =
+        std::span<const vt::Variable> cached =
             f.trace.carriers(id, f.power);
         ASSERT_EQ(cached.size(), fresh.size());
         for (std::size_t i = 0; i < fresh.size(); ++i)
-            EXPECT_EQ(cached[i], fresh[i]);
+            EXPECT_EQ(&cached[i], fresh[i]);
         // A metric nobody carries has an empty list everywhere.
         EXPECT_TRUE(f.trace.carriers(id, f.idle).empty());
     }
@@ -379,8 +385,8 @@ TEST(ClosureCache, MutationInvalidatesAndFallbackStaysCorrect)
 {
     // A frozen closure cannot go stale: every mutator aborts on a
     // frozen trace (TraceDeath.FrozenTraceRefusesEveryMutator). A
-    // mutation made before freeze() reaches the answers, and a copy,
-    // which rebuilds its closure, gives the same ones.
+    // mutation made before freeze() reaches the answers, and a plain
+    // copy of the frozen trace gives the same ones.
     vt::Trace t;
     vt::ContainerId s = t.addContainer("s", vt::ContainerKind::Site,
                                        t.root());
@@ -432,9 +438,10 @@ TEST(ClosureCache, EveryMutatorBumpsTheVersion)
     EXPECT_TRUE(frozen.auditInvariants().empty());
     EXPECT_EQ(frozen.cachedSubtree(s).size(), 3u);
     ASSERT_EQ(frozen.carriers(s, power).size(), 2u);
-    EXPECT_EQ(frozen.carriers(s, power)[1], frozen.findVariable(h2, power));
+    EXPECT_EQ(&frozen.carriers(s, power)[1],
+              frozen.findVariable(h2, power));
     ASSERT_EQ(frozen.carriers(s, load).size(), 1u);
-    EXPECT_EQ(frozen.carriers(s, load)[0], frozen.findVariable(h2, load));
+    EXPECT_EQ(&frozen.carriers(s, load)[0], frozen.findVariable(h2, load));
     EXPECT_TRUE(frozen.carriers(h1, load).empty());
     EXPECT_EQ(frozen.relations().size(), 1u);
     EXPECT_EQ(frozen.states().size(), 1u);
@@ -451,16 +458,16 @@ const va::TemporalOp kTemporalOps[] = {
 
 TEST(ClosureCache, CachedAndFallbackAggregationsAgreeOnAllOps)
 {
-    // The closure take() built against the one a copy rebuilds over its
-    // own variables: every aggregate must be bitwise equal.
+    // The store take() built against a plain copy of it, which holds
+    // its own variables: every aggregate must be bitwise equal.
     ClosureFixture f;
     const vt::Trace copy = f.trace;
     ASSERT_TRUE(copy.frozen());
     EXPECT_TRUE(copy.auditInvariants().empty());
     ASSERT_EQ(copy.carriers(copy.root(), f.power).size(), 4u);
-    EXPECT_EQ(copy.carriers(copy.root(), f.power)[0],
+    EXPECT_EQ(&copy.carriers(copy.root(), f.power)[0],
               copy.findVariable(f.h1, f.power));
-    EXPECT_NE(copy.carriers(copy.root(), f.power)[0],
+    EXPECT_NE(&copy.carriers(copy.root(), f.power)[0],
               f.trace.findVariable(f.h1, f.power));
 
     va::Aggregator original(f.trace);
@@ -498,5 +505,282 @@ TEST(ClosureCache, DistributionAgreesCachedAndStale)
             for (std::size_t i = 0; i < a.count(); ++i)
                 EXPECT_EQ(a.data()[i], b.data()[i]);
         }
+    }
+}
+
+// --- the carrier-ordered variable store ------------------------------------
+
+namespace
+{
+
+/**
+ * A random grid (3 sites x 3 clusters x 30 hosts) with three metrics:
+ * power on most hosts with up to 100 points, so slices cross 32-point
+ * blocks and the root and site folds run over more than one 64-carrier
+ * chunk; load on some clusters and hosts; "idle" on nobody. A variable
+ * drawn with no point is created and left empty. Values are
+ * non-negative, so no fold cancels and a relative tolerance holds.
+ */
+vt::Trace
+randomGrid(std::uint64_t seed)
+{
+    viva::support::Rng rng(seed);
+    vt::Trace t;
+    vt::MetricId power =
+        t.addMetric("power", "MFlops", vt::MetricNature::Capacity);
+    vt::MetricId load = t.addMetric("load", "ratio", vt::MetricNature::Gauge);
+    t.addMetric("idle", "ratio", vt::MetricNature::Gauge);
+    auto fill = [&](vt::ContainerId c, vt::MetricId m, std::int64_t n) {
+        vt::Variable &v = t.variable(c, m);
+        double time = 0.0;
+        for (std::int64_t i = 0; i < n; ++i) {
+            time += rng.uniform(0.01, 2.0);
+            v.set(time, rng.uniform(0.0, 100.0));
+        }
+    };
+    for (int s = 0; s < 3; ++s) {
+        vt::ContainerId site = t.addContainer(
+            "s" + std::to_string(s), vt::ContainerKind::Site, t.root());
+        for (int c = 0; c < 3; ++c) {
+            vt::ContainerId cluster =
+                t.addContainer("c" + std::to_string(c),
+                               vt::ContainerKind::Cluster, site);
+            if (rng.uniform() < 0.5)
+                fill(cluster, load, rng.uniformInt(0, 40));
+            for (int h = 0; h < 30; ++h) {
+                vt::ContainerId host =
+                    t.addContainer("h" + std::to_string(h),
+                                   vt::ContainerKind::Host, cluster);
+                double pick = rng.uniform();
+                if (pick < 0.9)
+                    fill(host, power, rng.uniformInt(0, 100));
+                if (pick < 0.3)
+                    fill(host, load, rng.uniformInt(1, 70));
+            }
+        }
+    }
+    return t;
+}
+
+/**
+ * Slices of every shape: the span, outside it on either side, around
+ * it, zero-width ones (at the span's ends, on a change point, at a
+ * random time), ones whose bounds sit on 32-point block boundaries of
+ * a long variable, and random ones.
+ */
+std::vector<va::TimeSlice>
+storeSlices(const vt::Trace &t, viva::support::Rng &rng)
+{
+    const viva::support::Interval span = t.span();
+    std::vector<va::TimeSlice> out{
+        span,
+        {span.begin - 10.0, span.begin - 1.0},
+        {span.end + 1.0, span.end + 10.0},
+        {span.begin - 1e6, span.end + 1e6},
+        {span.begin, span.begin},
+        {span.end, span.end},
+        {span.end + 5.0, span.end + 5.0},
+    };
+    vt::MetricId power = t.findMetric("power");
+    for (const vt::Variable &v : t.carriers(t.root(), power)) {
+        std::span<const vt::Variable::Point> pts = v.changePoints();
+        if (pts.size() <= 2 * kBlock)
+            continue;
+        for (std::size_t lo : {kBlock - 1, kBlock, kBlock + 1})
+            for (std::size_t hi : {2 * kBlock - 1, 2 * kBlock})
+                out.emplace_back(pts[lo].time, pts[hi].time);
+        out.emplace_back(pts[0].time, pts[kBlock].time);
+        out.emplace_back(pts[kBlock].time, pts[kBlock].time);
+        break;
+    }
+    for (int i = 0; i < 16; ++i) {
+        double a = rng.uniform(span.begin - 5.0, span.end + 5.0);
+        double b = rng.uniform(span.begin - 5.0, span.end + 5.0);
+        out.emplace_back(std::min(a, b), std::max(a, b));
+    }
+    return out;
+}
+
+/** One variable's temporal reduction, through its query. */
+double
+reduceQuery(const vt::Variable &v, const va::TimeSlice &s, va::TemporalOp op)
+{
+    switch (op) {
+      case va::TemporalOp::Average: return v.average(s);
+      case va::TemporalOp::Max: return v.maxOver(s.begin, s.end);
+      case va::TemporalOp::Min: return v.minOver(s.begin, s.end);
+      case va::TemporalOp::Integral: return v.integrate(s);
+    }
+    return 0.0;
+}
+
+/** The same reduction by the scan oracle (average and integral). */
+double
+reduceScan(const vt::Variable &v, const va::TimeSlice &s, va::TemporalOp op)
+{
+    if (op == va::TemporalOp::Integral)
+        return integrateScan(v, s.begin, s.end);
+    return s.begin == s.end ? v.valueAt(s.begin)
+                            : integrateScan(v, s.begin, s.end) /
+                                  (s.end - s.begin);
+}
+
+/** How often trace.closure.build has been recorded in this process. */
+std::uint64_t
+closureBuilds()
+{
+    for (const viva::support::obs::HistogramValue &h :
+         viva::support::obs::Registry::global().snapshot().histograms)
+        if (h.name == "trace.closure.build")
+            return h.count;
+    return 0;
+}
+
+const va::SpatialOp kSpatialOps[] = {va::SpatialOp::Sum,
+                                     va::SpatialOp::Average,
+                                     va::SpatialOp::Max, va::SpatialOp::Min};
+
+} // namespace
+
+TEST(CarrierStore, FoldEqualsPreorderFoldOfFoundVariables)
+{
+    for (std::uint64_t seed : {1u, 2u}) {
+        vt::Trace trace = randomGrid(seed);
+        trace.freeze();
+        ASSERT_TRUE(trace.auditInvariants().empty());
+
+        // Every container, every metric under every pair of operators.
+        va::CutProjection every;
+        for (vt::ContainerId c{0}; c.index() < trace.containerCount(); ++c)
+            every.nodes.push_back(c);
+        std::vector<va::MetricRequest> requests;
+        for (vt::MetricId m{0}; m.index() < trace.metricCount(); ++m)
+            for (va::SpatialOp s : kSpatialOps)
+                for (va::TemporalOp t : kTemporalOps)
+                    requests.emplace_back(m, s, t);
+        const std::size_t k = requests.size();
+
+        viva::support::Rng rng(seed);
+        std::vector<double> values;
+        for (const va::TimeSlice &slice : storeSlices(trace, rng)) {
+            ASSERT_TRUE(
+                va::foldValues(trace, every, slice, requests, values).ok());
+            for (std::size_t i = 0; i < every.size(); ++i) {
+                const std::vector<vt::ContainerId> members =
+                    trace.subtree(every.nodes[i]);
+                for (std::size_t j = 0; j < k; ++j) {
+                    const va::MetricRequest &r = requests[j];
+                    std::vector<double> terms;
+                    std::vector<double> scans;
+                    for (vt::ContainerId member : members) {
+                        const vt::Variable *v =
+                            trace.findVariable(member, r.metric);
+                        if (!v || v->empty())
+                            continue;
+                        terms.push_back(reduceQuery(*v, slice, r.temporal));
+                        scans.push_back(reduceScan(*v, slice, r.temporal));
+                    }
+                    const double got = values[i * k + j];
+                    ASSERT_EQ(bits(got), bits(va::spatialFold(terms,
+                                                              r.spatial)))
+                        << "seed " << seed << " node " << every.nodes[i]
+                        << " request " << j << " slice [" << slice.begin
+                        << ", " << slice.end << ")";
+                    if (r.temporal == va::TemporalOp::Average ||
+                        r.temporal == va::TemporalOp::Integral) {
+                        EXPECT_LE(relErr(got, va::spatialFold(scans,
+                                                              r.spatial)),
+                                  kTol)
+                            << "node " << every.nodes[i] << " request "
+                            << j;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(CarrierStore, FrozenLookupsAgreeWithUnfrozen)
+{
+    const vt::Trace unfrozen = randomGrid(3);
+    vt::Trace frozen = unfrozen;
+    frozen.freeze();
+    ASSERT_TRUE(frozen.auditInvariants().empty());
+    EXPECT_EQ(frozen.variableCount(), unfrozen.variableCount());
+    EXPECT_EQ(frozen.pointCount(), unfrozen.pointCount());
+    EXPECT_EQ(frozen.span(), unfrozen.span());
+
+    std::size_t never_set = 0;
+    std::size_t empty = 0;
+    for (vt::ContainerId c{0}; c.index() < unfrozen.containerCount(); ++c)
+        for (vt::MetricId m{0}; m.index() < unfrozen.metricCount(); ++m) {
+            const vt::Variable *u = unfrozen.findVariable(c, m);
+            const vt::Variable *f = frozen.findVariable(c, m);
+            EXPECT_EQ(frozen.hasVariable(c, m), unfrozen.hasVariable(c, m))
+                << "container " << c << ", metric " << m;
+            ASSERT_EQ(f == nullptr, u == nullptr)
+                << "container " << c << ", metric " << m;
+            if (!u) {
+                ++never_set;
+                continue;
+            }
+            empty += u->empty();
+            EXPECT_TRUE(f->frozen());
+            EXPECT_EQ(f->pointCount(), u->pointCount());
+            EXPECT_TRUE(
+                std::ranges::equal(f->changePoints(), u->changePoints()))
+                << "container " << c << ", metric " << m;
+        }
+    EXPECT_GT(never_set, 0u);
+    EXPECT_GT(empty, 0u);
+    // Ids outside the trace find nothing, as in the hash map.
+    EXPECT_EQ(frozen.findVariable(frozen.root(), vt::kNoMetric), nullptr);
+    EXPECT_EQ(frozen.findVariable(vt::kNoContainer, vt::MetricId{0}),
+              nullptr);
+}
+
+TEST(CarrierStore, CopyOfAFrozenTraceIsAPlainCopy)
+{
+    // The phase is live: a freeze records one closure build.
+    vt::Trace original = randomGrid(4);
+    std::uint64_t builds = closureBuilds();
+    original.freeze();
+    ASSERT_EQ(closureBuilds(), builds + 1);
+
+    const vt::Trace copy = original;
+    vt::Trace assigned;
+    assigned = original;
+    EXPECT_EQ(closureBuilds(), builds + 1);
+
+    viva::support::Rng rng(4);
+    const std::vector<va::TimeSlice> slices = storeSlices(original, rng);
+    const vt::Trace *const others[] = {&copy, &assigned};
+    for (const vt::Trace *other : others) {
+        ASSERT_TRUE(other->frozen());
+        EXPECT_TRUE(other->auditInvariants().empty());
+        EXPECT_EQ(other->variableCount(), original.variableCount());
+        va::Aggregator a(original);
+        va::Aggregator b(*other);
+        for (vt::ContainerId c{0}; c.index() < original.containerCount();
+             ++c)
+            for (vt::MetricId m{0}; m.index() < original.metricCount();
+                 ++m) {
+                const vt::Variable *v = original.findVariable(c, m);
+                const vt::Variable *w = other->findVariable(c, m);
+                ASSERT_EQ(v == nullptr, w == nullptr);
+                if (v) {
+                    EXPECT_NE(v, w);
+                    EXPECT_TRUE(std::ranges::equal(v->changePoints(),
+                                                   w->changePoints()));
+                }
+                EXPECT_EQ(other->carriers(c, m).size(),
+                          original.carriers(c, m).size());
+                for (const va::TimeSlice &slice : slices)
+                    for (va::TemporalOp t : kTemporalOps)
+                        EXPECT_EQ(bits(a.value(c, m, slice,
+                                               va::SpatialOp::Sum, t)),
+                                  bits(b.value(c, m, slice,
+                                               va::SpatialOp::Sum, t)));
+            }
     }
 }

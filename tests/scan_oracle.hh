@@ -10,7 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
+#include <span>
 
 #include "trace/variable.hh"
 
@@ -21,7 +21,7 @@ namespace viva::trace::testing
 inline std::size_t
 firstAfter(const Variable &v, double a)
 {
-    const std::vector<Variable::Point> &pts = v.changePoints();
+    std::span<const Variable::Point> pts = v.changePoints();
     return std::size_t(std::upper_bound(pts.begin(), pts.end(), a,
                                         [](double lhs,
                                            const Variable::Point &p) {
@@ -34,7 +34,7 @@ firstAfter(const Variable &v, double a)
 inline double
 integrateScan(const Variable &v, double a, double b)
 {
-    const std::vector<Variable::Point> &pts = v.changePoints();
+    std::span<const Variable::Point> pts = v.changePoints();
     if (pts.empty() || a == b)
         return 0.0;
     double total = 0.0;
@@ -54,7 +54,7 @@ template <class Pick>
 double
 extremumScan(const Variable &v, double a, double b, Pick pick)
 {
-    const std::vector<Variable::Point> &pts = v.changePoints();
+    std::span<const Variable::Point> pts = v.changePoints();
     double best = v.valueAt(a);
     for (std::size_t next = firstAfter(v, a);
          next < pts.size() && pts[next].time < b; ++next)

@@ -196,9 +196,21 @@ TEST(Variable, FreezeSortsTrimsAndIndexes)
     }
     by_push.freeze();
     EXPECT_TRUE(by_push.frozen());
-    EXPECT_EQ(by_push.changePoints(), by_set.changePoints());
-    EXPECT_EQ(by_push.changePoints().capacity(), by_push.pointCount());
+    EXPECT_TRUE(std::ranges::equal(by_push.changePoints(),
+                                   by_set.changePoints()));
+    EXPECT_EQ(by_push.changePoints().size(), by_push.pointCount());
     EXPECT_TRUE(by_push.indexConsistent());
+    // A copy owns its own block; a moved-from variable is empty.
+    vt::Variable copy = by_push;
+    EXPECT_TRUE(copy.frozen());
+    EXPECT_NE(copy.changePoints().data(), by_push.changePoints().data());
+    EXPECT_TRUE(std::ranges::equal(copy.changePoints(),
+                                   by_push.changePoints()));
+    EXPECT_TRUE(copy.indexConsistent());
+    vt::Variable moved = std::move(copy);
+    EXPECT_TRUE(moved.indexConsistent());
+    EXPECT_TRUE(copy.empty());
+    EXPECT_FALSE(copy.frozen());
     by_push.freeze();  // idempotent
     EXPECT_DOUBLE_EQ(by_push.integrate(1.0, 3.0), 10.0 + 20.0);
     EXPECT_DOUBLE_EQ(by_push.maxOver(0.0, 3.5), 30.0);
@@ -671,13 +683,14 @@ TEST(TraceClosure, CarriersEqualTheirRecomputation)
         t.freeze();
         for (vt::ContainerId c{0}; c.index() < t.containerCount(); ++c)
             for (vt::MetricId m{0}; m.index() < t.metricCount(); ++m) {
-                std::span<const vt::Variable *const> cached = t.carriers(c, m);
+                std::span<const vt::Variable> cached = t.carriers(c, m);
                 std::vector<const vt::Variable *> fresh;
                 for (vt::ContainerId member : t.subtree(c))
                     if (t.hasVariable(member, m))
                         fresh.push_back(t.findVariable(member, m));
-                ASSERT_TRUE(std::equal(cached.begin(), cached.end(),
-                                       fresh.begin(), fresh.end()))
+                ASSERT_TRUE(std::ranges::equal(
+                    cached, fresh, {},
+                    [](const vt::Variable &v) { return &v; }))
                     << "container " << c << ", metric " << m;
             }
     }
