@@ -197,6 +197,17 @@ main(int argc, char **argv)
         std::fprintf(stderr, "obs_export: gantt: %s\n",
                      gantt.error().toString().c_str());
 
+    // A cut change at the rendered slice: the rows of the nodes that
+    // stay visible carry over, so agg.values grows by the entering
+    // site's row alone (one value per referenced metric).
+    if (!session.aggregate("site0")) {
+        std::fprintf(stderr, "obs_export: no container 'site0'\n");
+        return 2;
+    }
+    viva::agg::View site = session.view();
+    std::printf("obs_export: %zu nodes with site0 aggregated\n",
+                site.nodes.size());
+
     // --- slice-query microbench ----------------------------------------
     // Drives the indexed temporal reductions (the trace.index.build
     // consumers) over a deterministic slice sweep so the perf gate

@@ -9,11 +9,16 @@
 # viva-perfdiff then compares it against the committed baseline, so any
 # change that adds clock reads or phase work to the instrumented paths
 # (extra layout passes, extra aggregation sweeps, chattier I/O) fails
-# CI deterministically instead of depending on a noisy wall clock.
+# CI deterministically instead of depending on a noisy wall clock. Work
+# counts are gated exactly: a phase called more often, or a counter
+# (agg.values, the Eq.-1 values folded, among them) that grew, is a
+# regression; a drop is a note.
 #
 # Regenerate the baseline after an intentional change with:
 #   build/bench/obs_export --fake-clock --threads 1 --scale 4 \
 #       --out bench_out/baseline_obs.json
+# and, from a -DVIVA_VALIDATE=ON build (whose audits add work), the
+# same command with --out bench_out/baseline_obs_validate.json.
 set -eu
 
 OBS_EXPORT=$1
@@ -41,13 +46,13 @@ if [ "$status" -ne 0 ]; then
     exit "$status"
 fi
 
-# viva-perfdiff only notes a phase that one side lacks. Here that means
-# the baseline no longer describes the workload, and the phase would go
-# ungated, so it fails: regenerate the baseline as shown above.
+# viva-perfdiff only notes a phase or counter that one side lacks. Here
+# that means the baseline no longer describes the workload, and it would
+# go ungated, so it fails: regenerate the baseline as shown above.
 if grep -q -e "new in the candidate" -e "missing from the candidate" \
     "$REPORT"; then
-    echo "perf_baseline.sh: the candidate's phases differ from the" \
-        "committed baseline's; regenerate '$BASELINE'" >&2
+    echo "perf_baseline.sh: the candidate's phases or counters differ" \
+        "from the committed baseline's; regenerate '$BASELINE'" >&2
     exit 1
 fi
 echo "perf_baseline.sh: candidate matches the committed baseline"

@@ -301,6 +301,60 @@ project(const trace::Trace &trace, const HierarchyCut &cut)
     return p;
 }
 
+std::vector<std::uint32_t>
+cutDelta(const trace::Trace &trace, std::span<const ContainerId> prev,
+         std::span<const ContainerId> next)
+{
+    // A container's preorder slot is where its cached subtree starts
+    // in the root's, the whole preorder.
+    const ContainerId *preorder = trace.cachedSubtree(trace.root()).data();
+    auto slot = [&](ContainerId id) {
+        return trace.cachedSubtree(id).data() - preorder;
+    };
+    // The first index at or after `at` whose slot is not below `want`:
+    // doubling steps, then a binary search, so skipping d entries costs
+    // O(log d) slot lookups.
+    auto seek = [&](std::span<const ContainerId> list, std::size_t at,
+                    std::ptrdiff_t want) {
+        std::size_t hi = at;
+        for (std::size_t step = 1; hi < list.size() && slot(list[hi]) < want;
+             step *= 2) {
+            at = hi + 1;
+            hi += step;
+        }
+        hi = std::min(hi, list.size());
+        return std::size_t(
+            std::partition_point(list.begin() + std::ptrdiff_t(at),
+                                 list.begin() + std::ptrdiff_t(hi),
+                                 [&](ContainerId id) {
+                                     return slot(id) < want;
+                                 }) -
+            list.begin());
+    };
+    // Walk the shorter list and seek each of its nodes in the longer:
+    // a focus from host level (20k nodes to a few hundred) and the
+    // reset back cost a few hundred seeks, not 20k slot lookups.
+    auto match = [&](std::span<const ContainerId> few,
+                     std::span<const ContainerId> many, auto &&found) {
+        std::size_t at = 0;
+        for (std::size_t f = 0; f < few.size() && at < many.size(); ++f) {
+            at = seek(many, at, slot(few[f]));
+            if (at < many.size() && many[at] == few[f])
+                found(f, at++);
+        }
+    };
+    std::vector<std::uint32_t> from(next.size(), kEntering);
+    if (prev.size() <= next.size())
+        match(prev, next, [&](std::size_t i, std::size_t j) {
+            from[j] = std::uint32_t(i);
+        });
+    else
+        match(next, prev, [&](std::size_t j, std::size_t i) {
+            from[j] = std::uint32_t(i);
+        });
+    return from;
+}
+
 std::vector<ViewEdge>
 visibleEdges(const trace::Trace &trace, const HierarchyCut &cut)
 {
@@ -365,14 +419,18 @@ forEachNode(std::size_t n, std::size_t threads, support::Deadline deadline,
     return {};
 }
 
-} // namespace
-
+/**
+ * The Eq.-1 fold of `count` rows of `values`, row(t) for t in
+ * [0, count): the one body of foldValues and foldRows. Each value folds
+ * serially inside its worker (threads = 1 below), so its chunk order is
+ * fixed as well.
+ */
+template <class Row>
 support::Expected<void>
-foldValues(const trace::Trace &trace, const CutProjection &projection,
-           const TimeSlice &slice,
-           const std::vector<MetricRequest> &requests,
-           std::vector<double> &values, std::size_t threads,
-           support::Deadline deadline)
+foldInto(const trace::Trace &trace, const CutProjection &projection,
+         const TimeSlice &slice, const std::vector<MetricRequest> &requests,
+         std::vector<double> &values, std::size_t count, Row &&row,
+         std::size_t threads, support::Deadline deadline)
 {
     obs::Registry &reg = obs::Registry::global();
     static const obs::HistogramId phase = reg.histogram("agg.build_view");
@@ -380,13 +438,11 @@ foldValues(const trace::Trace &trace, const CutProjection &projection,
     static const obs::CounterId hits = reg.counter("agg.closure.hits");
     obs::ScopedPhase timer(phase);
 
-    // Each value folds serially inside its worker (threads = 1 below),
-    // so its chunk order is fixed as well.
     const std::vector<ContainerId> &visible = projection.nodes;
     const std::size_t k = requests.size();
-    values.resize(visible.size() * k);
     support::Expected<void> folded =
-        forEachNode(visible.size(), threads, deadline, [&](std::size_t i) {
+        forEachNode(count, threads, deadline, [&](std::size_t t) {
+            const std::size_t i = row(t);
             for (std::size_t j = 0; j < k; ++j) {
                 const MetricRequest &r = requests[j];
                 values[i * k + j] = foldValue(trace, visible[i], r.metric,
@@ -396,10 +452,45 @@ foldValues(const trace::Trace &trace, const CutProjection &projection,
         });
     if (!folded)
         return VIVA_ERROR_CONTEXT(folded.error(), "Eq.-1 fold");
-    // Counted once per view, with value()'s per-call totals.
-    reg.add(counted, values.size());
-    reg.add(hits, values.size());
+    // Counted once per fold, with value()'s per-call totals.
+    reg.add(counted, count * k);
+    reg.add(hits, count * k);
     return {};
+}
+
+} // namespace
+
+support::Expected<void>
+foldValues(const trace::Trace &trace, const CutProjection &projection,
+           const TimeSlice &slice,
+           const std::vector<MetricRequest> &requests,
+           std::vector<double> &values, std::size_t threads,
+           support::Deadline deadline)
+{
+    values.resize(projection.size() * requests.size());
+    return foldInto(trace, projection, slice, requests, values,
+                    projection.size(), [](std::size_t i) { return i; },
+                    threads, deadline);
+}
+
+support::Expected<void>
+foldRows(const trace::Trace &trace, const CutProjection &projection,
+         const TimeSlice &slice, const std::vector<MetricRequest> &requests,
+         std::span<const std::uint32_t> rows, std::vector<double> &values,
+         std::size_t threads, support::Deadline deadline)
+{
+    VIVA_ASSERT(values.size() == projection.size() * requests.size(),
+                "rows of ", projection.size(), " nodes x ",
+                requests.size(), " metrics given ", values.size(),
+                " values");
+    return foldInto(trace, projection, slice, requests, values,
+                    rows.size(),
+                    [rows, n = projection.size()](std::size_t t) {
+                        VIVA_ASSERT(rows[t] < n, "row ", rows[t],
+                                    " of a ", n, "-node projection");
+                        return std::size_t(rows[t]);
+                    },
+                    threads, deadline);
 }
 
 View

@@ -20,6 +20,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <span>
 #include <unordered_map>
@@ -194,6 +195,21 @@ struct CutProjection
  */
 CutProjection project(const trace::Trace &trace, const HierarchyCut &cut);
 
+/** cutDelta's mark for a node the previous projection does not show. */
+inline constexpr std::uint32_t kEntering = ~std::uint32_t(0);
+
+/**
+ * The delta between two projections of cuts of one frozen trace: for
+ * every node of `next`, its index in `prev`, or kEntering when it
+ * enters the view. Both lists are in preorder (CutProjection::nodes),
+ * so one merge on preorder slots finds every survivor: it walks the
+ * shorter list (m nodes) and seeks each node in the longer (n) by
+ * doubling steps, O(m log(n / m)) slot lookups besides the result.
+ */
+std::vector<std::uint32_t> cutDelta(const trace::Trace &trace,
+                                    std::span<const trace::ContainerId> prev,
+                                    std::span<const trace::ContainerId> next);
+
 /** The contracted edges of a cut: project(trace, cut).edges. */
 std::vector<ViewEdge> visibleEdges(const trace::Trace &trace,
                                    const HierarchyCut &cut);
@@ -257,6 +273,21 @@ support::Expected<void> foldValues(
     const TimeSlice &slice, const std::vector<MetricRequest> &requests,
     std::vector<double> &values, std::size_t threads = 1,
     support::Deadline deadline = {});
+
+/**
+ * foldValues for some rows only: each listed row of `values` (already
+ * projection.size() x requests.size()) is folded again, bitwise as
+ * foldValues would, and every other row is left as it is. Records one
+ * agg.build_view phase and adds rows.size() x requests.size() to
+ * agg.values and agg.closure.hits, on success. Cancellable like
+ * foldValues: past the `deadline` it returns Errc::Deadline with some
+ * listed rows folded and others not.
+ */
+support::Expected<void> foldRows(
+    const trace::Trace &trace, const CutProjection &projection,
+    const TimeSlice &slice, const std::vector<MetricRequest> &requests,
+    std::span<const std::uint32_t> rows, std::vector<double> &values,
+    std::size_t threads = 1, support::Deadline deadline = {});
 
 /**
  * The plain view of a projected cut from its folded values

@@ -124,7 +124,7 @@ Session::load(const std::string &path, const trace::ParseBudget &budget)
     slice = traceSpan;
     visMapping = viz::VisualMapping::defaults(tr);
     typeScaling = viz::TypeScaling();
-    graph = layout::LayoutGraph();
+    forgetCut();
     force.params() = layout::ForceParams();
     force.params().threads = nThreads;
     syncLayout();
@@ -271,14 +271,72 @@ Session::resetAggregation()
 }
 
 void
+Session::forgetCut()
+{
+    cutProj = agg::CutProjection();
+    graph = layout::LayoutGraph();
+    storedCut = 0;
+    pendingRows.clear();
+}
+
+bool
+Session::carryStoredRows(const std::vector<std::uint32_t> &from)
+{
+    // Rows still waiting from an earlier cut change (no view came in
+    // between), or none surviving (a depth walk, a reset from a coarse
+    // level): the next view folds plainly.
+    if (!pendingRows.empty() ||
+        std::all_of(from.begin(), from.end(), [](std::uint32_t old) {
+            return old == agg::kEntering;
+        }))
+        return false;
+    // Survivors keep their order, so their rows move within the
+    // vector's own capacity: rows moving to a lower index in ascending
+    // order, rows moving to a higher one in descending order, and
+    // neither pass overwrites a row the other still has to move.
+    const std::size_t n = from.size();
+    const std::size_t k = storedMetrics.size();
+    storedValues.resize(std::max(storedValues.size(), n * k));
+    auto move = [&](std::size_t i) {
+        std::copy_n(storedValues.begin() + std::ptrdiff_t(from[i] * k), k,
+                    storedValues.begin() + std::ptrdiff_t(i * k));
+    };
+    for (std::size_t i = 0; i < n; ++i)
+        if (from[i] != agg::kEntering && from[i] > i)
+            move(i);
+    for (std::size_t i = n; i-- > 0;)
+        if (from[i] != agg::kEntering && from[i] < i)
+            move(i);
+    storedValues.resize(n * k);
+    // The entering rows wait for the next view.
+    for (std::size_t i = 0; i < n; ++i)
+        if (from[i] == agg::kEntering)
+            pendingRows.push_back(std::uint32_t(i));
+    return true;
+}
+
+void
 Session::syncLayout()
 {
-    cutProj = agg::project(tr, hierCut);
+    agg::CutProjection projected = agg::project(tr, hierCut);
+    // The cut delta, computed once: survivors carry their layout state
+    // and their stored Eq.-1 rows over by position in the old
+    // projection, which the graph mirrors slot for slot.
+    const std::vector<std::uint32_t> from =
+        agg::cutDelta(tr, cutProj.nodes, projected.nodes);
+    VIVA_ASSERT(graph.rawNodes().size() == cutProj.size(), "layout of ",
+                graph.rawNodes().size(), " nodes for a ", cutProj.size(),
+                "-node projection");
+    // Rows folded for the old cut are carried over; when none
+    // survives, nothing stays stored and the next view folds plainly.
+    const bool carried = storedCut == cutVersion && carryStoredRows(from);
+    cutProj = std::move(projected);
     ++cutVersion;
+    storedCut = carried ? cutVersion : 0;
 
     // Rebuild the graph densely in cut order. Nodes already laid out
-    // carry their state over by key; nodes entering the view are
-    // placed from the old graph only, never from one another.
+    // carry their state over; nodes entering the view are placed from
+    // the old graph only, never from one another.
     const std::vector<ContainerId> &visible = cutProj.nodes;
     layout::LayoutGraph next;
     std::size_t ring_index = 0;
@@ -287,9 +345,11 @@ Session::syncLayout()
     for (std::size_t i = 0; i < visible.size(); ++i) {
         const ContainerId id = visible[i];
         const double charge = double(cutProj.leafCounts[i]);
-        layout::NodeId prev = graph.findKey(id.value());
-        if (prev != layout::kNoNode) {
-            const layout::Node &old = graph.node(prev);
+        if (from[i] != agg::kEntering) {
+            const layout::Node &old =
+                graph.node(layout::NodeId::fromIndex(from[i]));
+            VIVA_ASSERT(old.key == id.value(), "layout slot ", from[i],
+                        " holds key ", old.key, ", not container ", id);
             layout::NodeId n = next.addNode(id.value(), old.position,
                                             charge);
             layout::Node &kept = next.mutableNodes()[n.index()];
@@ -512,16 +572,23 @@ Session::viewWithin(bool with_stats, support::Deadline deadline) const
             return VIVA_ERROR_CONTEXT(v.error(), "Session view");
         return v;
     }
-    if (!storedValuesCurrent(metrics)) {
+    const bool keyed = storedValuesCurrent(metrics);
+    if (!keyed || !pendingRows.empty()) {
         storedCut = 0;  // a partial fold is never served
+        // Only the rows a cut change brought in, when the rest are
+        // current; else every row.
         support::Expected<void> folded =
-            agg::foldValues(tr, cutProj, slice, requests, storedValues,
-                            nThreads, deadline);
+            keyed ? agg::foldRows(tr, cutProj, slice, requests,
+                                  pendingRows, storedValues, nThreads,
+                                  deadline)
+                  : agg::foldValues(tr, cutProj, slice, requests,
+                                    storedValues, nThreads, deadline);
         if (!folded)
             return VIVA_ERROR_CONTEXT(folded.error(), "Session view");
         storedCut = cutVersion;
         storedSlice = slice;
         storedMetrics = std::move(metrics);
+        pendingRows.clear();
     }
     return agg::assembleView(tr, cutProj, slice, requests, storedValues);
 }
@@ -759,7 +826,9 @@ Session::auditInvariants() const
 
     // Views serve the stored values while their key is current: a
     // change of the cut, slice or mapping that bypassed the key would
-    // leave them describing an older view.
+    // leave them describing an older view. Rows still waiting for
+    // their fold are not served yet; every other row must be current,
+    // those a cut change carried over included.
     if (storedValuesCurrent(metrics)) {
         if (storedValues.size() != fresh.size())
             support::auditFail(log, "stored view: ", storedValues.size(),
@@ -768,6 +837,9 @@ Session::auditInvariants() const
         for (std::size_t i = 0; i < storedValues.size() &&
                                 i < fresh.size();
              ++i) {
+            if (std::binary_search(pendingRows.begin(), pendingRows.end(),
+                                   i / requests.size()))
+                continue;
             if (std::bit_cast<std::uint64_t>(storedValues[i]) ==
                 std::bit_cast<std::uint64_t>(fresh[i]))
                 continue;
@@ -1116,7 +1188,7 @@ Session::restore(const std::string &path,
     for (const auto &[metric, value] : image->sliders)
         typeScaling.setSlider(metric, value);
     nThreads = std::max<std::size_t>(std::size_t(image->threads), 1);
-    graph = layout::LayoutGraph();
+    forgetCut();
     force.params() = image->force;
     force.params().threads = nThreads;
     memBudgetBytes = image->memBudgetBytes;

@@ -214,9 +214,11 @@ class Session
     /**
      * The aggregated view for the current cut and slice. The plain
      * view's Eq.-1 values are folded once per (cut, slice, mapping)
-     * and stored, so a frame's view() and scene() fold once; a view
-     * with statistics is always built fresh. Storing them makes view()
-     * unsafe to call concurrently with any other call on the session.
+     * and stored, so a frame's view() and scene() fold once; after a
+     * cut change at the same slice and mapping only the nodes entering
+     * the view fold. A view with statistics is always built fresh.
+     * Storing them makes view() unsafe to call concurrently with any
+     * other call on the session.
      */
     agg::View view(bool with_stats = false) const;
 
@@ -405,14 +407,31 @@ class Session
   private:
     /**
      * Project the current cut (the one update point of cutProj: every
-     * cut change calls this) and rebuild the layout graph densely from
-     * it, in cut order: carry the state of surviving nodes over by
-     * key, place aggregates at absorbed centroids, fan disaggregated
-     * children around their parent, then add the visible edges. The
-     * result depends on the cut and the previous positions only, never
-     * on the session's earlier history.
+     * cut change calls this), take the delta against the previous
+     * projection (agg::cutDelta), and rebuild the layout graph densely
+     * from it, in cut order: carry the state and the stored Eq.-1 rows
+     * of surviving nodes over, place aggregates at absorbed centroids,
+     * fan disaggregated children around their parent, then add the
+     * visible edges. The result depends on the cut and the previous
+     * positions only, never on the session's earlier history.
      */
     void syncLayout();
+
+    /**
+     * Re-key the stored rows, folded for the previous projection, to
+     * the next one, given the delta: survivors' rows move in place,
+     * the entering ones wait in pendingRows for the next view.
+     * @retval false when no row survives, or rows of an earlier cut
+     *         change still wait; nothing is changed then
+     */
+    bool carryStoredRows(const std::vector<std::uint32_t> &from);
+
+    /**
+     * Drop the projection, the layout and the stored rows before a new
+     * trace replaces the old one (load, restore): the old trace's
+     * container indices must never key anything of the new one.
+     */
+    void forgetCut();
 
     /**
      * Run one layout operation under the operation deadline, all or
@@ -424,9 +443,9 @@ class Session
 
     /**
      * The current view; cancellable by `deadline`. A plain view is
-     * assembled from cutProj and the stored values, folded first when
-     * their key is not the current one; an aborted fold leaves nothing
-     * stored.
+     * assembled from cutProj and the stored values: when their key is
+     * current only the pending rows fold, else every row; an aborted
+     * fold leaves nothing stored.
      */
     support::Expected<agg::View>
     viewWithin(bool with_stats, support::Deadline deadline) const;
@@ -470,12 +489,17 @@ class Session
      * metrics, node-major (agg::foldValues): a flat vector, so a refold
      * reuses its capacity. Keyed by the cut version (0: nothing
      * stored), the slice's bits and the mapping's metrics; mutable
-     * because view() is a read-only query whose result it caches.
+     * because view() is a read-only query whose result it caches. A
+     * cut change carries the rows of surviving nodes over
+     * (carryStoredRows), so the key stays current while the rows of
+     * nodes entering the view wait, in ascending order, in pendingRows
+     * (whose capacity, like storedValues', is reused).
      */
     mutable std::vector<double> storedValues;
     mutable std::uint64_t storedCut = 0;
     mutable agg::TimeSlice storedSlice;
     mutable std::vector<trace::MetricId> storedMetrics;
+    mutable std::vector<std::uint32_t> pendingRows;
     layout::ForceLayout force;
     std::size_t nThreads;
     support::RetryPolicy ioRetry;

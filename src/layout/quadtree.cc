@@ -193,25 +193,45 @@ QuadTree::build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies)
         return;
     }
 
-    codes.resize(bodies.size());
-    order.resize(bodies.size());
-    for (std::size_t i = 0; i < bodies.size(); ++i) {
-        VIVA_ASSERT(bodies[i].charge > 0, "charge must be positive");
-        codes[i] = mortonCode(bodies[i].position, lo, hi);
-        order[i] = std::uint32_t(i);
+    const std::size_t n = bodies.size();
+    VIVA_ASSERT(n <= kIndexMask + 1, n, " bodies overflow the ",
+                kIndexBits, "-bit index of a sort key");
+    // Each key packs a body's Morton code above its index, so keys are
+    // unique and their order is (code, index): deterministic, the tree
+    // (and every force it yields) a pure function of the input
+    // sequence. An iteration moves bodies a little, so the previous
+    // build's order of the same bodies is nearly sorted: lay the keys
+    // out in it and insertion-sort them, unless that takes more than
+    // kCoherentMoves moves per body, when std::sort finishes the job.
+    // Both give the one sorted sequence.
+    const bool coherent = order.size() == n;
+    keys.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t b = coherent ? order[i] : std::uint32_t(i);
+        VIVA_ASSERT(bodies[b].charge > 0, "charge must be positive");
+        keys[i] =
+            (mortonCode(bodies[b].position, lo, hi) << kIndexBits) | b;
     }
-    // Deterministic: ties broken by the original body index, so the
-    // tree (and every force it yields) is a pure function of the
-    // input sequence.
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  if (codes[a] != codes[b])
-                      return codes[a] < codes[b];
-                  return a < b;
-              });
-    sortedX.resize(bodies.size());
-    sortedY.resize(bodies.size());
-    for (std::size_t i = 0; i < bodies.size(); ++i) {
+    std::size_t sorted = 0;  // keys[0, sorted) are in order
+    if (coherent) {
+        const std::size_t bound = kCoherentMoves * n;
+        std::size_t moves = 0;
+        for (sorted = 1; sorted < n && moves <= bound; ++sorted) {
+            const std::uint64_t key = keys[sorted];
+            std::size_t j = sorted;
+            for (; j > 0 && keys[j - 1] > key; --j)
+                keys[j] = keys[j - 1];
+            keys[j] = key;
+            moves += sorted - j;
+        }
+    }
+    if (sorted < n)
+        std::sort(keys.begin(), keys.end());
+    order.resize(n);
+    sortedX.resize(n);
+    sortedY.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        order[i] = std::uint32_t(keys[i] & kIndexMask);
         sortedX[i] = bodies[order[i]].position.x;
         sortedY[i] = bodies[order[i]].position.y;
     }
@@ -232,7 +252,7 @@ QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
         groupStart.push_back(std::uint32_t(begin));
     // The range is sorted, so equal end codes mean one Morton cell.
     if (end - begin == 1 || shift < 0 ||
-        codes[order[begin]] == codes[order[end - 1]]) {
+        codeAt(begin) == codeAt(end - 1)) {
         // One body, or several sharing a Morton cell: a leaf at the
         // charge-weighted centroid, merged left-to-right in sorted
         // order (deterministic). An overfull merged leaf is split into
@@ -273,7 +293,7 @@ QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
     for (int d = 0; d < 4; ++d) {
         std::size_t sub = cursor;
         while (sub < end &&
-               int((codes[order[sub]] >> shift) & 3) == d)
+               int((codeAt(sub) >> shift) & 3) == d)
             ++sub;
         if (sub == cursor)
             continue;  // empty quadrant: no cell at all

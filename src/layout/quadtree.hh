@@ -66,11 +66,13 @@ class QuadTree
 
     /**
      * Rebuild the whole tree from a point set: Morton-sort the bodies
-     * (21 bits per axis, deterministic index tiebreak), then emit
-     * cells bottom-up into the arena, creating only non-empty
-     * quadrants. Allocation-free once the arena capacity has warmed
-     * up. Bodies quantized to the same Morton cell merge into one leaf
-     * at their charge-weighted centroid, clamped into the box.
+     * (21 bits per axis, deterministic index tiebreak; starting from
+     * the previous build's order when the body count is the same),
+     * then emit cells bottom-up into the arena, creating only
+     * non-empty quadrants. At most 2^22 bodies. Allocation-free once
+     * the arena capacity has warmed up. Bodies quantized to the same
+     * Morton cell merge into one leaf at their charge-weighted
+     * centroid, clamped into the box.
      */
     void build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies);
 
@@ -145,6 +147,24 @@ class QuadTree
     /** flags bits. */
     static constexpr std::uint8_t kLeafBit = 1;
 
+    /** Low bits of a sort key: the body index below its Morton code. */
+    static constexpr int kIndexBits = 22;
+    static constexpr std::uint64_t kIndexMask =
+        (std::uint64_t(1) << kIndexBits) - 1;
+
+    /**
+     * Insertion-sort moves per body a coherent build() may spend
+     * before it falls back to std::sort.
+     */
+    static constexpr std::size_t kCoherentMoves = 8;
+
+    /** The Morton code of the i-th body in sorted order. */
+    std::uint64_t
+    codeAt(std::size_t i) const
+    {
+        return keys[i] >> kIndexBits;
+    }
+
     /** Append one leaf cell with this box; returns its index. */
     std::size_t newCell(Vec2 lo, Vec2 hi);
 
@@ -187,10 +207,12 @@ class QuadTree
 
     std::size_t inserted = 0;
 
-    // Morton scratch of build(), reused across calls: codes, the
-    // sorted body order, the body positions in that order, and the
-    // first sorted slot of each group (plus a final end sentinel).
-    std::vector<std::uint64_t> codes;
+    // Morton scratch of build(), reused across calls: the sorted keys
+    // (code << kIndexBits | body index), the sorted body order (the
+    // next build's starting order), the body positions in that order,
+    // and the first sorted slot of each group (plus a final end
+    // sentinel).
+    std::vector<std::uint64_t> keys;
     std::vector<std::uint32_t> order;
     std::vector<double> sortedX;
     std::vector<double> sortedY;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include "platform/builders.hh"
 #include "platform/platform_trace.hh"
 #include "sim/tracer.hh"
+#include "support/clock.hh"
 #include "support/obs.hh"
 #include "support/random.hh"
 #include "trace/builder.hh"
@@ -32,6 +34,39 @@ namespace vt = viva::trace;
 
 namespace
 {
+
+/**
+ * Two sites of two clusters of three hosts, each host with its own
+ * power and power_used history; `offset` shifts every value, so two
+ * grids share their container indices but not their Eq.-1 values.
+ */
+vt::Trace
+makeGridTrace(double offset = 0.0)
+{
+    vt::TraceBuilder b;
+    for (int site = 0; site < 2; ++site) {
+        const std::string sname = "site" + std::to_string(site);
+        b.beginGroup(sname, vt::ContainerKind::Site);
+        for (int cluster = 0; cluster < 2; ++cluster) {
+            const std::string cname = sname + "c" + std::to_string(cluster);
+            b.beginGroup(cname, vt::ContainerKind::Cluster);
+            for (int host = 0; host < 3; ++host) {
+                vt::ContainerId h =
+                    b.host(cname + "h" + std::to_string(host));
+                const double v =
+                    offset + 10.0 * site + 3.0 * cluster + host;
+                for (int t = 0; t <= 4; ++t) {
+                    b.set(h, "power", double(t), 100.0 + v);
+                    b.set(h, "power_used", double(t),
+                          double((t + host) % 3) * v);
+                }
+            }
+            b.endGroup();
+        }
+        b.endGroup();
+    }
+    return b.take();
+}
 
 /** A session over the mirrored two-cluster platform (no simulation). */
 vap::Session
@@ -154,7 +189,9 @@ TEST(Session, FrameFoldsTheViewOnce)
     (void)s.scene();
     EXPECT_EQ(folds() - before, 1u);
 
-    s.aggregateToDepth(1);
+    // Everything collapses into the root: no node survives, so the
+    // view folds plainly, once.
+    s.aggregateToDepth(0);
     before = folds();
     (void)s.scene();
     (void)s.view();
@@ -168,6 +205,141 @@ TEST(Session, FrameFoldsTheViewOnce)
     EXPECT_EQ(s.view().requests.size(), view.requests.size() - 1);
     (void)s.view();
     EXPECT_EQ(folds() - before, 1u);
+    std::filesystem::remove(svg);
+
+    // A cut change at the same slice and mapping folds the nodes that
+    // enter the view and nothing else: one site aggregated brings in
+    // one node, disaggregated its two clusters. A cut change that
+    // leaves the visible set as it was folds nothing.
+    // (Counted from after each gesture: a validate build audits
+    // inside it, and the audit folds the view afresh.)
+    const obs::CounterId values = reg.counter("agg.values");
+    vap::Session g(makeGridTrace());
+    const std::size_t metrics = g.view().requests.size();
+    ASSERT_GT(metrics, 0u);
+    ASSERT_TRUE(g.aggregate("site0"));
+    std::uint64_t counted = reg.counterValue(values);
+    before = folds();
+    EXPECT_EQ(g.view().nodes.size(), 7u);
+    (void)g.scene();
+    EXPECT_EQ(reg.counterValue(values) - counted, 1 * metrics);
+    EXPECT_EQ(folds() - before, 1u);
+
+    ASSERT_TRUE(g.disaggregate("site0"));
+    counted = reg.counterValue(values);
+    EXPECT_EQ(g.view().nodes.size(), 8u);
+    EXPECT_EQ(reg.counterValue(values) - counted, 2 * metrics);
+
+    ASSERT_TRUE(g.aggregate("site0c0"));  // already collapsed
+    counted = reg.counterValue(values);
+    before = folds();
+    (void)g.view();
+    EXPECT_EQ(reg.counterValue(values) - counted, 0u);
+    EXPECT_EQ(folds() - before, 0u);
+}
+
+namespace
+{
+
+/** Every value of the session's plain view is a fresh fold's, bitwise. */
+void
+expectFreshView(const vap::Session &s)
+{
+    const va::View got = s.view();
+    std::vector<va::MetricRequest> requests = got.requests;
+    const va::View want = va::buildView(s.trace(), s.projection(),
+                                        s.timeSlice(), requests)
+                              .value();
+    ASSERT_EQ(got.nodes.size(), want.nodes.size());
+    for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+        ASSERT_EQ(got.nodes[i].id, want.nodes[i].id);
+        for (std::size_t k = 0; k < requests.size(); ++k)
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got.nodes[i].values[k]),
+                      std::bit_cast<std::uint64_t>(want.nodes[i].values[k]))
+                << "node " << i << " metric " << k;
+    }
+    EXPECT_TRUE(s.auditInvariants().empty());
+}
+
+} // namespace
+
+TEST(SessionStoredRows, LoadNeverReusesTheOldTracesRows)
+{
+    // Same shape, same span, same metrics: every container index of the
+    // old trace names a container of the new one, with other values.
+    const std::string path = tempDir() + "/grid_offset.trace";
+    vap::Session other(makeGridTrace(5.0));
+    ASSERT_TRUE(other.saveTrace(path).ok());
+
+    vap::Session s(makeGridTrace());
+    (void)s.view();
+    ASSERT_TRUE(s.aggregate("site1"));
+    (void)s.view();
+    ASSERT_TRUE(s.load(path).ok());
+    ASSERT_EQ(s.timeSlice(), other.timeSlice());
+    expectFreshView(s);
+    ASSERT_TRUE(s.aggregate("site0"));
+    expectFreshView(s);
+    std::filesystem::remove(path);
+}
+
+TEST(SessionStoredRows, RestoreNeverReusesTheOldTracesRows)
+{
+    const std::string path = tempDir() + "/grid_offset.ckpt";
+    vap::Session other(makeGridTrace(5.0));
+    ASSERT_TRUE(other.aggregate("site1"));
+    ASSERT_TRUE(other.checkpoint(path).ok());
+
+    // The session to restore into stores rows for the very cut and
+    // slice the checkpoint carries.
+    vap::Session s(makeGridTrace());
+    ASSERT_TRUE(s.aggregate("site1"));
+    (void)s.view();
+    ASSERT_TRUE(s.restore(path).ok());
+    expectFreshView(s);
+    ASSERT_TRUE(s.disaggregate("site1"));
+    expectFreshView(s);
+    std::filesystem::remove(path);
+}
+
+TEST(SessionStoredRows, AbortedIncrementalFoldFallsBackToAFullFold)
+{
+    namespace obs = viva::support::obs;
+    obs::Registry &reg = obs::Registry::global();
+    const obs::CounterId values = reg.counter("agg.values");
+    const std::string svg = tempDir() + "/aborted_fold.svg";
+
+    // Deadlines from "before the first row" to "after the last": each
+    // abort may leave some entering rows folded and others not.
+    std::size_t aborted = 0;
+    for (std::uint64_t budget = 1; budget <= 12000; budget += 1000) {
+        SCOPED_TRACE(budget);
+        vap::Session s(makeGridTrace());
+        s.aggregateToDepth(1);
+        (void)s.view();
+        // site1 stays; site0c0's three hosts and site0c1 enter.
+        ASSERT_TRUE(s.focus("site0c0"));
+        ASSERT_EQ(s.projection().size(), 5u);
+        {
+            viva::support::FakeClock clock(0, 1000);
+            viva::support::ClockOverride guard(clock);
+            s.setOperationDeadline(budget);
+            viva::support::Expected<void> drawn = s.renderSvg(svg);
+            s.setOperationDeadline(0);
+            if (drawn.ok())
+                continue;
+            ASSERT_EQ(drawn.error().code(), viva::support::Errc::Deadline);
+        }
+        ++aborted;
+        // Nothing of the partial fold is served: the next view folds
+        // every row.
+        const std::uint64_t before = reg.counterValue(values);
+        const va::View v = s.view();
+        EXPECT_EQ(reg.counterValue(values) - before,
+                  v.nodes.size() * v.requests.size());
+        expectFreshView(s);
+    }
+    EXPECT_GT(aborted, 1u);
     std::filesystem::remove(svg);
 }
 

@@ -429,4 +429,22 @@ TEST(SessionAudit, DetectsStaleStoredValues)
     session.setSliceOf(va::SliceIndex{1}, 2);
     (void)session.view();
     EXPECT_TRUE(session.auditInvariants().empty());
+
+    // Rows a cut change carried over are checked like any other: h3's
+    // row survives aggregating the cluster; made stale there, the audit
+    // sees it while the cluster's entering row waits, and after the
+    // next view, which folds only that row.
+    auto stale = [&session] {
+        vs::AuditLog found = session.auditInvariants();
+        return std::find_if(found.begin(), found.end(),
+                            [](const std::string &line) {
+                                return line.rfind("stored view: ", 0) == 0;
+                            }) != found.end();
+    };
+    ASSERT_TRUE(session.aggregate("cluster"));
+    ASSERT_EQ(session.projection().size(), 2u);  // cluster, h3
+    session.debugStoredValues().back() += 1.0;    // h3's last value
+    EXPECT_TRUE(stale());
+    (void)session.view();
+    EXPECT_TRUE(stale());
 }

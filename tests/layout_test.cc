@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include <cmath>
 
 #include "layout/force.hh"
@@ -323,6 +325,45 @@ TEST(QuadTreeField, ThetaZeroEqualsExactSum)
         vl::Vec2 at = tree.forceAt(bodies[i].position, 0.0);
         EXPECT_NEAR(at.x, exact[i].x, 1e-9) << "body " << i;
         EXPECT_NEAR(at.y, exact[i].y, 1e-9) << "body " << i;
+    }
+}
+
+TEST(QuadTreeField, CoherentRebuildEqualsAFreshBuildBitwise)
+{
+    // A rebuild starts its sort from the previous build's order: small
+    // moves (insertion sort), large ones (past the move bound, the
+    // std::sort fallback) and coincident bodies must all give the tree
+    // a fresh build gives, down to the bits of every field.
+    std::vector<vl::QuadTree::Body> bodies = randomBodies(23, 900);
+    for (std::size_t i = 0; i < 40; ++i)
+        bodies[i + 40].position = bodies[i].position;  // exact ties
+    vl::QuadTree warm;
+    const vl::Vec2 lo{-60.0, -60.0};
+    const vl::Vec2 hi{560.0, 560.0};
+    warm.build(lo, hi, bodies);
+    viva::support::Rng rng(29);
+    for (double jitter : {0.5, 5.0, 400.0}) {
+        SCOPED_TRACE(jitter);
+        for (vl::QuadTree::Body &b : bodies)
+            b.position += vl::Vec2{rng.uniform(-jitter, jitter),
+                                   rng.uniform(-jitter, jitter)};
+        warm.build(lo, hi, bodies);
+        vl::QuadTree fresh;
+        fresh.build(lo, hi, bodies);
+        ASSERT_EQ(warm.groupCount(), fresh.groupCount());
+        ASSERT_EQ(warm.cellCount(), fresh.cellCount());
+        for (std::size_t g = 0; g < warm.groupCount(); ++g)
+            ASSERT_EQ(warm.debugGroupWalk(g, 0.8).bodies,
+                      fresh.debugGroupWalk(g, 0.8).bodies);
+        std::vector<vl::Vec2> a = groupedField(warm, 0.8);
+        std::vector<vl::Vec2> b = groupedField(fresh, 0.8);
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i].x),
+                      std::bit_cast<std::uint64_t>(b[i].x));
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(a[i].y),
+                      std::bit_cast<std::uint64_t>(b[i].y));
+        }
+        EXPECT_TRUE(warm.auditInvariants().empty());
     }
 }
 

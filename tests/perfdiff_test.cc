@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 
@@ -203,4 +204,80 @@ TEST(PerfDiffCompare, ReportNamesEveryRegression)
     std::ostringstream clean;
     pd::writeReport(pd::diffExports(base, base), clean);
     EXPECT_NE(clean.str().find("no regressions"), std::string::npos);
+}
+
+// --- work counts ------------------------------------------------------------
+
+TEST(PerfDiffCompare, CallCountGrowthIsARegressionAtAnySize)
+{
+    // Same mean, one more call: more work, even below the noise floor.
+    pd::ObsExport base = phaseExport(4, 4000);
+    pd::ObsExport cand = phaseExport(5, 5000);
+    pd::DiffResult result = pd::diffExports(base, cand);
+    ASSERT_EQ(result.regressions.size(), 1u);
+    EXPECT_EQ(result.regressions[0].name, "hot.loop");
+    EXPECT_EQ(result.regressions[0].measure, pd::Measure::Calls);
+    EXPECT_EQ(result.regressions[0].baseline, 4u);
+    EXPECT_EQ(result.regressions[0].candidate, 5u);
+    EXPECT_DOUBLE_EQ(result.regressions[0].ratio, 1.25);
+}
+
+TEST(PerfDiffCompare, CallCountDropIsANote)
+{
+    pd::ObsExport base = phaseExport(10, 50000000);
+    pd::ObsExport cand = phaseExport(8, 40000000);
+    pd::DiffResult result = pd::diffExports(base, cand);
+    EXPECT_TRUE(result.regressions.empty());
+    ASSERT_EQ(result.notes.size(), 1u);
+    EXPECT_EQ(result.notes[0], "phase 'hot.loop' calls 10 -> 8 (dropped)");
+}
+
+TEST(PerfDiffCompare, CounterGrowthIsARegressionAndADropANote)
+{
+    pd::ObsExport base;
+    base.counters["agg.values"] = 296;
+    base.counters["trace.read.records"] = 1677;
+    base.counters["was.zero"] = 0;
+    pd::ObsExport cand = base;
+    cand.counters["agg.values"] = 250;
+    cand.counters["trace.read.records"] = 1678;
+    cand.counters["was.zero"] = 3;
+    pd::DiffResult result = pd::diffExports(base, cand);
+    ASSERT_EQ(result.regressions.size(), 2u);
+    EXPECT_EQ(result.regressions[0].name, "trace.read.records");
+    EXPECT_EQ(result.regressions[0].measure, pd::Measure::Counter);
+    EXPECT_EQ(result.regressions[1].name, "was.zero");
+    EXPECT_TRUE(std::isinf(result.regressions[1].ratio));
+    ASSERT_EQ(result.notes.size(), 1u);
+    EXPECT_EQ(result.notes[0], "counter 'agg.values' 296 -> 250 (dropped)");
+    EXPECT_TRUE(pd::diffExports(base, base).regressions.empty());
+}
+
+TEST(PerfDiffCompare, MissingAndNewCountersAreNotedNotFlagged)
+{
+    pd::ObsExport base;
+    base.counters["old.counter"] = 1;
+    pd::ObsExport cand;
+    cand.counters["new.counter"] = 1;
+    pd::DiffResult result = pd::diffExports(base, cand);
+    EXPECT_TRUE(result.regressions.empty());
+    ASSERT_EQ(result.notes.size(), 2u);
+    EXPECT_EQ(result.notes[0],
+              "counter 'old.counter' missing from the candidate");
+    EXPECT_EQ(result.notes[1], "counter 'new.counter' new in the candidate");
+}
+
+TEST(PerfDiffCompare, ReportNamesTheMeasureThatGrew)
+{
+    pd::ObsExport base = phaseExport(10, 50000000);
+    base.counters["agg.values"] = 5;
+    pd::ObsExport cand = phaseExport(12, 60000000);
+    cand.counters["agg.values"] = 6;
+    std::ostringstream out;
+    pd::writeReport(pd::diffExports(base, cand), out);
+    EXPECT_NE(out.str().find("REGRESSION hot.loop: calls 10 -> 12"),
+              std::string::npos);
+    EXPECT_NE(out.str().find("REGRESSION agg.values: counter 5 -> 6"),
+              std::string::npos);
+    EXPECT_EQ(out.str().find("no regressions"), std::string::npos);
 }

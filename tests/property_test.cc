@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <filesystem>
 #include <map>
@@ -21,6 +22,7 @@
 #include "platform/platform_trace.hh"
 #include "trace/builder.hh"
 #include "sim/tracer.hh"
+#include "support/obs.hh"
 #include "support/random.hh"
 #include "trace/io.hh"
 #include "layout/metrics.hh"
@@ -287,8 +289,10 @@ TEST_P(CutProjectionOracle, ProjectEqualsTheOracleUnderRandomCuts)
             grid5000 ? vp::makeGrid5000()
                      : vp::makeSyntheticGrid(3, 3, 13, rng),
             t);
+        t.freeze();
         std::vector<vt::ContainerId> groups = mirror.groupContainer;
         va::HierarchyCut cut(t);
+        std::vector<vt::ContainerId> prev;
         for (int op = 0; op < 25; ++op) {
             vt::ContainerId group = groups[rng.index(groups.size())];
             switch (rng.index(5)) {
@@ -317,11 +321,136 @@ TEST_P(CutProjectionOracle, ProjectEqualsTheOracleUnderRandomCuts)
                 ASSERT_EQ(p.edges[i], expect.edges[i])
                     << "op " << op << " edge " << i;
             ASSERT_EQ(va::visibleEdges(t, cut), expect.edges);
+
+            // The cut delta names each node's index in the previous
+            // projection, or marks it entering.
+            std::vector<std::uint32_t> from =
+                va::cutDelta(t, prev, p.nodes);
+            ASSERT_EQ(from.size(), p.nodes.size());
+            for (std::size_t j = 0; j < p.nodes.size(); ++j) {
+                auto at = std::find(prev.begin(), prev.end(), p.nodes[j]);
+                ASSERT_EQ(from[j], at == prev.end()
+                                       ? va::kEntering
+                                       : std::uint32_t(at - prev.begin()))
+                    << "op " << op << " node " << j;
+            }
+            prev = p.nodes;
         }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CutProjectionOracle, ::testing::Range(1, 5));
+
+// --- a cut change folds only what it brings in -------------------------------------
+
+class IncrementalFold : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(IncrementalFold, ViewsEqualAFreshBuildAfterEveryGesture)
+{
+    // Differential: random cut, slice and mapping changes; after each,
+    // the session's view (its stored rows carried over a cut change,
+    // the entering ones folded) is bitwise a fresh build, at 1 and 4
+    // threads.
+    for (std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        viva::support::Rng rng(500 + GetParam());
+        vt::Trace t;
+        vp::TraceMirror mirror =
+            vp::mirrorPlatform(vp::makeSyntheticGrid(3, 4, 24, rng), t);
+        for (vt::ContainerId host : mirror.hostContainer) {
+            vt::Variable &used = t.variable(host, mirror.powerUsed);
+            double time = 0.0;
+            for (int k = 0; k < 5; ++k) {
+                used.set(time, rng.uniform(0.0, 1000.0));
+                time += rng.uniform(0.5, 2.0);
+            }
+        }
+        std::vector<std::string> groups;
+        for (vt::ContainerId id : mirror.groupContainer)
+            groups.push_back(t.fullName(id));
+        vap::Session s(std::move(t));
+        s.setThreads(threads);
+        const vt::MetricId power = s.trace().findMetric("power");
+        const vt::MetricId power_used = s.trace().findMetric("power_used");
+
+        namespace obs = viva::support::obs;
+        obs::Registry &reg = obs::Registry::global();
+        const obs::CounterId values = reg.counter("agg.values");
+        std::size_t incremental = 0;
+        for (int gesture = 0; gesture < 60; ++gesture) {
+            const std::string &group = groups[rng.index(groups.size())];
+            switch (rng.index(8)) {
+            case 0:
+            case 1:
+                ASSERT_TRUE(s.aggregate(group));
+                break;
+            case 2:
+            case 3:
+                ASSERT_TRUE(s.disaggregate(group));
+                break;
+            case 4:
+                ASSERT_TRUE(s.focus(group));
+                break;
+            case 5:
+                if (rng.index(2))
+                    s.resetAggregation();
+                else
+                    s.aggregateToDepth(std::uint16_t(rng.index(4)));
+                break;
+            case 6: {
+                std::size_t n = 1 + rng.index(6);
+                s.setSliceOf(va::SliceIndex(std::uint32_t(rng.index(n))),
+                             n);
+                break;
+            }
+            default: {
+                vv::MappingRule host =
+                    *s.mapping().rule(vt::ContainerKind::Host);
+                host.fillMetric = host.fillMetric == power_used
+                                      ? (rng.index(2) ? power
+                                                      : vt::kNoMetric)
+                                      : power_used;
+                s.mapping().setRule(vt::ContainerKind::Host, host);
+                break;
+            }
+            }
+            if (gesture % 10 == 9) {
+                ASSERT_TRUE(s.auditInvariants().empty());
+            }
+            // Now and then no view between two gestures: a cut change
+            // while rows still wait folds plainly.
+            if (rng.index(4) == 0)
+                continue;
+            const std::uint64_t before = reg.counterValue(values);
+            const va::View got = s.view();
+            const std::uint64_t folded = reg.counterValue(values) - before;
+            if (folded > 0 &&
+                folded < got.nodes.size() * got.requests.size())
+                ++incremental;
+            const va::View want =
+                va::buildView(s.trace(), s.projection(), s.timeSlice(),
+                              got.requests, false, threads)
+                    .value();
+            ASSERT_EQ(got.nodes.size(), want.nodes.size());
+            for (std::size_t i = 0; i < got.nodes.size(); ++i) {
+                ASSERT_EQ(got.nodes[i].id, want.nodes[i].id);
+                for (std::size_t k = 0; k < got.requests.size(); ++k)
+                    ASSERT_EQ(
+                        std::bit_cast<std::uint64_t>(got.nodes[i].values[k]),
+                        std::bit_cast<std::uint64_t>(
+                            want.nodes[i].values[k]))
+                        << "gesture " << gesture << " node " << i
+                        << " metric " << k;
+            }
+        }
+        // The sequence exercised the carried rows, not only full folds.
+        EXPECT_GT(incremental, 5u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFold, ::testing::Range(1, 4));
 
 // --- treemap geometry -----------------------------------------------------------
 

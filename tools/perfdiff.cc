@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -272,6 +273,29 @@ parseObsJsonFile(const std::string &path)
     return parsed;
 }
 
+namespace
+{
+
+/** Flag growth of a work count, note a drop. */
+void
+compareCount(DiffResult &result, const std::string &name, Measure measure,
+             std::uint64_t base, std::uint64_t cand)
+{
+    if (cand > base) {
+        double ratio = base == 0 ? std::numeric_limits<double>::infinity()
+                                 : double(cand) / double(base);
+        result.regressions.push_back({name, measure, base, cand, ratio});
+    } else if (cand < base) {
+        std::string what = measure == Measure::Calls
+                               ? "phase '" + name + "' calls "
+                               : "counter '" + name + "' ";
+        result.notes.push_back(what + std::to_string(base) + " -> " +
+                               std::to_string(cand) + " (dropped)");
+    }
+}
+
+} // namespace
+
 DiffResult
 diffExports(const ObsExport &baseline, const ObsExport &candidate,
             const DiffOptions &options)
@@ -285,6 +309,7 @@ diffExports(const ObsExport &baseline, const ObsExport &candidate,
             continue;
         }
         const PhaseStats &cand = it->second;
+        compareCount(result, name, Measure::Calls, base.count, cand.count);
         if (base.sumNanos < options.minSumNanos) {
             result.notes.push_back("phase '" + name +
                                    "' below the noise floor; skipped");
@@ -295,13 +320,28 @@ diffExports(const ObsExport &baseline, const ObsExport &candidate,
         double ratio =
             double(cand.meanNanos) / double(base.meanNanos);
         if (ratio > 1.0 + options.threshold)
-            result.regressions.push_back(
-                {name, base.meanNanos, cand.meanNanos, ratio});
+            result.regressions.push_back({name, Measure::MeanNanos,
+                                          base.meanNanos, cand.meanNanos,
+                                          ratio});
     }
     for (const auto &[name, stats] : candidate.phases) {
         (void)stats;
         if (!baseline.phases.count(name))
             result.notes.push_back("phase '" + name +
+                                   "' new in the candidate");
+    }
+    for (const auto &[name, base] : baseline.counters) {
+        auto it = candidate.counters.find(name);
+        if (it == candidate.counters.end())
+            result.notes.push_back("counter '" + name +
+                                   "' missing from the candidate");
+        else
+            compareCount(result, name, Measure::Counter, base, it->second);
+    }
+    for (const auto &[name, value] : candidate.counters) {
+        (void)value;
+        if (!baseline.counters.count(name))
+            result.notes.push_back("counter '" + name +
                                    "' new in the candidate");
     }
     return result;
@@ -311,9 +351,20 @@ void
 writeReport(const DiffResult &result, std::ostream &out)
 {
     for (const Regression &r : result.regressions) {
-        out << "REGRESSION " << r.name << ": mean "
-            << r.baselineMeanNanos << " ns -> " << r.candidateMeanNanos
-            << " ns (x" << r.ratio << ")\n";
+        out << "REGRESSION " << r.name << ": ";
+        switch (r.measure) {
+        case Measure::MeanNanos:
+            out << "mean " << r.baseline << " ns -> " << r.candidate
+                << " ns";
+            break;
+        case Measure::Calls:
+            out << "calls " << r.baseline << " -> " << r.candidate;
+            break;
+        case Measure::Counter:
+            out << "counter " << r.baseline << " -> " << r.candidate;
+            break;
+        }
+        out << " (x" << r.ratio << ")\n";
     }
     for (const std::string &note : result.notes)
         out << "note: " << note << "\n";

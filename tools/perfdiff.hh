@@ -6,7 +6,9 @@
  * The bench side (bench/obs_export.cc) runs a representative workload
  * and dumps the metrics registry as BENCH_obs.json; this library parses
  * two such exports and reports every phase whose mean duration grew
- * beyond a noise threshold. The parser is dependency-free and accepts
+ * beyond a noise threshold, and every work count that grew at all: a
+ * phase's call count or a counter. The parser is dependency-free and
+ * accepts
  * exactly the subset of JSON that support::obs::writeJson() emits
  * (objects, arrays, strings, integers), so the golden-file test on the
  * export schema also pins what this tool can read.
@@ -60,14 +62,23 @@ struct DiffOptions
     std::uint64_t minSumNanos = 1000000;
 };
 
-/** One flagged phase. */
+/** What a regression measures. */
+enum class Measure
+{
+    MeanNanos,  ///< a phase's mean duration, beyond the threshold
+    Calls,      ///< a phase's call count
+    Counter,    ///< a counter's value
+};
+
+/** One flagged phase or counter. */
 struct Regression
 {
     std::string name;
-    std::uint64_t baselineMeanNanos = 0;
-    std::uint64_t candidateMeanNanos = 0;
+    Measure measure = Measure::MeanNanos;
+    std::uint64_t baseline = 0;
+    std::uint64_t candidate = 0;
 
-    /** candidate mean / baseline mean. */
+    /** candidate / baseline (infinite when the baseline is 0). */
     double ratio = 0.0;
 };
 
@@ -76,11 +87,19 @@ struct DiffResult
 {
     std::vector<Regression> regressions;
 
-    /** Phases skipped (too small, missing on one side) -- not failures. */
+    /**
+     * Not failures: phases skipped (too small, missing on one side),
+     * counters missing on one side, and work counts that dropped.
+     */
     std::vector<std::string> notes;
 };
 
-/** Compare a candidate export against a baseline. */
+/**
+ * Compare a candidate export against a baseline: a phase's mean
+ * duration regresses beyond options.threshold (above the noise floor);
+ * a phase's call count or a counter regresses when it grows at all,
+ * since a work count carries no timing noise. A drop is a note.
+ */
 DiffResult diffExports(const ObsExport &baseline,
                        const ObsExport &candidate,
                        const DiffOptions &options = {});

@@ -5,8 +5,9 @@
  *   viva-perfdiff <baseline.json> <candidate.json>
  *                 [--threshold FRACTION] [--min-ns NANOS]
  *
- * Exit status: 0 when no phase regressed, 1 when at least one did,
- * 2 on usage or parse errors -- so a CI step can gate on it directly.
+ * Exit status: 0 when nothing regressed, 1 when a phase's mean, a
+ * phase's call count or a counter did, 2 on usage or parse errors --
+ * so a CI step can gate on it directly.
  */
 
 #include <cstdio>
