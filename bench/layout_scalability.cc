@@ -91,8 +91,8 @@ BM_QuadTreeBuild(benchmark::State &state)
 void
 BM_LayoutStepParallel(benchmark::State &state)
 {
-    // The tentpole speedup: one Barnes-Hut step on a 10k-node graph
-    // with the force-accumulation phase fanned over N workers. Results
+    // Thread scaling: one Barnes-Hut step on a 10k-node graph with
+    // the force-accumulation phase fanned over N workers. Results
     // are bitwise identical to threads=1 (the differential tests hold
     // that line); only the wall clock moves.
     LayoutGraph g = makeGraph(10000);

@@ -361,7 +361,7 @@ Session::syncLayout()
         // Aggregation: absorb the centroid of current descendants.
         layout::Vec2 centroid;
         std::size_t absorbed = 0;
-        for (ContainerId d : tr.subtree(id)) {
+        for (ContainerId d : tr.cachedSubtree(id)) {
             layout::NodeId desc = graph.findKey(d.value());
             if (desc != layout::kNoNode && d != id) {
                 centroid += graph.node(desc).position;

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "support/logging.hh"
 #include "support/obs.hh"
@@ -59,7 +60,10 @@ mortonCode(Vec2 p, Vec2 lo, Vec2 hi)
     return (spreadBits(qy) << 1) | spreadBits(qx);
 }
 
-/** Lanes of the list evaluation: two SSE2 vectors of doubles. */
+/**
+ * Lanes of the list evaluation: one AVX2 vector of doubles, or two
+ * SSE2 ones.
+ */
 constexpr std::size_t kLanes = 4;
 
 /** Interaction-list entries evaluated per pass over a group. */
@@ -71,6 +75,29 @@ constexpr std::size_t kListBlock = 128;
  */
 constexpr std::size_t kStackDepth = 4 * (kMortonBits + 2);
 
+/**
+ * The squared form of the opening test is trusted only this far from
+ * its boundary: its few roundings are 1e-15 relative, so outside the
+ * margin it decides as the sqrt/divide form does, and inside it that
+ * form decides.
+ */
+constexpr double kMargin = 1e-9;
+
+/**
+ * Above this squared distance the distance is above 2e-9, so above
+ * kCoincidenceEps after any rounding of its sqrt.
+ */
+constexpr double kFarSquared = 4e-18;
+
+/**
+ * The squared test runs for theta^2 in [1e-100, 1e100] and squared
+ * distances in (kFarSquared, 1e180), where theta^2 * d2 is a normal
+ * double: no underflow or overflow can swallow the margin.
+ */
+constexpr double kMinTheta2 = 1e-100;
+constexpr double kMaxTheta2 = 1e100;
+constexpr double kMaxSquared = 1e180;
+
 /** A block of interaction-list entries in SoA form. */
 struct ListBlock
 {
@@ -81,15 +108,101 @@ struct ListBlock
 };
 
 /**
- * Distance from the box [lo, hi] to a point: 0 inside it, and exactly
- * (p - b).norm() for the degenerate box {p, p}.
+ * Squared distance from the box [lo, hi] to a point: 0 inside it, and
+ * exactly (p - b).norm2() for the degenerate box {p, p}.
  */
-double
-boxDistance(Vec2 lo, Vec2 hi, Vec2 b)
+[[gnu::always_inline]] inline double
+boxDistance2(Vec2 lo, Vec2 hi, Vec2 b)
 {
     double dx = std::max(std::max(lo.x - b.x, b.x - hi.x), 0.0);
     double dy = std::max(std::max(lo.y - b.y, b.y - hi.y), 0.0);
-    return std::sqrt(dx * dx + dy * dy);
+    return dx * dx + dy * dy;
+}
+
+/**
+ * The group's view of theta: the squared test's bounds, set so that it
+ * never runs when theta^2 is out of range (theta <= 0 or NaN included).
+ */
+struct Opening
+{
+    double theta;
+    double theta2;
+    double minSquared;
+
+    explicit Opening(double t) : theta(t), theta2(t * t)
+    {
+        const bool ranged =
+            t > 0.0 && theta2 >= kMinTheta2 && theta2 <= kMaxTheta2;
+        minSquared = ranged ? kFarSquared
+                            : std::numeric_limits<double>::infinity();
+    }
+
+    /**
+     * The opening test `dist > kCoincidenceEps && size / dist < theta`
+     * with dist = sqrt(d2), decided without sqrt or divide where the
+     * squares are clear of the boundary by kMargin; `exact` is called
+     * when the sqrt/divide form has to decide. Every answer is that
+     * form's.
+     */
+    template <typename Exact>
+    [[gnu::always_inline]] bool
+    accepts(double d2, double size, Exact &&exact) const
+    {
+        if (d2 > minSquared && d2 < kMaxSquared) {
+            const double t2 = theta2 * d2;
+            const double s2 = size * size;
+            if (s2 < t2 * (1.0 - kMargin))
+                return true;
+            if (s2 > t2 * (1.0 + kMargin))
+                return false;
+        }
+        exact();
+        const double dist = std::sqrt(d2);
+        return dist > kCoincidenceEps && size / dist < theta;
+    }
+};
+
+/**
+ * Whether a leaf at squared box distance d2 is within kCoincidenceEps
+ * of the box: `sqrt(d2) <= kCoincidenceEps`, with the sqrt only when
+ * d2 is near it.
+ */
+[[gnu::always_inline]] inline bool
+coincides(double d2)
+{
+    return !(d2 > kFarSquared) && std::sqrt(d2) <= kCoincidenceEps;
+}
+
+/**
+ * Visit, in walk order, every cell the box [lo, hi] interacts with:
+ * leaves, and internal cells passing the group test; visit gets the
+ * cell and its squared box distance. With the box's nearest point in
+ * place of the body, the group test is the classic per-body test for
+ * the box {p, p}. A cell's children are pushed first to last, so the
+ * last quadrant pops first.
+ */
+template <typename Visit, typename Exact>
+[[gnu::always_inline]] inline void
+walkCells(const QuadTree::Cell *cells, Vec2 lo, Vec2 hi, double theta,
+          Visit &&visit, Exact &&exact)
+{
+    const Opening opening(theta);
+    // Explicit fixed-size stack: no recursion and no allocation.
+    std::array<CellId, kStackDepth> stack;
+    std::size_t top = 0;
+    stack[top++] = CellId{0};
+    while (top > 0) {
+        const QuadTree::Cell &c = cells[stack[--top].index()];
+        if (c.charge <= 0.0)
+            continue;
+        const double d2 = boxDistance2(lo, hi, c.bary);
+        if (c.count == 0 || opening.accepts(d2, c.size, exact)) {
+            visit(c, d2);
+            continue;
+        }
+        for (std::uint32_t k = 0; k < c.count; ++k)
+            stack[top++] = CellId{c.first.value() + std::int32_t(k)};
+    }
 }
 
 /**
@@ -97,11 +210,11 @@ boxDistance(Vec2 lo, Vec2 hi, Vec2 b)
  * multiple of kLanes and no entry lies within kCoincidenceEps of a
  * point. Each point sums the list in list order with the arithmetic of
  * the classic per-body loop, so its result does not depend on the lane
- * or block it lands in. The fixed lane count and the branch-free body
- * let the compiler emit packed sqrt and divide (hence -fno-math-errno
- * on viva_layout).
+ * or block it lands in, nor on the vector width. The fixed lane count
+ * and the branch-free body let the compiler emit packed sqrt and
+ * divide (hence -fno-math-errno on viva_layout).
  */
-void
+[[gnu::always_inline]] inline void
 evaluateFar(const ListBlock &list, const double *px, const double *py,
             std::size_t n, double *fx, double *fy)
 {
@@ -137,7 +250,7 @@ evaluateFar(const ListBlock &list, const double *px, const double *py,
  * evaluateFar for entries that may coincide with a point: each point
  * skips the entries within kCoincidenceEps of it (itself included).
  */
-void
+[[gnu::always_inline]] inline void
 evaluateNear(const ListBlock &list, const double *px, const double *py,
              std::size_t n, double *fx, double *fy)
 {
@@ -155,18 +268,96 @@ evaluateNear(const ListBlock &list, const double *px, const double *py,
     }
 }
 
+/**
+ * The walk of QuadTree::fieldAt plus its list evaluation: one body,
+ * compiled once per instruction set below.
+ */
+[[gnu::always_inline]] inline void
+fieldKernel(const QuadTree::Cell *cells, const double *px,
+            const double *py, std::size_t n, Vec2 lo, Vec2 hi,
+            double theta, double *fx, double *fy)
+{
+    const std::size_t lanes = (n + kLanes - 1) / kLanes * kLanes;
+    // Accepted cells lie farther than kCoincidenceEps from every point
+    // by the group test, and so do most leaves: they take the packed
+    // path. Leaves within kCoincidenceEps of the box (the group's own
+    // bodies among them) take the checked one. Both lists flush in an
+    // order fixed by the walk alone.
+    ListBlock lists[2];  // far, near
+    walkCells(
+        cells, lo, hi, theta,
+        [&](const QuadTree::Cell &c, double d2) {
+            const bool close = c.count == 0 && coincides(d2);
+            ListBlock &list = lists[close];
+            list.x[list.size] = c.bary.x;
+            list.y[list.size] = c.bary.y;
+            list.q[list.size] = c.charge;
+            if (++list.size < kListBlock)
+                return;
+            if (close)
+                evaluateNear(list, px, py, n, fx, fy);
+            else
+                evaluateFar(list, px, py, lanes, fx, fy);
+            list.size = 0;
+        },
+        [] {});
+    evaluateFar(lists[0], px, py, lanes, fx, fy);
+    evaluateNear(lists[1], px, py, n, fx, fy);
+}
+
+using FieldFn = void (*)(const QuadTree::Cell *, const double *,
+                         const double *, std::size_t, Vec2, Vec2, double,
+                         double *, double *);
+
+/** fieldKernel at the build's baseline instruction set. */
+[[gnu::flatten]] void
+fieldBaseline(const QuadTree::Cell *cells, const double *px,
+              const double *py, std::size_t n, Vec2 lo, Vec2 hi,
+              double theta, double *fx, double *fy)
+{
+    fieldKernel(cells, px, py, n, lo, hi, theta, fx, fy);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/**
+ * fieldKernel with AVX2's 256-bit vectors. The target adds no FMA, so
+ * no product is contracted and every result is the baseline's.
+ */
+[[gnu::target("avx2"), gnu::flatten]] void
+fieldAvx2(const QuadTree::Cell *cells, const double *px,
+          const double *py, std::size_t n, Vec2 lo, Vec2 hi,
+          double theta, double *fx, double *fy)
+{
+    fieldKernel(cells, px, py, n, lo, hi, theta, fx, fy);
+}
+#endif
+
+/**
+ * The field kernel for this CPU, picked once. A plain function pointer
+ * rather than target_clones, whose ifunc resolver segfaulted under
+ * -fsanitize=thread (GCC 12).
+ */
+FieldFn
+pickFieldKernel()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return fieldAvx2;
+#endif
+    return fieldBaseline;
+}
+
 } // namespace
 
 std::size_t
 QuadTree::newCell(Vec2 lo, Vec2 hi)
 {
-    std::size_t i = cellLo.size();
-    cellLo.push_back(lo);
-    cellHi.push_back(hi);
-    bary.push_back(Vec2{});
-    cellCharge.push_back(0.0);
-    kids.push_back({kNoCell, kNoCell, kNoCell, kNoCell});
-    flags.push_back(kLeafBit);
+    std::size_t i = cells.size();
+    Cell cell;
+    cell.size = std::max(hi.x - lo.x, hi.y - lo.y);
+    cells.push_back(cell);
+    boxes.push_back({lo, hi});
     return i;
 }
 
@@ -179,19 +370,13 @@ QuadTree::build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies)
     obs::ScopedPhase timer(phase);
 
     VIVA_ASSERT(lo.x < hi.x && lo.y < hi.y, "degenerate quadtree box");
-    cellLo.clear();
-    cellHi.clear();
-    bary.clear();
-    cellCharge.clear();
-    kids.clear();
-    flags.clear();
+    cells.clear();
+    boxes.clear();
     groupStart.clear();
     inserted = bodies.size();
-
-    if (bodies.empty()) {
-        newCell(lo, hi);
+    newCell(lo, hi);
+    if (bodies.empty())
         return;
-    }
 
     const std::size_t n = bodies.size();
     VIVA_ASSERT(n <= kIndexMask + 1, n, " bodies overflow the ",
@@ -236,17 +421,15 @@ QuadTree::build(Vec2 lo, Vec2 hi, const std::vector<Body> &bodies)
         sortedY[i] = bodies[order[i]].position.y;
     }
 
-    buildRange(lo, hi, 0, bodies.size(), 2 * (kMortonBits - 1), false,
-               bodies);
-    groupStart.push_back(std::uint32_t(bodies.size()));
+    fillCell(0, 0, n, 2 * (kMortonBits - 1), false, bodies);
+    groupStart.push_back(std::uint32_t(n));
 }
 
-std::size_t
-QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
-                     std::size_t end, int shift, bool in_group,
-                     const std::vector<Body> &bodies)
+void
+QuadTree::fillCell(std::size_t cell, std::size_t begin, std::size_t end,
+                   int shift, bool in_group,
+                   const std::vector<Body> &bodies)
 {
-    std::size_t cell = newCell(lo, hi);
     const bool opens = !in_group && end - begin <= kGroupSize;
     if (opens)
         groupStart.push_back(std::uint32_t(begin));
@@ -260,23 +443,24 @@ QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
         if (!in_group && !opens)
             for (std::size_t s = begin; s < end; s += kGroupSize)
                 groupStart.push_back(std::uint32_t(s));
+        const auto [root_lo, root_hi] = boxes[0];
         Vec2 p{};
         double q = 0.0;
         for (std::size_t i = begin; i < end; ++i) {
             const Body &b = bodies[order[i]];
             // Out-of-box bodies merge at the clamped position.
-            Vec2 bp{std::clamp(b.position.x, cellLo[0].x, cellHi[0].x),
-                    std::clamp(b.position.y, cellLo[0].y, cellHi[0].y)};
+            Vec2 bp{std::clamp(b.position.x, root_lo.x, root_hi.x),
+                    std::clamp(b.position.y, root_lo.y, root_hi.y)};
             double total = q + b.charge;
             p = (p * q + bp * b.charge) / total;
             q = total;
         }
-        cellCharge[cell] = q;
-        bary[cell] = p;
-        return cell;
+        cells[cell].charge = q;
+        cells[cell].bary = p;
+        return;
     }
 
-    flags[cell] = 0;
+    const auto [lo, hi] = boxes[cell];
     double mx = 0.5 * (lo.x + hi.x);
     double my = 0.5 * (lo.y + hi.y);
     const Vec2 corner[4][2] = {
@@ -286,90 +470,43 @@ QuadTree::buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
         {{mx, my}, {hi.x, hi.y}},
     };
     // The range is Morton-sorted, so each quadrant's bodies form one
-    // contiguous sub-range; walk the 2-bit digit boundaries in order.
-    std::size_t cursor = begin;
+    // contiguous sub-range; walk the 2-bit digit boundaries in order
+    // and append one child per non-empty quadrant, as one block.
+    std::size_t bound[5] = {begin};
+    std::uint32_t count = 0;
+    const std::size_t first = cells.size();
+    for (int d = 0; d < 4; ++d) {
+        std::size_t sub = bound[count];
+        while (sub < end && int((codeAt(sub) >> shift) & 3) == d)
+            ++sub;
+        if (sub == bound[count])
+            continue;  // empty quadrant: no cell at all
+        newCell(corner[d][0], corner[d][1]);
+        bound[++count] = sub;
+    }
+    cells[cell].first = CellId::fromIndex(first);
+    cells[cell].count = count;
     double charge_sum = 0.0;
     Vec2 moment{};
-    for (int d = 0; d < 4; ++d) {
-        std::size_t sub = cursor;
-        while (sub < end &&
-               int((codeAt(sub) >> shift) & 3) == d)
-            ++sub;
-        if (sub == cursor)
-            continue;  // empty quadrant: no cell at all
-        std::size_t child =
-            buildRange(corner[d][0], corner[d][1], cursor, sub,
-                       shift - 2, in_group || opens, bodies);
-        kids[cell][d] = CellId::fromIndex(child);
-        charge_sum += cellCharge[child];
-        moment += bary[child] * cellCharge[child];
-        cursor = sub;
+    for (std::uint32_t k = 0; k < count; ++k) {
+        fillCell(first + k, bound[k], bound[k + 1], shift - 2,
+                 in_group || opens, bodies);
+        const Cell &child = cells[first + k];
+        charge_sum += child.charge;
+        moment += child.bary * child.charge;
     }
-    cellCharge[cell] = charge_sum;
-    bary[cell] = moment / charge_sum;
-    return cell;
-}
-
-template <typename Visit>
-void
-QuadTree::walk(Vec2 lo, Vec2 hi, double theta, Visit &&visit) const
-{
-    // Explicit fixed-size stack: no recursion and no allocation.
-    std::array<CellId, kStackDepth> stack;
-    std::size_t top = 0;
-    stack[top++] = CellId{0};
-    while (top > 0) {
-        std::size_t c = stack[--top].index();
-        if (cellCharge[c] <= 0.0)
-            continue;
-        if (flags[c] & kLeafBit) {
-            visit(c);
-            continue;
-        }
-        // The group test: with the box's nearest point in place of the
-        // body, it is the classic per-body test for the box {p, p}.
-        double dist = boxDistance(lo, hi, bary[c]);
-        double size =
-            std::max(cellHi[c].x - cellLo[c].x, cellHi[c].y - cellLo[c].y);
-        if (dist > kCoincidenceEps && size / dist < theta) {
-            visit(c);
-            continue;
-        }
-        for (int q = 0; q < 4; ++q)
-            if (kids[c][q] != kNoCell)
-                stack[top++] = kids[c][q];
-    }
+    cells[cell].charge = charge_sum;
+    cells[cell].bary = moment / charge_sum;
 }
 
 void
 QuadTree::fieldAt(const double *px, const double *py, std::size_t n,
                   Vec2 lo, Vec2 hi, double theta, double *fx,
-                  double *fy) const
+                  double *fy, bool baseline) const
 {
-    const std::size_t lanes = (n + kLanes - 1) / kLanes * kLanes;
-    // Accepted cells lie farther than kCoincidenceEps from every point
-    // by the group test, and so do most leaves: they take the packed
-    // path. Leaves within kCoincidenceEps of the box (the group's own
-    // bodies among them) take the checked one. Both lists flush in an
-    // order fixed by the walk alone.
-    ListBlock far, near;
-    walk(lo, hi, theta, [&](std::size_t c) {
-        const bool close = (flags[c] & kLeafBit) &&
-                           boxDistance(lo, hi, bary[c]) <= kCoincidenceEps;
-        ListBlock &list = close ? near : far;
-        list.x[list.size] = bary[c].x;
-        list.y[list.size] = bary[c].y;
-        list.q[list.size] = cellCharge[c];
-        if (++list.size < kListBlock)
-            return;
-        if (close)
-            evaluateNear(list, px, py, n, fx, fy);
-        else
-            evaluateFar(list, px, py, lanes, fx, fy);
-        list.size = 0;
-    });
-    evaluateFar(far, px, py, lanes, fx, fy);
-    evaluateNear(near, px, py, n, fx, fy);
+    static const FieldFn kernel = pickFieldKernel();
+    (baseline ? fieldBaseline : kernel)(cells.data(), px, py, n, lo, hi,
+                                        theta, fx, fy);
 }
 
 std::array<Vec2, 2>
@@ -390,6 +527,20 @@ void
 QuadTree::groupField(std::size_t g, double theta,
                      std::vector<Vec2> &field) const
 {
+    groupFieldVia(g, theta, field, false);
+}
+
+void
+QuadTree::debugBaselineGroupField(std::size_t g, double theta,
+                                  std::vector<Vec2> &field) const
+{
+    groupFieldVia(g, theta, field, true);
+}
+
+void
+QuadTree::groupFieldVia(std::size_t g, double theta,
+                        std::vector<Vec2> &field, bool baseline) const
+{
     VIVA_ASSERT(g < groupCount(), "bad group ", g);
     VIVA_ASSERT(field.size() >= inserted, "field holds ", field.size(),
                 " slots for ", inserted, " bodies");
@@ -404,7 +555,7 @@ QuadTree::groupField(std::size_t g, double theta,
         py[i] = sortedY[begin + std::min(i, n - 1)];
     }
     auto [lo, hi] = groupBox(g);
-    fieldAt(px, py, n, lo, hi, theta, fx, fy);
+    fieldAt(px, py, n, lo, hi, theta, fx, fy, baseline);
     for (std::size_t i = 0; i < n; ++i)
         field[order[begin + i]] = Vec2{fx[i], fy[i]};
 }
@@ -418,7 +569,7 @@ QuadTree::forceAt(Vec2 position, double theta) const
     double fx[kGroupSize] = {}, fy[kGroupSize] = {};
     std::fill(px, px + kGroupSize, position.x);
     std::fill(py, py + kGroupSize, position.y);
-    fieldAt(px, py, 1, position, position, theta, fx, fy);
+    fieldAt(px, py, 1, position, position, theta, fx, fy, false);
     return Vec2{fx[0], fy[0]};
 }
 
@@ -430,13 +581,15 @@ QuadTree::debugGroupWalk(std::size_t g, double theta) const
     out.bodies.assign(order.begin() + groupStart[g],
                       order.begin() + groupStart[g + 1]);
     auto [lo, hi] = groupBox(g);
-    walk(lo, hi, theta, [&](std::size_t c) {
-        if (flags[c] & kLeafBit)
-            return;
-        out.barycentres.push_back(bary[c]);
-        out.sizes.push_back(std::max(cellHi[c].x - cellLo[c].x,
-                                     cellHi[c].y - cellLo[c].y));
-    });
+    walkCells(
+        cells.data(), lo, hi, theta,
+        [&](const Cell &c, double) {
+            if (c.count == 0)
+                return;
+            out.barycentres.push_back(c.bary);
+            out.sizes.push_back(c.size);
+        },
+        [&] { ++out.exactTests; });
     return out;
 }
 
@@ -451,88 +604,87 @@ QuadTree::auditInvariants() const
     constexpr double kTol = 1e-9;
 
     support::AuditLog log;
-    if (cellLo.empty()) {
-        auditFail(log, "quadtree has no root cell");
+    if (cells.empty() || boxes.size() != cells.size()) {
+        auditFail(log, "quadtree has no root cell or ", boxes.size(),
+                  " boxes for ", cells.size(), " cells");
         return log;
     }
 
     double totalLeafCharge = 0.0;
 
-    for (std::size_t i = 0; i < cellLo.size(); ++i) {
-        if (!(cellLo[i].x < cellHi[i].x && cellLo[i].y < cellHi[i].y))
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        const Cell &cell = cells[i];
+        const auto [lo, hi] = boxes[i];
+        if (!(lo.x < hi.x && lo.y < hi.y))
             auditFail(log, "cell ", i, " has a degenerate box");
-        if (cellCharge[i] < 0.0)
+        if (cell.size != std::max(hi.x - lo.x, hi.y - lo.y))
+            auditFail(log, "cell ", i, " size ", cell.size,
+                      " is not its box's");
+        if (cell.charge < 0.0)
             auditFail(log, "cell ", i, " has negative charge ",
-                      cellCharge[i]);
+                      cell.charge);
 
-        if (flags[i] & kLeafBit) {
-            for (int q = 0; q < 4; ++q)
-                if (kids[i][q] != kNoCell)
-                    auditFail(log, "leaf cell ", i, " has a child");
-            totalLeafCharge += cellCharge[i];
-            if (inserted > 0 && cellCharge[i] <= 0.0)
+        if (cell.count == 0) {
+            totalLeafCharge += cell.charge;
+            if (inserted > 0 && cell.charge <= 0.0)
                 auditFail(log, "leaf ", i, " has non-positive charge ",
-                          cellCharge[i]);
-            if (bary[i].x < cellLo[i].x - kTol ||
-                bary[i].x > cellHi[i].x + kTol ||
-                bary[i].y < cellLo[i].y - kTol ||
-                bary[i].y > cellHi[i].y + kTol)
+                          cell.charge);
+            if (cell.bary.x < lo.x - kTol || cell.bary.x > hi.x + kTol ||
+                cell.bary.y < lo.y - kTol || cell.bary.y > hi.y + kTol)
                 auditFail(log, "leaf ", i, " point escapes its box");
             continue;
         }
 
+        // Children follow their parent as one block, each tiling a
+        // distinct quadrant, in quadrant order.
+        if (cell.count > 4 || cell.first.value() <= std::int32_t(i) ||
+            cell.first.index() + cell.count > cells.size()) {
+            auditFail(log, "internal cell ", i, " has a bad child block ",
+                      cell.first, " + ", cell.count);
+            continue;
+        }
         double childCharge = 0.0;
         Vec2 moment;
-        std::size_t childCount = 0;
-        double mx = 0.5 * (cellLo[i].x + cellHi[i].x);
-        double my = 0.5 * (cellLo[i].y + cellHi[i].y);
+        double mx = 0.5 * (lo.x + hi.x);
+        double my = 0.5 * (lo.y + hi.y);
         const Vec2 corner[4][2] = {
-            {{cellLo[i].x, cellLo[i].y}, {mx, my}},
-            {{mx, cellLo[i].y}, {cellHi[i].x, my}},
-            {{cellLo[i].x, my}, {mx, cellHi[i].y}},
-            {{mx, my}, {cellHi[i].x, cellHi[i].y}},
+            {{lo.x, lo.y}, {mx, my}},
+            {{mx, lo.y}, {hi.x, my}},
+            {{lo.x, my}, {mx, hi.y}},
+            {{mx, my}, {hi.x, hi.y}},
         };
-        for (int q = 0; q < 4; ++q) {
-            CellId child_ix = kids[i][q];
-            // The build creates only non-empty quadrants; an absent
-            // child is well-formed, a bad index is not.
-            if (child_ix == kNoCell)
-                continue;
-            if (child_ix.index() >= cellLo.size()) {
-                auditFail(log, "internal cell ", i,
-                          " has a bad child index ", child_ix);
-                continue;
+        int quadrant = 0;
+        for (std::uint32_t k = 0; k < cell.count; ++k) {
+            const std::size_t child = cell.first.index() + k;
+            while (quadrant < 4 &&
+                   !(boxes[child][0] == corner[quadrant][0] &&
+                     boxes[child][1] == corner[quadrant][1]))
+                ++quadrant;
+            if (quadrant == 4) {
+                auditFail(log, "child ", child, " of cell ", i,
+                          " does not tile a later quadrant");
+                break;
             }
-            ++childCount;
-            std::size_t child = child_ix.index();
-            if (cellLo[child].x != corner[q][0].x ||
-                cellLo[child].y != corner[q][0].y ||
-                cellHi[child].x != corner[q][1].x ||
-                cellHi[child].y != corner[q][1].y)
-                auditFail(log, "child ", child_ix, " of cell ", i,
-                          " does not tile quadrant ", q);
-            childCharge += cellCharge[child];
-            moment += bary[child] * cellCharge[child];
+            ++quadrant;
+            childCharge += cells[child].charge;
+            moment += cells[child].bary * cells[child].charge;
         }
-        if (childCount == 0)
-            auditFail(log, "internal cell ", i, " has no children");
-        if (!nearlyEqual(cellCharge[i], childCharge, kTol))
-            auditFail(log, "internal cell ", i, " charge ",
-                      cellCharge[i], " != sum of children ",
-                      childCharge);
-        if (cellCharge[i] > 0.0) {
+        if (!nearlyEqual(cell.charge, childCharge, kTol))
+            auditFail(log, "internal cell ", i, " charge ", cell.charge,
+                      " != sum of children ", childCharge);
+        if (cell.charge > 0.0) {
             Vec2 expect = moment / childCharge;
-            if (!nearlyEqual(bary[i].x, expect.x, kTol) ||
-                !nearlyEqual(bary[i].y, expect.y, kTol))
+            if (!nearlyEqual(cell.bary.x, expect.x, kTol) ||
+                !nearlyEqual(cell.bary.y, expect.y, kTol))
                 auditFail(log, "internal cell ", i,
                           " barycentre drifted from its children");
         }
     }
 
-    if (!nearlyEqual(cellCharge[0], totalLeafCharge, kTol))
-        auditFail(log, "root charge ", cellCharge[0],
+    if (!nearlyEqual(cells[0].charge, totalLeafCharge, kTol))
+        auditFail(log, "root charge ", cells[0].charge,
                   " != total leaf charge ", totalLeafCharge);
-    if (inserted > 0 && cellCharge[0] <= 0.0)
+    if (inserted > 0 && cells[0].charge <= 0.0)
         auditFail(log, "points were inserted but the root holds no "
                   "charge");
 
@@ -555,8 +707,8 @@ QuadTree::auditInvariants() const
 void
 QuadTree::debugScaleCellCharge(std::size_t cell, double factor)
 {
-    VIVA_ASSERT(cell < cellLo.size(), "bad cell index ", cell);
-    cellCharge[cell] *= factor;
+    VIVA_ASSERT(cell < cells.size(), "bad cell index ", cell);
+    cells[cell].charge *= factor;
 }
 
 } // namespace viva::layout

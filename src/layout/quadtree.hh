@@ -4,11 +4,12 @@
  * Coulomb repulsion that makes the layout scale to large views
  * (Section 3.3: "we adopt the scalable Barnes-Hut algorithm").
  *
- * The tree lives in a flat SoA arena (parallel per-field vectors
- * indexed by CellId) whose capacity persists across rebuilds, so a
- * layout iterating at interactive rates stops paying per-cell
- * allocations after the first few steps. build() Morton-sorts the
- * bodies once and emits the tree in a single preorder pass.
+ * The tree lives in one vector of cell records whose capacity persists
+ * across rebuilds, so a layout iterating at interactive rates stops
+ * paying per-cell allocations after the first few steps. build()
+ * Morton-sorts the bodies once and emits the tree in a single pass that
+ * stores each cell's non-empty children contiguously, in quadrant
+ * order.
  *
  * The field is evaluated per *group* (Barnes 1990, "a modified tree
  * code"): every maximal cell holding at most kGroupSize bodies is one
@@ -65,6 +66,20 @@ class QuadTree
     static constexpr std::size_t kGroupSize = 32;
 
     /**
+     * One cell of the arena: all the walk reads of it, in one record.
+     * An internal cell's non-empty children are the `count` records
+     * from `first` on, in quadrant order; a leaf has count 0.
+     */
+    struct Cell
+    {
+        Vec2 bary;            ///< charge-weighted centre
+        double charge = 0.0;  ///< total charge inside
+        double size = 0.0;    ///< the box's larger side
+        CellId first = kNoCell;
+        std::uint32_t count = 0;
+    };
+
+    /**
      * Rebuild the whole tree from a point set: Morton-sort the bodies
      * (21 bits per axis, deterministic index tiebreak; starting from
      * the previous build's order when the body count is the same),
@@ -113,14 +128,15 @@ class QuadTree
     std::size_t pointCount() const { return inserted; }
 
     /** Number of allocated tree cells (memory metric). */
-    std::size_t cellCount() const { return cellLo.size(); }
+    std::size_t cellCount() const { return cells.size(); }
 
     /**
      * Deep structural audit: every internal cell's charge and
      * barycentre are consistent with its children, child boxes tile
-     * their parent exactly, leaf barycentres lie inside their cell,
-     * the root charge accounts for every leaf, and the groups tile the
-     * bodies in runs of at most kGroupSize.
+     * their parent exactly and follow it in quadrant order, each
+     * record's size is its box's, leaf barycentres lie inside their
+     * cell, the root charge accounts for every leaf, and the groups
+     * tile the bodies in runs of at most kGroupSize.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
@@ -138,15 +154,26 @@ class QuadTree
         std::vector<std::uint32_t> bodies;  ///< body indices
         std::vector<Vec2> barycentres;      ///< accepted internal cells
         std::vector<double> sizes;          ///< their box sizes
+        /**
+         * Opening tests the squared comparison left to the exact
+         * sqrt/divide expression (a ratio within its margin of theta,
+         * a near-coincident or out-of-range distance).
+         */
+        std::size_t exactTests = 0;
     };
 
     /** The cells group `g`'s walk accepts, in walk order. */
     GroupWalk debugGroupWalk(std::size_t g, double theta) const;
 
-  private:
-    /** flags bits. */
-    static constexpr std::uint8_t kLeafBit = 1;
+    /**
+     * Test introspection: groupField() through the kernel compiled for
+     * the build's baseline instruction set, whichever kernel this CPU
+     * runs.
+     */
+    void debugBaselineGroupField(std::size_t g, double theta,
+                                 std::vector<Vec2> &field) const;
 
+  private:
     /** Low bits of a sort key: the body index below its Morton code. */
     static constexpr int kIndexBits = 22;
     static constexpr std::uint64_t kIndexMask =
@@ -169,41 +196,38 @@ class QuadTree
     std::size_t newCell(Vec2 lo, Vec2 hi);
 
     /**
-     * Emit the cell for the Morton-sorted body range [begin, end) of
-     * `order`, recursing per 2-bit digit at `shift`; opens a group at
-     * the first cell on the path holding at most kGroupSize bodies.
+     * Fill the cell for the Morton-sorted body range [begin, end) of
+     * `order`: a leaf, or an internal cell whose children are
+     * appended as one block and filled in turn, recursing per 2-bit
+     * digit at `shift`. Opens a group at the first cell on the path
+     * holding at most kGroupSize bodies.
      */
-    std::size_t buildRange(Vec2 lo, Vec2 hi, std::size_t begin,
-                           std::size_t end, int shift, bool in_group,
-                           const std::vector<Body> &bodies);
+    void fillCell(std::size_t cell, std::size_t begin, std::size_t end,
+                  int shift, bool in_group,
+                  const std::vector<Body> &bodies);
 
     /** The tight bounding box {lo, hi} of group g's bodies. */
     std::array<Vec2, 2> groupBox(std::size_t g) const;
 
-    /**
-     * Visit, in walk order, every cell the box [lo, hi] interacts
-     * with: leaves, and internal cells passing the group test.
-     */
-    template <typename Visit>
-    void walk(Vec2 lo, Vec2 hi, double theta, Visit &&visit) const;
+    /** groupField(), through the baseline kernel when `baseline`. */
+    void groupFieldVia(std::size_t g, double theta,
+                       std::vector<Vec2> &field, bool baseline) const;
 
     /**
      * The field at n <= kGroupSize points (px, py) inside the box
      * [lo, hi], added into (fx, fy): one walk, its list evaluated in
-     * blocks. All four arrays hold kGroupSize slots.
+     * blocks, by this CPU's kernel unless `baseline`. All four arrays
+     * hold kGroupSize slots.
      */
     void fieldAt(const double *px, const double *py, std::size_t n,
                  Vec2 lo, Vec2 hi, double theta, double *fx,
-                 double *fy) const;
+                 double *fy, bool baseline) const;
 
-    // The SoA arena: one slot per cell across all vectors. clear()
-    // between builds keeps the capacity.
-    std::vector<Vec2> cellLo;
-    std::vector<Vec2> cellHi;
-    std::vector<Vec2> bary;          ///< charge-weighted centre
-    std::vector<double> cellCharge;  ///< total charge inside
-    std::vector<std::array<CellId, 4>> kids;
-    std::vector<std::uint8_t> flags; ///< kLeafBit
+    // The arena, and each cell's box {lo, hi} beside it for build()
+    // and the audit (the walk reads only `cells`). clear() between
+    // builds keeps the capacity.
+    std::vector<Cell> cells;
+    std::vector<std::array<Vec2, 2>> boxes;
 
     std::size_t inserted = 0;
 

@@ -85,7 +85,11 @@ vap::CheckpointImage
 makeImage()
 {
     vap::Session s = makeBusySession();
-    auto path = (tempDir() / "image_source.ckpt").string();
+    // One file per test: ctest runs the tests that call this as
+    // concurrent processes, and a shared file can be read mid-write.
+    const std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    auto path = (tempDir() / (name + ".image_source.ckpt")).string();
     EXPECT_TRUE(s.checkpoint(path).ok());
     auto image = vap::readCheckpointFile(path);
     EXPECT_TRUE(image.ok()) << image.error().toString();

@@ -16,6 +16,8 @@
 #include "layout/quadtree.hh"
 #include "support/random.hh"
 
+#include "bh_oracle.hh"
+
 namespace vl = viva::layout;
 
 // --- Vec2 -------------------------------------------------------------------
@@ -452,6 +454,155 @@ TEST(QuadTreeField, NoLessAccurateThanThePerBodyWalk)
     }
 }
 
+namespace
+{
+
+/** Bitwise equality of two fields, NaN and signed zeros included. */
+::testing::AssertionResult
+sameBits(const std::vector<vl::Vec2> &a, const std::vector<vl::Vec2> &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure() << "sizes differ";
+    for (std::size_t i = 0; i < a.size(); ++i)
+        if (std::bit_cast<std::uint64_t>(a[i].x) !=
+                std::bit_cast<std::uint64_t>(b[i].x) ||
+            std::bit_cast<std::uint64_t>(a[i].y) !=
+                std::bit_cast<std::uint64_t>(b[i].y))
+            return ::testing::AssertionFailure()
+                   << "body " << i << ": (" << a[i].x << ", " << a[i].y
+                   << ") vs the oracle's (" << b[i].x << ", " << b[i].y
+                   << ")";
+    return ::testing::AssertionSuccess();
+}
+
+/** The input sets of the oracle comparison, by name. */
+std::vector<std::pair<const char *, std::vector<vl::QuadTree::Body>>>
+oracleInputs()
+{
+    std::vector<std::pair<const char *, std::vector<vl::QuadTree::Body>>>
+        sets;
+    sets.emplace_back("random", randomBodies(61, 700));
+
+    viva::support::Rng rng(67);
+    std::vector<vl::QuadTree::Body> clustered;
+    for (int c = 0; c < 6; ++c) {
+        vl::Vec2 centre{rng.uniform(20.0, 480.0), rng.uniform(20.0, 480.0)};
+        double radius = rng.uniform(0.5, 15.0);
+        for (int i = 0; i < 90; ++i)
+            clustered.push_back(
+                {centre + vl::Vec2{rng.uniform(-radius, radius),
+                                   rng.uniform(-radius, radius)},
+                 rng.uniform(0.5, 4.0)});
+    }
+    sets.emplace_back("clustered", std::move(clustered));
+
+    // Bodies 1e-8 apart share one Morton cell: one merged leaf, split
+    // into groups, whose barycentre lies within 1e-6 of every body but
+    // further than the coincidence epsilon.
+    std::vector<vl::QuadTree::Body> near = randomBodies(71, 300);
+    for (int i = 0; i < 80; ++i)
+        near.push_back({{250.0 + i * 1e-8, 250.0 - i * 1e-8}, 1.0});
+    sets.emplace_back("near-coincident", std::move(near));
+
+    // Exact duplicates: one merged leaf too full for one group.
+    std::vector<vl::QuadTree::Body> merged = randomBodies(73, 300);
+    for (int i = 0; i < 75; ++i)
+        merged.push_back({{125.0, 375.0}, 0.5 + 0.01 * i});
+    sets.emplace_back("merged-leaf", std::move(merged));
+    return sets;
+}
+
+} // namespace
+
+/**
+ * The field is bitwise the reference walk's (tests/bh_oracle.hh: the
+ * sqrt/divide opening test, per-quadrant child order, scalar
+ * evaluation) on every input shape and theta, and at thetas a few ulps
+ * from an opening test's size / dist, where the squared test must
+ * leave the decision to the exact expression.
+ */
+TEST(QuadTreeField, FieldEqualsTheOracleBitwise)
+{
+    const vl::Vec2 lo{-1.0, -1.0};
+    const vl::Vec2 hi{501.0, 501.0};
+    for (const auto &[name, bodies] : oracleInputs()) {
+        SCOPED_TRACE(name);
+        vl::QuadTree tree;
+        tree.build(lo, hi, bodies);
+        vl::testing::BhOracle oracle(lo, hi, bodies);
+        ASSERT_EQ(tree.groupCount(), oracle.groupCount());
+        for (double theta : {0.0, 0.3, 0.8, 1.2}) {
+            SCOPED_TRACE(theta);
+            const std::vector<vl::Vec2> want_field = oracle.field(theta);
+            ASSERT_TRUE(sameBits(groupedField(tree, theta), want_field));
+            // The baseline-ISA kernel too, where this CPU runs AVX2.
+            std::vector<vl::Vec2> baseline(bodies.size());
+            for (std::size_t g = 0; g < tree.groupCount(); ++g)
+                tree.debugBaselineGroupField(g, theta, baseline);
+            ASSERT_TRUE(sameBits(baseline, want_field));
+            std::vector<vl::Vec2> at, want;
+            for (std::size_t i = 0; i < bodies.size(); i += 7) {
+                at.push_back(tree.forceAt(bodies[i].position, theta));
+                want.push_back(oracle.forceAt(bodies[i].position, theta));
+                vl::Vec2 off = bodies[i].position + vl::Vec2{0.37, -0.21};
+                at.push_back(tree.forceAt(off, theta));
+                want.push_back(oracle.forceAt(off, theta));
+            }
+            ASSERT_TRUE(sameBits(at, want));
+        }
+    }
+
+    // Thetas on an opening test's boundary: size / dist exactly, and a
+    // few ulps either side.
+    std::vector<vl::QuadTree::Body> bodies = randomBodies(79, 600);
+    vl::QuadTree tree;
+    tree.build(lo, hi, bodies);
+    vl::testing::BhOracle oracle(lo, hi, bodies);
+    std::size_t boundaries = 0;
+    for (std::size_t g = 0; g < tree.groupCount() && boundaries < 24;
+         g += 3) {
+        for (double ratio : oracle.ratios(g, 0.8)) {
+            if (ratio < 0.2 || ratio > 1.5)
+                continue;
+            // The cell must still be tested when theta is its ratio.
+            std::vector<double> at = oracle.ratios(g, ratio);
+            if (std::find(at.begin(), at.end(), ratio) == at.end())
+                continue;
+            ++boundaries;
+            EXPECT_GT(tree.debugGroupWalk(g, ratio).exactTests, 0u)
+                << "group " << g << " ratio " << ratio;
+            double theta = std::nextafter(ratio, 0.0);
+            theta = std::nextafter(theta, 0.0);
+            for (int step = 0; step < 5; ++step) {
+                SCOPED_TRACE(theta);
+                ASSERT_TRUE(sameBits(groupedField(tree, theta),
+                                     oracle.field(theta)));
+                theta = std::nextafter(theta, 2.0);
+            }
+            break;
+        }
+    }
+    EXPECT_GE(boundaries, 12u);
+
+    // Points a few ulps either side of the coincidence epsilon from a
+    // body, where the leaf test takes the sqrt: the field is still the
+    // reference's.
+    bodies.push_back({{0.0, 0.0}, 1.0});
+    tree.build(lo, hi, bodies);
+    vl::testing::BhOracle coincident(lo, hi, bodies);
+    std::vector<vl::Vec2> at, want;
+    for (double scale : {1.0, 0.6, 0.8}) {
+        double d = std::nextafter(std::nextafter(1e-9, 0.0), 0.0);
+        for (int step = 0; step < 5; ++step) {
+            const vl::Vec2 p{d * scale, d * std::sqrt(1.0 - scale * scale)};
+            at.push_back(tree.forceAt(p, 0.8));
+            want.push_back(coincident.forceAt(p, 0.8));
+            d = std::nextafter(d, 1.0);
+        }
+    }
+    EXPECT_TRUE(sameBits(at, want));
+}
+
 // --- ForceLayout ------------------------------------------------------------------
 
 TEST(ForceLayout, TwoConnectedNodesApproachRestLength)
@@ -605,6 +756,52 @@ TEST(ForceLayout, BarnesHutMatchesExactStepClosely)
     EXPECT_EQ(d.count(), 40u);
     // Converged equilibria are close relative to the layout extent.
     EXPECT_LT(d.mean(), 60.0);
+}
+
+/**
+ * The layout's bits are pinned: a seeded tree-plus-chords graph of
+ * 3000 nodes after 20 Barnes-Hut steps, at 1 and 4 threads, digests to
+ * a recorded constant. A faster field or step must keep it.
+ */
+TEST(ForceLayout, StepBitsArePinned)
+{
+    for (std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        const std::size_t n = 3000;
+        viva::support::Rng rng(83);
+        vl::LayoutGraph g;
+        std::vector<vl::NodeId> ids;
+        const double extent = 50.0 * std::sqrt(double(n));
+        for (std::size_t i = 0; i < n; ++i)
+            ids.push_back(g.addNode(i,
+                                    {rng.uniform(0.0, extent),
+                                     rng.uniform(0.0, extent)},
+                                    rng.uniform(0.5, 4.0)));
+        for (std::size_t i = 1; i < n; ++i)
+            g.addEdge(ids[i], ids[rng.index(i)]);
+        for (std::size_t i = 0; i < n / 4; ++i) {
+            std::size_t a = rng.index(n);
+            std::size_t b = rng.index(n);
+            if (a != b)
+                g.addEdge(ids[a], ids[b]);
+        }
+        vl::ForceLayout layout(g);
+        layout.params().threads = threads;
+        for (int s = 0; s < 20; ++s)
+            layout.step().value();
+        // FNV-1a over the bits of every position and velocity.
+        std::uint64_t digest = 0xcbf29ce484222325ull;
+        for (const vl::Node &node : g.rawNodes())
+            for (double v : {node.position.x, node.position.y,
+                             node.velocity.x, node.velocity.y}) {
+                std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
+                for (int b = 0; b < 8; ++b) {
+                    digest ^= (bits >> (8 * b)) & 0xff;
+                    digest *= 0x100000001b3ull;
+                }
+            }
+        EXPECT_EQ(digest, 0xd9e3272a6270b992ull) << std::hex << digest;
+    }
 }
 
 TEST(ForceLayout, DynamicInsertKeepsOthersNear)
