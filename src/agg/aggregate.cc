@@ -6,10 +6,10 @@
 #include "agg/aggregate.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <ostream>
 #include <span>
-#include <unordered_map>
 
 #include "support/governor.hh"
 #include "support/logging.hh"
@@ -231,30 +231,57 @@ Aggregator::distribution(ContainerId node, MetricId m,
 namespace
 {
 
-/**
- * Contract the trace's relations onto a cut given each endpoint's
- * representative: self-loops vanish, parallel edges merge into the
- * first occurrence's slot with a multiplicity.
- */
-template <class Representative>
-std::vector<ViewEdge>
-contractRelations(const trace::Trace &trace, Representative &&rep)
+/** End of an edge chain. */
+constexpr std::uint32_t kNone = ~std::uint32_t(0);
+
+/** The contracted edges at one node's slot, newest first. */
+struct EdgeChain
 {
+    std::uint32_t head = kNone;  ///< the newest edge
+    std::uint32_t degree = 0;    ///< edges chained here
+};
+
+/**
+ * Contract the trace's relations onto a cut's `nodes`, given the slot
+ * of each endpoint's representative: self-loops vanish, parallel edges
+ * merge into the first occurrence with a multiplicity. Each edge is
+ * chained at both endpoints' slots, and a relation seeks its pair
+ * along the endpoint with fewer edges so far: a switch's hundred host
+ * links each cost the link's one edge, not the switch's hundred.
+ */
+template <class SlotOf>
+std::vector<ViewEdge>
+contractRelations(const trace::Trace &trace,
+                  std::span<const ContainerId> nodes, SlotOf &&slot_of)
+{
+    std::vector<EdgeChain> chains(nodes.size());
     std::vector<ViewEdge> edges;
-    std::unordered_map<std::uint64_t, std::size_t> index;
+    std::vector<std::array<std::uint32_t, 2>> next;  // at a's, b's slot
     for (const trace::Trace::Relation &r : trace.relations()) {
-        ContainerId a = rep(r.a);
-        ContainerId b = rep(r.b);
-        if (a == b)
+        std::uint32_t sa = slot_of(r.a);
+        std::uint32_t sb = slot_of(r.b);
+        VIVA_ASSERT(sa != kHidden && sb != kHidden, "relation ", r.a,
+                    "--", r.b, " ends outside the cut's nodes");
+        if (sa == sb)
             continue;  // contracted inside one aggregated node
-        ContainerId lo = std::min(a, b);
-        ContainerId hi = std::max(a, b);
-        std::uint64_t key = (std::uint64_t(lo.value()) << 32) | hi.value();
-        auto [it, fresh] = index.try_emplace(key, edges.size());
-        if (fresh)
-            edges.push_back({lo, hi, 1});
-        else
-            ++edges[it->second].multiplicity;
+        if (nodes[sb] < nodes[sa])
+            std::swap(sa, sb);
+        const ContainerId lo = nodes[sa];
+        const ContainerId hi = nodes[sb];
+        const std::uint32_t s =
+            chains[sa].degree <= chains[sb].degree ? sa : sb;
+        std::uint32_t e = chains[s].head;
+        while (e != kNone && (edges[e].a != lo || edges[e].b != hi))
+            e = next[e][edges[e].a == nodes[s] ? 0 : 1];
+        if (e != kNone) {
+            ++edges[e].multiplicity;
+            continue;
+        }
+        e = std::uint32_t(edges.size());
+        edges.push_back({lo, hi, 1});
+        next.push_back({chains[sa].head, chains[sb].head});
+        for (std::uint32_t end : {sa, sb})
+            chains[end] = {e, chains[end].degree + 1};
     }
     return edges;
 }
@@ -279,9 +306,9 @@ project(const trace::Trace &trace, const HierarchyCut &cut)
     // it is itself collapsed.
     const std::size_t count = trace.containerCount();
     const std::vector<std::uint8_t> &collapsed = cut.collapsedFlags();
-    constexpr std::uint32_t kHidden = ~std::uint32_t(0);
     std::vector<ContainerId> rep(count);
-    std::vector<std::uint32_t> slot(count, kHidden);
+    std::vector<std::uint32_t> &slot = p.slotOf;
+    slot.assign(count, kHidden);
     for (std::size_t i = 0; i < p.nodes.size(); ++i)
         slot[p.nodes[i].index()] = std::uint32_t(i);
     for (ContainerId id{0}; id.index() < count; ++id) {
@@ -296,62 +323,18 @@ project(const trace::Trace &trace, const HierarchyCut &cut)
                 ++p.leafCounts[s];
         }
     }
-    p.edges = contractRelations(
-        trace, [&rep](ContainerId id) { return rep[id.index()]; });
+    p.edges = contractRelations(trace, p.nodes, [&](ContainerId id) {
+        return slot[rep[id.index()].index()];
+    });
     return p;
 }
 
 std::vector<std::uint32_t>
-cutDelta(const trace::Trace &trace, std::span<const ContainerId> prev,
-         std::span<const ContainerId> next)
+cutDelta(const CutProjection &prev, const CutProjection &next)
 {
-    // A container's preorder slot is where its cached subtree starts
-    // in the root's, the whole preorder.
-    const ContainerId *preorder = trace.cachedSubtree(trace.root()).data();
-    auto slot = [&](ContainerId id) {
-        return trace.cachedSubtree(id).data() - preorder;
-    };
-    // The first index at or after `at` whose slot is not below `want`:
-    // doubling steps, then a binary search, so skipping d entries costs
-    // O(log d) slot lookups.
-    auto seek = [&](std::span<const ContainerId> list, std::size_t at,
-                    std::ptrdiff_t want) {
-        std::size_t hi = at;
-        for (std::size_t step = 1; hi < list.size() && slot(list[hi]) < want;
-             step *= 2) {
-            at = hi + 1;
-            hi += step;
-        }
-        hi = std::min(hi, list.size());
-        return std::size_t(
-            std::partition_point(list.begin() + std::ptrdiff_t(at),
-                                 list.begin() + std::ptrdiff_t(hi),
-                                 [&](ContainerId id) {
-                                     return slot(id) < want;
-                                 }) -
-            list.begin());
-    };
-    // Walk the shorter list and seek each of its nodes in the longer:
-    // a focus from host level (20k nodes to a few hundred) and the
-    // reset back cost a few hundred seeks, not 20k slot lookups.
-    auto match = [&](std::span<const ContainerId> few,
-                     std::span<const ContainerId> many, auto &&found) {
-        std::size_t at = 0;
-        for (std::size_t f = 0; f < few.size() && at < many.size(); ++f) {
-            at = seek(many, at, slot(few[f]));
-            if (at < many.size() && many[at] == few[f])
-                found(f, at++);
-        }
-    };
-    std::vector<std::uint32_t> from(next.size(), kEntering);
-    if (prev.size() <= next.size())
-        match(prev, next, [&](std::size_t i, std::size_t j) {
-            from[j] = std::uint32_t(i);
-        });
-    else
-        match(next, prev, [&](std::size_t j, std::size_t i) {
-            from[j] = std::uint32_t(i);
-        });
+    std::vector<std::uint32_t> from(next.size());
+    for (std::size_t j = 0; j < next.size(); ++j)
+        from[j] = prev.slot(next.nodes[j]);
     return from;
 }
 
@@ -694,21 +677,25 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
 
     // Edges: an independent re-projection, walking every endpoint up
     // to its representative, must agree exactly.
-    std::vector<ViewEdge> expect_edges = contractRelations(
-        trace, [&cut](ContainerId id) { return cut.representative(id); });
+    std::vector<std::uint32_t> cut_slot(trace.containerCount(), kHidden);
+    for (std::size_t i = 0; i < visible.size(); ++i)
+        cut_slot[visible[i].index()] = std::uint32_t(i);
+    std::vector<ViewEdge> expect_edges =
+        contractRelations(trace, visible, [&](ContainerId id) {
+            return cut_slot[cut.representative(id).index()];
+        });
     if (view.edges.size() != expect_edges.size()) {
         auditFail(log, "view holds ", view.edges.size(), " edges, "
                   "re-projection yields ", expect_edges.size());
         return log;
     }
-    // Membership through one flag per container: a host-level view
-    // holds ~10^4 nodes and as many edges.
-    std::vector<std::uint8_t> in_view(trace.containerCount(), 0);
-    for (const ViewNode &node : view.nodes)
-        if (node.id.index() < in_view.size())
-            in_view[node.id.index()] = 1;
-    auto shown = [&in_view](ContainerId id) {
-        return id.index() < in_view.size() && in_view[id.index()];
+    // Membership through the cut's slots: a host-level view holds
+    // ~10^4 nodes and as many edges.
+    auto shown = [&](ContainerId id) {
+        if (id.index() >= cut_slot.size())
+            return false;
+        const std::uint32_t s = cut_slot[id.index()];
+        return s != kHidden && view.nodes[s].id == id;
     };
     for (std::size_t i = 0; i < view.edges.size(); ++i) {
         const ViewEdge &e = view.edges[i];

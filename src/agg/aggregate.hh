@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "agg/hierarchy_cut.hh"
@@ -162,6 +161,9 @@ struct ViewEdge
     bool operator==(const ViewEdge &) const = default;
 };
 
+/** CutProjection::slotOf's mark for a container the cut does not show. */
+inline constexpr std::uint32_t kHidden = ~std::uint32_t(0);
+
 /**
  * The slice-independent part of every view of one cut: the visible
  * nodes, how many leaves each covers, and the contracted edges. A view
@@ -181,9 +183,17 @@ struct CutProjection
      * with a multiplicity, in order of first occurrence.
      */
     std::vector<ViewEdge> edges;
+    /** Per container, its index in `nodes`, or kHidden if not shown. */
+    std::vector<std::uint32_t> slotOf;
 
     /** Number of visible nodes. */
     std::size_t size() const { return nodes.size(); }
+
+    /** slotOf[id]; kHidden for every container of an empty projection. */
+    std::uint32_t slot(trace::ContainerId id) const
+    {
+        return id.index() < slotOf.size() ? slotOf[id.index()] : kHidden;
+    }
 
     bool operator==(const CutProjection &) const = default;
 };
@@ -191,24 +201,21 @@ struct CutProjection
 /**
  * Project a cut: one pass over the containers in id order (a parent
  * always precedes its children) builds the representative of every
- * container, from which leaf counts and edges are plain array lookups.
+ * container, from which leaf counts, edges and the slot map are plain
+ * array lookups.
  */
 CutProjection project(const trace::Trace &trace, const HierarchyCut &cut);
 
 /** cutDelta's mark for a node the previous projection does not show. */
-inline constexpr std::uint32_t kEntering = ~std::uint32_t(0);
+inline constexpr std::uint32_t kEntering = kHidden;
 
 /**
- * The delta between two projections of cuts of one frozen trace: for
- * every node of `next`, its index in `prev`, or kEntering when it
- * enters the view. Both lists are in preorder (CutProjection::nodes),
- * so one merge on preorder slots finds every survivor: it walks the
- * shorter list (m nodes) and seeks each node in the longer (n) by
- * doubling steps, O(m log(n / m)) slot lookups besides the result.
+ * The delta between two projections of cuts of one trace: for every
+ * node of `next`, its index in `prev` (prev.slot), or kEntering when it
+ * enters the view. One slot lookup per node of `next`.
  */
-std::vector<std::uint32_t> cutDelta(const trace::Trace &trace,
-                                    std::span<const trace::ContainerId> prev,
-                                    std::span<const trace::ContainerId> next);
+std::vector<std::uint32_t> cutDelta(const CutProjection &prev,
+                                    const CutProjection &next);
 
 /** The contracted edges of a cut: project(trace, cut).edges. */
 std::vector<ViewEdge> visibleEdges(const trace::Trace &trace,

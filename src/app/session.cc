@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "agg/anomaly.hh"
 #include "app/checkpoint.hh"
@@ -318,29 +319,36 @@ Session::carryStoredRows(const std::vector<std::uint32_t> &from)
 void
 Session::syncLayout()
 {
+    obs::Registry &reg = obs::Registry::global();
+    static const obs::HistogramId phase =
+        reg.histogram("session.sync_layout");
+    obs::ScopedPhase timer(phase);
+
     agg::CutProjection projected = agg::project(tr, hierCut);
     // The cut delta, computed once: survivors carry their layout state
     // and their stored Eq.-1 rows over by position in the old
     // projection, which the graph mirrors slot for slot.
     const std::vector<std::uint32_t> from =
-        agg::cutDelta(tr, cutProj.nodes, projected.nodes);
+        agg::cutDelta(cutProj, projected);
     VIVA_ASSERT(graph.rawNodes().size() == cutProj.size(), "layout of ",
                 graph.rawNodes().size(), " nodes for a ", cutProj.size(),
                 "-node projection");
     // Rows folded for the old cut are carried over; when none
     // survives, nothing stays stored and the next view folds plainly.
     const bool carried = storedCut == cutVersion && carryStoredRows(from);
-    cutProj = std::move(projected);
+    const agg::CutProjection prev =
+        std::exchange(cutProj, std::move(projected));
     ++cutVersion;
     storedCut = carried ? cutVersion : 0;
 
     // Rebuild the graph densely in cut order. Nodes already laid out
     // carry their state over; nodes entering the view are placed from
-    // the old graph only, never from one another.
+    // the old graph only, never from one another, found through the
+    // old projection's slot map.
     const std::vector<ContainerId> &visible = cutProj.nodes;
     layout::LayoutGraph next;
     std::size_t ring_index = 0;
-    std::unordered_map<std::uint64_t, std::size_t> child_index;
+    std::vector<std::uint32_t> child_index;  // per old slot, when needed
 
     for (std::size_t i = 0; i < visible.size(); ++i) {
         const ContainerId id = visible[i];
@@ -362,9 +370,9 @@ Session::syncLayout()
         layout::Vec2 centroid;
         std::size_t absorbed = 0;
         for (ContainerId d : tr.cachedSubtree(id)) {
-            layout::NodeId desc = graph.findKey(d.value());
-            if (desc != layout::kNoNode && d != id) {
-                centroid += graph.node(desc).position;
+            std::uint32_t desc = prev.slot(d);
+            if (desc != agg::kHidden && d != id) {
+                centroid += graph.rawNodes()[desc].position;
                 ++absorbed;
             }
         }
@@ -378,13 +386,15 @@ Session::syncLayout()
         bool placed = false;
         while (anc != tr.root()) {
             anc = tr.container(anc).parent;
-            layout::NodeId a = graph.findKey(anc.value());
-            if (a != layout::kNoNode) {
-                std::size_t k = child_index[anc.value()]++;
+            std::uint32_t a = prev.slot(anc);
+            if (a != agg::kHidden) {
+                child_index.resize(prev.size());
+                std::size_t k = child_index[a]++;
                 double radius =
                     std::max(force.params().restLength * 0.5, 10.0);
                 next.addNode(id.value(),
-                             graph.node(a).position + fanOffset(k, radius),
+                             graph.rawNodes()[a].position +
+                                 fanOffset(k, radius),
                              charge);
                 placed = true;
                 break;
@@ -407,18 +417,16 @@ Session::syncLayout()
         ++ring_index;
     }
 
+    // Endpoints are visible, so their slots are the new nodes' ids.
     for (const agg::ViewEdge &e : cutProj.edges) {
-        layout::NodeId a = next.findKey(e.a.value());
-        layout::NodeId b = next.findKey(e.b.value());
-        VIVA_ASSERT(a != layout::kNoNode && b != layout::kNoNode,
-                    "visible edge endpoint missing from layout");
         double strength = 1.0 + std::log2(double(e.multiplicity));
-        next.addEdge(a, b, strength);
+        next.addEdge(layout::NodeId::fromIndex(cutProj.slotOf[e.a.index()]),
+                     layout::NodeId::fromIndex(cutProj.slotOf[e.b.index()]),
+                     strength);
     }
     // Assign in place: `force` borrows `graph` by reference.
     graph = std::move(next);
 
-    obs::Registry &reg = obs::Registry::global();
     static const obs::GaugeId visible_nodes =
         reg.gauge("session.visible_nodes");
     static const obs::GaugeId layout_edges =
@@ -488,9 +496,15 @@ Session::nodeOf(const std::string &path) const
     ContainerId id = tr.findByPath(path);
     if (id == trace::kNoContainer)
         id = tr.findByName(path);
-    if (id == trace::kNoContainer)
-        return layout::kNoNode;
-    return graph.findKey(id.value());
+    return layoutNode(id);
+}
+
+layout::NodeId
+Session::layoutNode(ContainerId id) const
+{
+    std::uint32_t slot = cutProj.slot(id);  // kHidden for kNoContainer
+    return slot == agg::kHidden ? layout::kNoNode
+                                : layout::NodeId::fromIndex(slot);
 }
 
 bool
@@ -791,21 +805,23 @@ Session::auditInvariants() const
     merge("graph", graph.auditInvariants());
     merge("layout", layout::auditFinitePositions(graph));
 
-    // The layout must mirror the cut: one live node per visible
-    // container, nothing else.
-    std::vector<ContainerId> visible = hierCut.visibleNodes();
-    for (ContainerId id : visible)
-        if (graph.findKey(id.value()) == layout::kNoNode)
-            support::auditFail(log, "session: visible container ", id,
-                               " ('", tr.fullName(id),
-                               "') has no layout node");
-    if (graph.nodeCount() != visible.size())
+    // The layout must mirror the projection slot for slot: node i
+    // stands for the projection's node i, and there is nothing else.
+    if (graph.nodeCount() != cutProj.size())
         support::auditFail(log, "session: ", graph.nodeCount(),
-                           " layout nodes for ", visible.size(),
+                           " layout nodes for ", cutProj.size(),
                            " visible containers");
+    for (std::size_t i = 0; i < graph.nodeCount() && i < cutProj.size();
+         ++i)
+        if (graph.rawNodes()[i].key != cutProj.nodes[i].value())
+            support::auditFail(log, "session: layout node ", i,
+                               " carries key ", graph.rawNodes()[i].key,
+                               ", the projection's slot ", i, " holds '",
+                               tr.fullName(cutProj.nodes[i]), "'");
 
-    // Views read the stored projection: a cut change that bypassed
-    // syncLayout would leave it describing an older cut.
+    // Views and the layout read the stored projection (its slot map
+    // included): a cut change that bypassed syncLayout would leave it
+    // describing an older cut.
     if (cutProj != agg::project(tr, hierCut))
         support::auditFail(log, "projection: the stored projection (",
                            cutProj.size(), " nodes, ",
@@ -1197,7 +1213,8 @@ Session::restore(const std::string &path,
     // syncLayout placed the nodes deterministically; the checkpoint
     // knows their real positions, velocities and pins.
     for (const CheckpointNode &cn : image->nodes) {
-        layout::NodeId id = graph.findKey(cn.key);
+        layout::NodeId id =
+            layoutNode(ContainerId::fromIndex(std::size_t(cn.key)));
         VIVA_ASSERT(id != layout::kNoNode,
                     "validated checkpoint node has no layout slot");
         layout::Node &n = graph.mutableNodes()[id.index()];

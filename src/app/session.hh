@@ -199,6 +199,12 @@ class Session
     const layout::LayoutGraph &layoutGraph() const { return graph; }
 
     /**
+     * The layout node of a container: its slot in projection(), or
+     * kNoNode when the cut does not show it.
+     */
+    layout::NodeId layoutNode(trace::ContainerId id) const;
+
+    /**
      * Mutable layout graph, for advanced uses (custom placements,
      * benchmarks). Node/edge membership is owned by the session --
      * only positions and pins should be touched; the next cut change

@@ -14,15 +14,12 @@ NodeId
 LayoutGraph::addNode(std::uint64_t key, Vec2 position, double charge)
 {
     VIVA_ASSERT(charge > 0, "node charge must be positive, got ", charge);
-    VIVA_ASSERT(keyIndex.find(key) == keyIndex.end(),
-                "duplicate layout key ", key);
     Node n;
     n.id = NodeId(nodes.size());
     n.key = key;
     n.position = position;
     n.charge = charge;
     nodes.push_back(n);
-    keyIndex.emplace(key, n.id);
     return n.id;
 }
 
@@ -40,13 +37,6 @@ LayoutGraph::node(NodeId id) const
 {
     VIVA_ASSERT(id.index() < nodes.size(), "bad node ", id);
     return nodes[id.index()];
-}
-
-NodeId
-LayoutGraph::findKey(std::uint64_t key) const
-{
-    auto it = keyIndex.find(key);
-    return it == keyIndex.end() ? kNoNode : it->second;
 }
 
 void
@@ -90,17 +80,7 @@ LayoutGraph::auditInvariants() const
         if (n.charge <= 0.0)
             auditFail(log, "node ", i, " has non-positive charge ",
                       n.charge);
-        auto it = keyIndex.find(n.key);
-        if (it == keyIndex.end())
-            auditFail(log, "node ", i, " (key ", n.key,
-                      ") missing from the key index");
-        else if (it->second != NodeId(i))
-            auditFail(log, "key ", n.key, " indexes node ", it->second,
-                      " instead of ", i);
     }
-    if (keyIndex.size() != nodes.size())
-        auditFail(log, "key index holds ", keyIndex.size(),
-                  " entries for ", nodes.size(), " nodes");
 
     for (std::size_t i = 0; i < edges.size(); ++i) {
         const Edge &e = edges[i];

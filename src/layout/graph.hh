@@ -5,13 +5,12 @@
  * node) and per-node charge (an aggregated node carries the summed
  * charge of everything it groups, Section 4.2). The graph is dense and
  * append-only: the session rebuilds it from the hierarchy cut whenever
- * the cut changes, carrying surviving nodes' state over by key.
+ * the cut changes, node i standing for the cut projection's node i.
  */
 
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "layout/vec2.hh"
@@ -52,7 +51,9 @@ struct Edge
  * Dense graph: node ids index the node vector (id == slot), so every
  * slot holds a node. Ids stay valid until the owner replaces the graph;
  * the session does so on every cut change, so external references must
- * go through keys (findKey), not ids, across a sync.
+ * go through keys, not ids, across a sync. The graph keeps no key
+ * index: its owner knows which slot holds which key (the session reads
+ * its projection's slot map).
  */
 class LayoutGraph
 {
@@ -65,9 +66,6 @@ class LayoutGraph
 
     /** Access a node. */
     const Node &node(NodeId id) const;
-
-    /** Node id carrying the caller key, or kNoNode. */
-    NodeId findKey(std::uint64_t key) const;
 
     /** Mutate a node's position (velocity reset). */
     void setPosition(NodeId id, Vec2 position);
@@ -93,23 +91,16 @@ class LayoutGraph
     std::vector<Node> &mutableNodes() { return nodes; }
 
     /**
-     * Deep structural audit: node ids match their slots, the key index
-     * maps exactly the nodes, every edge joins two distinct in-range
-     * nodes, and no node carries a non-positive charge.
+     * Deep structural audit: node ids match their slots, every edge
+     * joins two distinct in-range nodes, and no node carries a
+     * non-positive charge.
      * @return the violated invariants; empty when well-formed
      */
     support::AuditLog auditInvariants() const;
 
-    /**
-     * Fault injection for audit tests: drop a key from the key index,
-     * breaking the index/slot invariant. Never call outside tests.
-     */
-    void debugDropKey(std::uint64_t key) { keyIndex.erase(key); }
-
   private:
     std::vector<Node> nodes;
     std::vector<Edge> edges;
-    std::unordered_map<std::uint64_t, NodeId> keyIndex;
 };
 
 /**

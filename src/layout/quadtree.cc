@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "support/logging.hh"
@@ -205,66 +206,50 @@ walkCells(const QuadTree::Cell *cells, Vec2 lo, Vec2 hi, double theta,
     }
 }
 
-/**
- * Add the field of `list` at the points (px, py) into (fx, fy); n is a
- * multiple of kLanes and no entry lies within kCoincidenceEps of a
- * point. Each point sums the list in list order with the arithmetic of
- * the classic per-body loop, so its result does not depend on the lane
- * or block it lands in, nor on the vector width. The fixed lane count
- * and the branch-free body let the compiler emit packed sqrt and
- * divide (hence -fno-math-errno on viva_layout).
- */
-[[gnu::always_inline]] inline void
-evaluateFar(const ListBlock &list, const double *px, const double *py,
-            std::size_t n, double *fx, double *fy)
-{
-    for (std::size_t b = 0; b < n; b += kLanes) {
-        double ax[kLanes], ay[kLanes], gx[kLanes], gy[kLanes];
-        for (std::size_t k = 0; k < kLanes; ++k) {
-            ax[k] = px[b + k];
-            ay[k] = py[b + k];
-            gx[k] = fx[b + k];
-            gy[k] = fy[b + k];
-        }
-        for (std::size_t j = 0; j < list.size; ++j) {
-            const double lx = list.x[j];
-            const double ly = list.y[j];
-            const double lq = list.q[j];
-            for (std::size_t k = 0; k < kLanes; ++k) {
-                double dx = ax[k] - lx;
-                double dy = ay[k] - ly;
-                double dist = std::sqrt(dx * dx + dy * dy);
-                double s = lq / (dist * dist * dist);
-                gx[k] += dx * s;
-                gy[k] += dy * s;
-            }
-        }
-        for (std::size_t k = 0; k < kLanes; ++k) {
-            fx[b + k] = gx[k];
-            fy[b + k] = gy[k];
-        }
-    }
-}
+/** kLanes doubles as one GCC vector, so the near list's select packs. */
+using Lanes = double __attribute__((vector_size(kLanes * sizeof(double))));
 
 /**
- * evaluateFar for entries that may coincide with a point: each point
- * skips the entries within kCoincidenceEps of it (itself included).
+ * Add the field of `list` at the points (px, py) into (fx, fy); n is a
+ * multiple of kLanes. Far lists hold no entry within kCoincidenceEps of
+ * a point; near lists may, and each point skips those (itself
+ * included): a lane within it keeps its running sum by a select, since
+ * adding a zero would turn a -0 sum into +0, and the select drops the
+ * lane's division by zero too. Each point sums the list in list order
+ * with the arithmetic of the classic per-body loop, so its result does
+ * not depend on the lane or block it lands in, nor on the vector
+ * width. The branch-free body packs sqrt and divide (hence
+ * -fno-math-errno on viva_layout).
  */
+template <bool Near>
 [[gnu::always_inline]] inline void
-evaluateNear(const ListBlock &list, const double *px, const double *py,
+evaluateList(const ListBlock &list, const double *px, const double *py,
              std::size_t n, double *fx, double *fy)
 {
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t b = 0; b < n; b += kLanes) {
+        Lanes ax, ay, gx, gy;
+        std::memcpy(&ax, px + b, sizeof ax);
+        std::memcpy(&ay, py + b, sizeof ay);
+        std::memcpy(&gx, fx + b, sizeof gx);
+        std::memcpy(&gy, fy + b, sizeof gy);
         for (std::size_t j = 0; j < list.size; ++j) {
-            double dx = px[i] - list.x[j];
-            double dy = py[i] - list.y[j];
-            double dist = std::sqrt(dx * dx + dy * dy);
-            if (dist < kCoincidenceEps)
-                continue;
-            double s = list.q[j] / (dist * dist * dist);
-            fx[i] += dx * s;
-            fy[i] += dy * s;
+            const Lanes dx = ax - list.x[j];
+            const Lanes dy = ay - list.y[j];
+            const Lanes d2 = dx * dx + dy * dy;
+            Lanes dist;
+            for (std::size_t k = 0; k < kLanes; ++k)
+                dist[k] = std::sqrt(d2[k]);
+            const Lanes s = list.q[j] / (dist * dist * dist);
+            if constexpr (Near) {
+                gx = dist < kCoincidenceEps ? gx : gx + dx * s;
+                gy = dist < kCoincidenceEps ? gy : gy + dy * s;
+            } else {
+                gx += dx * s;
+                gy += dy * s;
+            }
         }
+        std::memcpy(fx + b, &gx, sizeof gx);
+        std::memcpy(fy + b, &gy, sizeof gy);
     }
 }
 
@@ -279,8 +264,8 @@ fieldKernel(const QuadTree::Cell *cells, const double *px,
 {
     const std::size_t lanes = (n + kLanes - 1) / kLanes * kLanes;
     // Accepted cells lie farther than kCoincidenceEps from every point
-    // by the group test, and so do most leaves: they take the packed
-    // path. Leaves within kCoincidenceEps of the box (the group's own
+    // by the group test, and so do most leaves: they take the plain
+    // list. Leaves within kCoincidenceEps of the box (the group's own
     // bodies among them) take the checked one. Both lists flush in an
     // order fixed by the walk alone.
     ListBlock lists[2];  // far, near
@@ -295,14 +280,14 @@ fieldKernel(const QuadTree::Cell *cells, const double *px,
             if (++list.size < kListBlock)
                 return;
             if (close)
-                evaluateNear(list, px, py, n, fx, fy);
+                evaluateList<true>(list, px, py, lanes, fx, fy);
             else
-                evaluateFar(list, px, py, lanes, fx, fy);
+                evaluateList<false>(list, px, py, lanes, fx, fy);
             list.size = 0;
         },
         [] {});
-    evaluateFar(lists[0], px, py, lanes, fx, fy);
-    evaluateNear(lists[1], px, py, n, fx, fy);
+    evaluateList<false>(lists[0], px, py, lanes, fx, fy);
+    evaluateList<true>(lists[1], px, py, lanes, fx, fy);
 }
 
 using FieldFn = void (*)(const QuadTree::Cell *, const double *,

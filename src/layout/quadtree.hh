@@ -14,9 +14,11 @@
  * The field is evaluated per *group* (Barnes 1990, "a modified tree
  * code"): every maximal cell holding at most kGroupSize bodies is one
  * contiguous Morton range, walked once against its tight bounding box.
- * The walk's interaction list is then evaluated for all the group's
- * bodies in a fixed-order vector loop. forceAt() is the same walk for
- * the degenerate box {p, p}.
+ * The walk's interaction lists are then evaluated for all the group's
+ * bodies in one fixed-order packed loop: the far list, and the near
+ * list of leaves that may coincide with a body, whose skipped lanes
+ * keep their sums by a select. forceAt() is the same walk for the
+ * degenerate box {p, p}.
  */
 
 #pragma once

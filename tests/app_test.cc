@@ -513,7 +513,7 @@ TEST(Session, AggregationPlacesGroupAtCentroid)
     vl::Vec2 centroid;
     std::size_t count = 0;
     for (auto id : s.trace().subtree(adonis)) {
-        vl::NodeId n = s.layoutGraph().findKey(id.value());
+        vl::NodeId n = s.layoutNode(id);
         if (n != vl::kNoNode) {
             centroid += s.layoutGraph().node(n).position;
             ++count;
@@ -523,7 +523,7 @@ TEST(Session, AggregationPlacesGroupAtCentroid)
     centroid = centroid / double(count);
 
     ASSERT_TRUE(s.aggregate("adonis"));
-    vl::NodeId agg = s.layoutGraph().findKey(adonis.value());
+    vl::NodeId agg = s.layoutNode(adonis);
     ASSERT_NE(agg, vl::kNoNode);
     EXPECT_NEAR(s.layoutGraph().node(agg).position.x, centroid.x, 1e-9);
     EXPECT_NEAR(s.layoutGraph().node(agg).position.y, centroid.y, 1e-9);
@@ -557,12 +557,12 @@ TEST(Session, DisaggregationFansOutAroundParent)
     s.stabilizeLayout(100).value();
     auto adonis = s.trace().findByName("adonis");
     vl::Vec2 parent_pos =
-        s.layoutGraph().node(s.layoutGraph().findKey(adonis.value())).position;
+        s.layoutGraph().node(s.layoutNode(adonis)).position;
 
     ASSERT_TRUE(s.disaggregate("adonis"));
     // Children spawned near the parent's last position.
     for (auto id : s.trace().container(adonis).children) {
-        vl::NodeId n = s.layoutGraph().findKey(id.value());
+        vl::NodeId n = s.layoutNode(id);
         if (n == vl::kNoNode)
             continue;  // grandchildren case
         EXPECT_LT(vl::distance(s.layoutGraph().node(n).position,
@@ -576,7 +576,7 @@ TEST(Session, MoveNodeDragsAndReleases)
     vap::Session s(vt::makeFigure1Trace());
     ASSERT_TRUE(s.moveNode("HostA", 500.0, 500.0));
     auto id = s.trace().findByPath("HostA");
-    vl::NodeId n = s.layoutGraph().findKey(id.value());
+    vl::NodeId n = s.layoutNode(id);
     // Released after the move: not pinned, but near the target.
     EXPECT_FALSE(s.layoutGraph().node(n).pinned);
     EXPECT_FALSE(s.moveNode("nope", 0, 0));
@@ -587,10 +587,10 @@ TEST(Session, PinNode)
     vap::Session s(vt::makeFigure1Trace());
     ASSERT_TRUE(s.pinNode("HostA", true));
     auto id = s.trace().findByPath("HostA");
-    EXPECT_TRUE(s.layoutGraph().node(s.layoutGraph().findKey(id.value())).pinned);
+    EXPECT_TRUE(s.layoutGraph().node(s.layoutNode(id)).pinned);
     ASSERT_TRUE(s.pinNode("HostA", false));
     EXPECT_FALSE(
-        s.layoutGraph().node(s.layoutGraph().findKey(id.value())).pinned);
+        s.layoutGraph().node(s.layoutNode(id)).pinned);
 }
 
 TEST(Session, SceneAndAsciiRender)

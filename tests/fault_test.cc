@@ -259,8 +259,8 @@ TEST(InjectionPoints, LayoutForceNanIsQuarantined)
     FaultGuard guard;
     vl::LayoutGraph graph;
     auto a = graph.addNode(1, {0.0, 0.0}, 1.0);
-    graph.addNode(2, {30.0, 0.0}, 1.0);
-    graph.addEdge(a, graph.findKey(2), 1.0);
+    auto b = graph.addNode(2, {30.0, 0.0}, 1.0);
+    graph.addEdge(a, b, 1.0);
     vl::ForceLayout layout(graph);
 
     vs::FaultSpec spec;
@@ -648,8 +648,8 @@ TEST(ObservedFaults, LayoutForceNan)
     expectObservedFault("layout.force.nan", "layout.quarantine", [] {
         vl::LayoutGraph graph;
         auto a = graph.addNode(1, {0.0, 0.0}, 1.0);
-        graph.addNode(2, {30.0, 0.0}, 1.0);
-        graph.addEdge(a, graph.findKey(2), 1.0);
+        auto b = graph.addNode(2, {30.0, 0.0}, 1.0);
+        graph.addEdge(a, b, 1.0);
         vl::ForceLayout layout(graph);
         vs::FaultSpec spec;
         spec.probability = 0.5;

@@ -130,13 +130,23 @@ TEST(GraphAudit, CleanThroughMutations)
 
 TEST(GraphAudit, DetectsKeyIndexDrift)
 {
-    vl::LayoutGraph g;
-    g.addNode(1, {0.0, 0.0});
-    g.addNode(2, {1.0, 0.0});
-    g.debugDropKey(2);
-    vs::AuditLog log = g.auditInvariants();
-    ASSERT_FALSE(log.empty());
-    EXPECT_NE(log[0].find("key index"), std::string::npos);
+    // The graph keeps no key index: the session finds a container's
+    // layout node through its projection's slot map, so the session
+    // audit must catch a stale entry there.
+    viva::app::Session session(makeTrace());
+    const vt::ContainerId h1 = session.trace().findByName("h1");
+    const vt::ContainerId h2 = session.trace().findByName("h2");
+    ASSERT_NE(session.layoutNode(h1), vl::kNoNode);
+    ASSERT_NE(session.layoutNode(h2), session.layoutNode(h1));
+    auto &projection = const_cast<va::CutProjection &>(session.projection());
+    projection.slotOf[h2.index()] = projection.slotOf[h1.index()];
+    EXPECT_EQ(session.layoutNode(h2), session.layoutNode(h1));
+    vs::AuditLog log = session.auditInvariants();
+    EXPECT_NE(std::find_if(log.begin(), log.end(),
+                           [](const std::string &line) {
+                               return line.rfind("projection: ", 0) == 0;
+                           }),
+              log.end());
 }
 
 TEST(GraphAudit, FinitePositionsDetectNan)

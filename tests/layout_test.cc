@@ -6,15 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
-
 #include <cmath>
+#include <string>
 
+#include "app/session.hh"
 #include "layout/force.hh"
 #include "layout/graph.hh"
 #include "layout/metrics.hh"
 #include "layout/quadtree.hh"
 #include "support/random.hh"
+#include "trace/builder.hh"
 
 #include "bh_oracle.hh"
 
@@ -43,8 +46,8 @@ TEST(LayoutGraph, IdsAreDenseSlots)
     EXPECT_EQ(g.rawNodes().size(), g.nodeCount());
     EXPECT_EQ(a.index(), 0u);
     EXPECT_EQ(b.index(), 1u);
-    EXPECT_EQ(g.findKey(100), a);
-    EXPECT_EQ(g.findKey(300), vl::kNoNode);
+    EXPECT_EQ(g.node(a).key, 100u);
+    EXPECT_EQ(g.node(b).key, 200u);
     EXPECT_DOUBLE_EQ(g.node(a).charge, 2.0);
     EXPECT_EQ(g.edgeCount(), 1u);
     EXPECT_DOUBLE_EQ(g.rawEdges()[0].strength, 0.5);
@@ -71,9 +74,22 @@ TEST(LayoutGraph, Centroid)
 
 TEST(LayoutGraphDeath, DuplicateKeyAsserts)
 {
-    vl::LayoutGraph g;
-    g.addNode(7, {0, 0});
-    EXPECT_DEATH(g.addNode(7, {1, 1}), "duplicate");
+    // The graph keeps no key index: a session's graph mirrors its
+    // projection slot for slot. A node whose key is not its slot's
+    // container (here a duplicate of its neighbour's) fails the
+    // session audit, and the next cut change asserts on it.
+    viva::app::Session s(viva::trace::makeFigure1Trace());
+    std::vector<vl::Node> &nodes = s.mutableLayoutGraph().mutableNodes();
+    ASSERT_GE(nodes.size(), 2u);
+    nodes[1].key = nodes[0].key;
+    viva::support::AuditLog log = s.auditInvariants();
+    EXPECT_NE(std::find_if(log.begin(), log.end(),
+                           [](const std::string &line) {
+                               return line.rfind("session: layout node 1 ",
+                                                 0) == 0;
+                           }),
+              log.end());
+    EXPECT_DEATH(s.resetAggregation(), "layout slot 1 holds key");
 }
 
 // --- QuadTree -------------------------------------------------------------------

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <bit>
 #include <filesystem>
-#include <map>
 #include <sstream>
 
 #include "agg/aggregate.hh"
@@ -29,6 +28,8 @@
 #include "support/clock.hh"
 #include "viz/scene.hh"
 #include "viz/treemap.hh"
+
+#include "contraction_oracle.hh"
 
 namespace va = viva::agg;
 namespace vap = viva::app;
@@ -246,32 +247,30 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CutPartition, ::testing::Range(1, 9));
 namespace
 {
 
-/**
- * The projection of a cut, computed the slow way: the cut's own DFS,
- * one subtree walk per node, and one ancestor walk per relation
- * endpoint merged through an ordered map.
- */
-va::CutProjection
-projectionOracle(const vt::Trace &t, const va::HierarchyCut &cut)
+/** One random cut gesture on one of `groups`. */
+void
+randomCutGesture(va::HierarchyCut &cut,
+                 const std::vector<vt::ContainerId> &groups,
+                 viva::support::Rng &rng)
 {
-    va::CutProjection p;
-    p.nodes = cut.visibleNodes();
-    for (vt::ContainerId id : p.nodes)
-        p.leafCounts.push_back(t.leavesUnder(id).size());
-    std::map<std::pair<vt::ContainerId, vt::ContainerId>, std::size_t> seen;
-    for (const vt::Trace::Relation &r : t.relations()) {
-        vt::ContainerId a = cut.representative(r.a);
-        vt::ContainerId b = cut.representative(r.b);
-        if (a == b)
-            continue;
-        auto key = std::minmax(a, b);
-        auto [it, fresh] = seen.try_emplace(key, p.edges.size());
-        if (fresh)
-            p.edges.push_back({key.first, key.second, 1});
-        else
-            ++p.edges[it->second].multiplicity;
+    vt::ContainerId group = groups[rng.index(groups.size())];
+    switch (rng.index(5)) {
+    case 0:
+        cut.aggregate(group);
+        break;
+    case 1:
+        cut.disaggregate(group);
+        break;
+    case 2:
+        cut.focus({group});
+        break;
+    case 3:
+        cut.aggregateToDepth(std::uint16_t(rng.index(5)));
+        break;
+    default:
+        cut.reset();
+        break;
     }
-    return p;
 }
 
 } // namespace
@@ -292,28 +291,11 @@ TEST_P(CutProjectionOracle, ProjectEqualsTheOracleUnderRandomCuts)
         t.freeze();
         std::vector<vt::ContainerId> groups = mirror.groupContainer;
         va::HierarchyCut cut(t);
-        std::vector<vt::ContainerId> prev;
+        va::CutProjection prev;
         for (int op = 0; op < 25; ++op) {
-            vt::ContainerId group = groups[rng.index(groups.size())];
-            switch (rng.index(5)) {
-            case 0:
-                cut.aggregate(group);
-                break;
-            case 1:
-                cut.disaggregate(group);
-                break;
-            case 2:
-                cut.focus({group});
-                break;
-            case 3:
-                cut.aggregateToDepth(std::uint16_t(rng.index(5)));
-                break;
-            default:
-                cut.reset();
-                break;
-            }
+            randomCutGesture(cut, groups, rng);
             va::CutProjection p = va::project(t, cut);
-            va::CutProjection expect = projectionOracle(t, cut);
+            va::CutProjection expect = va::testing::projectHashed(t, cut);
             ASSERT_EQ(p.nodes, expect.nodes) << "op " << op;
             ASSERT_EQ(p.leafCounts, expect.leafCounts) << "op " << op;
             ASSERT_EQ(p.edges.size(), expect.edges.size()) << "op " << op;
@@ -324,19 +306,61 @@ TEST_P(CutProjectionOracle, ProjectEqualsTheOracleUnderRandomCuts)
 
             // The cut delta names each node's index in the previous
             // projection, or marks it entering.
-            std::vector<std::uint32_t> from =
-                va::cutDelta(t, prev, p.nodes);
+            std::vector<std::uint32_t> from = va::cutDelta(prev, p);
             ASSERT_EQ(from.size(), p.nodes.size());
             for (std::size_t j = 0; j < p.nodes.size(); ++j) {
-                auto at = std::find(prev.begin(), prev.end(), p.nodes[j]);
-                ASSERT_EQ(from[j], at == prev.end()
-                                       ? va::kEntering
-                                       : std::uint32_t(at - prev.begin()))
+                auto at = std::find(prev.nodes.begin(), prev.nodes.end(),
+                                    p.nodes[j]);
+                ASSERT_EQ(from[j],
+                          at == prev.nodes.end()
+                              ? va::kEntering
+                              : std::uint32_t(at - prev.nodes.begin()))
                     << "op " << op << " node " << j;
             }
-            prev = p.nodes;
+            prev = std::move(p);
         }
     }
+}
+
+/**
+ * The slot-chained contraction equals the hashed one, compared whole
+ * (nodes, leaf counts, edges in first-occurrence order with their
+ * multiplicities, slot map) after every gesture of a random sequence,
+ * on a synthetic grid with extra host-to-host relations (so collapsed
+ * clusters merge parallel edges, given in both orientations) and on
+ * the Figure 1 trace.
+ */
+TEST_P(CutProjectionOracle, ProjectEqualsTheHashedContraction)
+{
+    viva::support::Rng rng(400 + GetParam());
+    bool merged = false;
+    for (bool figure1 : {false, true}) {
+        vt::Trace t;
+        if (figure1) {
+            t = vt::makeFigure1Trace();
+        } else {
+            vp::TraceMirror mirror =
+                vp::mirrorPlatform(vp::makeSyntheticGrid(3, 3, 6, rng), t);
+            const std::vector<vt::ContainerId> &hosts = mirror.hostContainer;
+            for (int i = 0; i < 40; ++i)
+                t.addRelation(hosts[rng.index(hosts.size())],
+                              hosts[rng.index(hosts.size())]);
+            t.freeze();
+        }
+        std::vector<vt::ContainerId> groups;
+        for (vt::ContainerId id{0}; id.index() < t.containerCount(); ++id)
+            if (!t.container(id).leaf())
+                groups.push_back(id);
+        va::HierarchyCut cut(t);
+        for (int op = 0; op < 40; ++op) {
+            randomCutGesture(cut, groups, rng);
+            va::CutProjection p = va::project(t, cut);
+            ASSERT_EQ(p, va::testing::projectHashed(t, cut)) << "op " << op;
+            for (const va::ViewEdge &e : p.edges)
+                merged = merged || e.multiplicity > 1;
+        }
+    }
+    EXPECT_TRUE(merged) << "no gesture merged parallel edges";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CutProjectionOracle, ::testing::Range(1, 5));

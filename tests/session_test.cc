@@ -210,7 +210,7 @@ TEST(SessionCharge, AggregatedNodeChargeIsSummed)
 
     session.aggregate("adonis");
     auto adonis = session.trace().findByName("adonis");
-    auto node = session.layoutGraph().findKey(adonis.value());
+    auto node = session.layoutNode(adonis);
     ASSERT_NE(node, viva::layout::kNoNode);
     // 11 hosts + 11 host links + switch = 23 leaves.
     EXPECT_DOUBLE_EQ(session.layoutGraph().node(node).charge, 23.0);
