@@ -8,7 +8,8 @@
  *    cold (fresh tree) and warm (arena reused, the per-iteration path
  *    of the force layout);
  *  - the grouped field: one walk per group plus the vectorised list
- *    evaluation, for every body, reported in ns per body.
+ *    evaluation, for every body, reported in ns per body, with the
+ *    lane count of the field kernel this CPU ran.
  *
  * The field benchmark first checks the field against the exact sum on
  * a sample of bodies and aborts when it is off, so its ctest smoke run
@@ -133,6 +134,9 @@ BM_QuadTreeField(benchmark::State &state)
                        benchmark::Counter::kInvert);
     state.counters["groups"] = double(tree.groupCount());
     state.counters["rel_error"] = err;
+    // Doubles per vector operation of the kernel that ran: 2 (baseline
+    // ISA), 4 (AVX2) or 8 (AVX-512).
+    state.counters["lanes"] = double(int(QuadTree::kernel()));
 }
 
 } // namespace

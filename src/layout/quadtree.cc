@@ -62,8 +62,8 @@ mortonCode(Vec2 p, Vec2 lo, Vec2 hi)
 }
 
 /**
- * Lanes of the list evaluation: one AVX2 vector of doubles, or two
- * SSE2 ones.
+ * Points per block of the list evaluation: one AVX2 vector of doubles,
+ * or two SSE2 ones. The AVX-512 kernel takes two blocks per vector.
  */
 constexpr std::size_t kLanes = 4;
 
@@ -71,10 +71,13 @@ constexpr std::size_t kLanes = 4;
 constexpr std::size_t kListBlock = 128;
 
 /**
- * Walk stack bound: cells sit at depth <= kMortonBits, and popping a
- * cell leaves at most 3 siblings pending per level above it.
+ * Walk stack bound. The stack holds only untested siblings: a cell's
+ * children are tested when it opens, and only the elder siblings of
+ * the child it descends into wait, at most 3 per level. A descent goes
+ * from an internal cell into an internal child, and internal cells sit
+ * at depth < kMortonBits, so fewer than kMortonBits levels ever wait.
  */
-constexpr std::size_t kStackDepth = 4 * (kMortonBits + 2);
+constexpr std::size_t kStackDepth = 3 * kMortonBits;
 
 /**
  * The squared form of the opening test is trusted only this far from
@@ -179,8 +182,15 @@ coincides(double d2)
  * leaves, and internal cells passing the group test; visit gets the
  * cell and its squared box distance. With the box's nearest point in
  * place of the body, the group test is the classic per-body test for
- * the box {p, p}. A cell's children are pushed first to last, so the
- * last quadrant pops first.
+ * the box {p, p}.
+ *
+ * The order is a stack walk's that pushes a cell's children first to
+ * last, so the last quadrant pops first; but the children are tested
+ * when their parent opens. From the last child to the first, each
+ * leaf or accepted cell is visited at once; at the first child that
+ * must open, only its untested elder siblings are pushed, and the walk
+ * descends into it. A popped cell is tested as it pops. Every test and
+ * every visit comes in the stack walk's order.
  */
 template <typename Visit, typename Exact>
 [[gnu::always_inline]] inline void
@@ -188,45 +198,68 @@ walkCells(const QuadTree::Cell *cells, Vec2 lo, Vec2 hi, double theta,
           Visit &&visit, Exact &&exact)
 {
     const Opening opening(theta);
-    // Explicit fixed-size stack: no recursion and no allocation.
-    std::array<CellId, kStackDepth> stack;
-    std::size_t top = 0;
-    stack[top++] = CellId{0};
-    while (top > 0) {
-        const QuadTree::Cell &c = cells[stack[--top].index()];
+    // Test one cell: visit it, or skip it when it holds no charge, and
+    // answer whether it must open instead.
+    auto opens = [&](const QuadTree::Cell &c) {
         if (c.charge <= 0.0)
-            continue;
+            return false;
         const double d2 = boxDistance2(lo, hi, c.bary);
         if (c.count == 0 || opening.accepts(d2, c.size, exact)) {
             visit(c, d2);
-            continue;
+            return false;
         }
-        for (std::uint32_t k = 0; k < c.count; ++k)
-            stack[top++] = CellId{c.first.value() + std::int32_t(k)};
+        return true;
+    };
+    // Explicit fixed-size stack: no recursion and no allocation.
+    std::array<CellId, kStackDepth> stack;
+    std::size_t top = 0;
+    const QuadTree::Cell *open = opens(cells[0]) ? &cells[0] : nullptr;
+    while (open != nullptr) {
+        const std::size_t first = open->first.index();
+        std::size_t k = open->count;
+        open = nullptr;
+        while (k-- > 0) {
+            if (!opens(cells[first + k]))
+                continue;
+            open = &cells[first + k];
+            for (std::size_t j = 0; j < k; ++j)
+                stack[top++] = CellId::fromIndex(first + j);
+            break;
+        }
+        while (open == nullptr && top > 0) {
+            const QuadTree::Cell &c = cells[stack[--top].index()];
+            if (opens(c))
+                open = &c;
+        }
     }
 }
 
-/** kLanes doubles as one GCC vector, so the near list's select packs. */
-using Lanes = double __attribute__((vector_size(kLanes * sizeof(double))));
+/** L doubles as one GCC vector, so the near list's select packs. */
+template <std::size_t L>
+struct LaneVector
+{
+    typedef double type __attribute__((vector_size(L * sizeof(double))));
+};
 
 /**
- * Add the field of `list` at the points (px, py) into (fx, fy); n is a
- * multiple of kLanes. Far lists hold no entry within kCoincidenceEps of
- * a point; near lists may, and each point skips those (itself
- * included): a lane within it keeps its running sum by a select, since
- * adding a zero would turn a -0 sum into +0, and the select drops the
- * lane's division by zero too. Each point sums the list in list order
- * with the arithmetic of the classic per-body loop, so its result does
- * not depend on the lane or block it lands in, nor on the vector
- * width. The branch-free body packs sqrt and divide (hence
- * -fno-math-errno on viva_layout).
+ * Add the field of `list` at the points (px, py)[begin, end) into
+ * (fx, fy), L points at a time; end - begin is a multiple of L. Far
+ * lists hold no entry within kCoincidenceEps of a point; near lists
+ * may, and each point skips those (itself included): a lane within it
+ * keeps its running sum by a select, since adding a zero would turn a
+ * -0 sum into +0, and the select drops the lane's division by zero
+ * too. Each point sums the list in list order with the arithmetic of
+ * the classic per-body loop, so its result does not depend on the lane
+ * or block it lands in, nor on the vector width. The branch-free body
+ * packs sqrt and divide (hence -fno-math-errno on viva_layout).
  */
-template <bool Near>
+template <bool Near, std::size_t L>
 [[gnu::always_inline]] inline void
 evaluateList(const ListBlock &list, const double *px, const double *py,
-             std::size_t n, double *fx, double *fy)
+             std::size_t begin, std::size_t end, double *fx, double *fy)
 {
-    for (std::size_t b = 0; b < n; b += kLanes) {
+    using Lanes = typename LaneVector<L>::type;
+    for (std::size_t b = begin; b < end; b += L) {
         Lanes ax, ay, gx, gy;
         std::memcpy(&ax, px + b, sizeof ax);
         std::memcpy(&ay, py + b, sizeof ay);
@@ -237,7 +270,7 @@ evaluateList(const ListBlock &list, const double *px, const double *py,
             const Lanes dy = ay - list.y[j];
             const Lanes d2 = dx * dx + dy * dy;
             Lanes dist;
-            for (std::size_t k = 0; k < kLanes; ++k)
+            for (std::size_t k = 0; k < L; ++k)
                 dist[k] = std::sqrt(d2[k]);
             const Lanes s = list.q[j] / (dist * dist * dist);
             if constexpr (Near) {
@@ -254,9 +287,26 @@ evaluateList(const ListBlock &list, const double *px, const double *py,
 }
 
 /**
- * The walk of QuadTree::fieldAt plus its list evaluation: one body,
- * compiled once per instruction set below.
+ * evaluateList over the points [0, n), n a multiple of kLanes, `Wide`
+ * lanes at a time; with Wide = 2 * kLanes a last half vector runs
+ * kLanes wide.
  */
+template <bool Near, std::size_t Wide>
+[[gnu::always_inline]] inline void
+evaluateBlocks(const ListBlock &list, const double *px, const double *py,
+               std::size_t n, double *fx, double *fy)
+{
+    const std::size_t wide = n / Wide * Wide;
+    evaluateList<Near, Wide>(list, px, py, 0, wide, fx, fy);
+    if constexpr (Wide > kLanes)
+        evaluateList<Near, kLanes>(list, px, py, wide, n, fx, fy);
+}
+
+/**
+ * The walk of QuadTree::fieldAt plus its list evaluation, `Wide` lanes
+ * at a time: compiled once per instruction set below.
+ */
+template <std::size_t Wide>
 [[gnu::always_inline]] inline void
 fieldKernel(const QuadTree::Cell *cells, const double *px,
             const double *py, std::size_t n, Vec2 lo, Vec2 hi,
@@ -280,14 +330,14 @@ fieldKernel(const QuadTree::Cell *cells, const double *px,
             if (++list.size < kListBlock)
                 return;
             if (close)
-                evaluateList<true>(list, px, py, lanes, fx, fy);
+                evaluateBlocks<true, Wide>(list, px, py, lanes, fx, fy);
             else
-                evaluateList<false>(list, px, py, lanes, fx, fy);
+                evaluateBlocks<false, Wide>(list, px, py, lanes, fx, fy);
             list.size = 0;
         },
         [] {});
-    evaluateList<false>(lists[0], px, py, lanes, fx, fy);
-    evaluateList<true>(lists[1], px, py, lanes, fx, fy);
+    evaluateBlocks<false, Wide>(lists[0], px, py, lanes, fx, fy);
+    evaluateBlocks<true, Wide>(lists[1], px, py, lanes, fx, fy);
 }
 
 using FieldFn = void (*)(const QuadTree::Cell *, const double *,
@@ -300,7 +350,7 @@ fieldBaseline(const QuadTree::Cell *cells, const double *px,
               const double *py, std::size_t n, Vec2 lo, Vec2 hi,
               double theta, double *fx, double *fy)
 {
-    fieldKernel(cells, px, py, n, lo, hi, theta, fx, fy);
+    fieldKernel<kLanes>(cells, px, py, n, lo, hi, theta, fx, fy);
 }
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -313,24 +363,40 @@ fieldAvx2(const QuadTree::Cell *cells, const double *px,
           const double *py, std::size_t n, Vec2 lo, Vec2 hi,
           double theta, double *fx, double *fy)
 {
-    fieldKernel(cells, px, py, n, lo, hi, theta, fx, fy);
+    fieldKernel<kLanes>(cells, px, py, n, lo, hi, theta, fx, fy);
+}
+
+/**
+ * fieldKernel with AVX-512's 512-bit vectors: 8 lanes, and a last half
+ * vector on 256-bit ones (AVX-512VL gives those the mask registers
+ * too). AVX-512F brings FMA, but -ffp-contract=off keeps every product
+ * unfused, so every result is the baseline's.
+ */
+[[gnu::target("avx512f,avx512vl"), gnu::flatten]] void
+fieldAvx512(const QuadTree::Cell *cells, const double *px,
+            const double *py, std::size_t n, Vec2 lo, Vec2 hi,
+            double theta, double *fx, double *fy)
+{
+    fieldKernel<2 * kLanes>(cells, px, py, n, lo, hi, theta, fx, fy);
 }
 #endif
 
-/**
- * The field kernel for this CPU, picked once. A plain function pointer
- * rather than target_clones, whose ifunc resolver segfaulted under
- * -fsanitize=thread (GCC 12).
- */
+/** The compiled copy of `kernel`. */
 FieldFn
-pickFieldKernel()
+fieldFn(QuadTree::Kernel kernel)
 {
+    switch (kernel) {
 #if defined(__x86_64__) || defined(__i386__)
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2"))
+    case QuadTree::Kernel::Avx2:
         return fieldAvx2;
+    case QuadTree::Kernel::Avx512:
+        return fieldAvx512;
 #endif
-    return fieldBaseline;
+    default:
+        VIVA_ASSERT(kernel == QuadTree::Kernel::Baseline,
+                    "field kernel ", int(kernel), " is not compiled in");
+        return fieldBaseline;
+    }
 }
 
 } // namespace
@@ -484,14 +550,37 @@ QuadTree::fillCell(std::size_t cell, std::size_t begin, std::size_t end,
     cells[cell].bary = moment / charge_sum;
 }
 
+std::vector<QuadTree::Kernel>
+QuadTree::kernels()
+{
+    std::vector<Kernel> out{Kernel::Baseline};
+    // A plain function pointer picked from these rather than
+    // target_clones, whose ifunc resolver segfaulted under
+    // -fsanitize=thread (GCC 12).
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        out.push_back(Kernel::Avx2);
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512vl"))
+        out.push_back(Kernel::Avx512);
+#endif
+    return out;
+}
+
+QuadTree::Kernel
+QuadTree::kernel()
+{
+    static const Kernel picked = kernels().back();
+    return picked;
+}
+
 void
 QuadTree::fieldAt(const double *px, const double *py, std::size_t n,
                   Vec2 lo, Vec2 hi, double theta, double *fx,
-                  double *fy, bool baseline) const
+                  double *fy, Kernel via) const
 {
-    static const FieldFn kernel = pickFieldKernel();
-    (baseline ? fieldBaseline : kernel)(cells.data(), px, py, n, lo, hi,
-                                        theta, fx, fy);
+    fieldFn(via)(cells.data(), px, py, n, lo, hi, theta, fx, fy);
 }
 
 std::array<Vec2, 2>
@@ -512,19 +601,23 @@ void
 QuadTree::groupField(std::size_t g, double theta,
                      std::vector<Vec2> &field) const
 {
-    groupFieldVia(g, theta, field, false);
+    groupFieldVia(g, theta, field, kernel());
 }
 
 void
-QuadTree::debugBaselineGroupField(std::size_t g, double theta,
-                                  std::vector<Vec2> &field) const
+QuadTree::debugKernelGroupField(Kernel via, std::size_t g, double theta,
+                                std::vector<Vec2> &field) const
 {
-    groupFieldVia(g, theta, field, true);
+    const std::vector<Kernel> runnable = kernels();
+    VIVA_ASSERT(std::find(runnable.begin(), runnable.end(), via) !=
+                    runnable.end(),
+                "this CPU cannot run field kernel ", int(via));
+    groupFieldVia(g, theta, field, via);
 }
 
 void
 QuadTree::groupFieldVia(std::size_t g, double theta,
-                        std::vector<Vec2> &field, bool baseline) const
+                        std::vector<Vec2> &field, Kernel via) const
 {
     VIVA_ASSERT(g < groupCount(), "bad group ", g);
     VIVA_ASSERT(field.size() >= inserted, "field holds ", field.size(),
@@ -540,7 +633,7 @@ QuadTree::groupFieldVia(std::size_t g, double theta,
         py[i] = sortedY[begin + std::min(i, n - 1)];
     }
     auto [lo, hi] = groupBox(g);
-    fieldAt(px, py, n, lo, hi, theta, fx, fy, baseline);
+    fieldAt(px, py, n, lo, hi, theta, fx, fy, via);
     for (std::size_t i = 0; i < n; ++i)
         field[order[begin + i]] = Vec2{fx[i], fy[i]};
 }
@@ -554,7 +647,7 @@ QuadTree::forceAt(Vec2 position, double theta) const
     double fx[kGroupSize] = {}, fy[kGroupSize] = {};
     std::fill(px, px + kGroupSize, position.x);
     std::fill(py, py + kGroupSize, position.y);
-    fieldAt(px, py, 1, position, position, theta, fx, fy, false);
+    fieldAt(px, py, 1, position, position, theta, fx, fy, kernel());
     return Vec2{fx[0], fy[0]};
 }
 

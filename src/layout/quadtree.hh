@@ -14,11 +14,16 @@
  * The field is evaluated per *group* (Barnes 1990, "a modified tree
  * code"): every maximal cell holding at most kGroupSize bodies is one
  * contiguous Morton range, walked once against its tight bounding box.
- * The walk's interaction lists are then evaluated for all the group's
- * bodies in one fixed-order packed loop: the far list, and the near
- * list of leaves that may coincide with a body, whose skipped lanes
- * keep their sums by a select. forceAt() is the same walk for the
- * degenerate box {p, p}.
+ * The walk tests a cell's children when the cell opens, visiting
+ * leaves and accepted cells at once, and stacks only the untested
+ * siblings of the child it descends into: at most 3 per level. Its
+ * interaction lists are then evaluated for all the group's bodies in
+ * one fixed-order packed loop: the far list, and the near list of
+ * leaves that may coincide with a body, whose skipped lanes keep their
+ * sums by a select. That loop is compiled for the baseline ISA, AVX2
+ * (4 lanes) and AVX-512 (8 lanes), and the widest copy this CPU runs
+ * is picked once; all three give the same bits. forceAt() is the same
+ * walk for the degenerate box {p, p}.
  */
 
 #pragma once
@@ -168,12 +173,24 @@ class QuadTree
     GroupWalk debugGroupWalk(std::size_t g, double theta) const;
 
     /**
-     * Test introspection: groupField() through the kernel compiled for
-     * the build's baseline instruction set, whichever kernel this CPU
-     * runs.
+     * The compiled copies of the field kernel, valued by the doubles
+     * of one vector operation: the build's baseline instruction set
+     * (SSE2 on x86-64), AVX2 and AVX-512. All give the same bits.
      */
-    void debugBaselineGroupField(std::size_t g, double theta,
-                                 std::vector<Vec2> &field) const;
+    enum class Kernel { Baseline = 2, Avx2 = 4, Avx512 = 8 };
+
+    /** The kernels this CPU can run, Baseline first, widest last. */
+    static std::vector<Kernel> kernels();
+
+    /** The kernel groupField() and forceAt() run: the widest one. */
+    static Kernel kernel();
+
+    /**
+     * Test introspection: groupField() through kernel `via`, which
+     * this CPU must be able to run.
+     */
+    void debugKernelGroupField(Kernel via, std::size_t g, double theta,
+                               std::vector<Vec2> &field) const;
 
   private:
     /** Low bits of a sort key: the body index below its Morton code. */
@@ -211,19 +228,18 @@ class QuadTree
     /** The tight bounding box {lo, hi} of group g's bodies. */
     std::array<Vec2, 2> groupBox(std::size_t g) const;
 
-    /** groupField(), through the baseline kernel when `baseline`. */
+    /** groupField(), through kernel `via`. */
     void groupFieldVia(std::size_t g, double theta,
-                       std::vector<Vec2> &field, bool baseline) const;
+                       std::vector<Vec2> &field, Kernel via) const;
 
     /**
      * The field at n <= kGroupSize points (px, py) inside the box
      * [lo, hi], added into (fx, fy): one walk, its list evaluated in
-     * blocks, by this CPU's kernel unless `baseline`. All four arrays
-     * hold kGroupSize slots.
+     * blocks, by kernel `via`. All four arrays hold kGroupSize slots.
      */
     void fieldAt(const double *px, const double *py, std::size_t n,
                  Vec2 lo, Vec2 hi, double theta, double *fx,
-                 double *fy, bool baseline) const;
+                 double *fy, Kernel via) const;
 
     // The arena, and each cell's box {lo, hi} beside it for build()
     // and the audit (the walk reads only `cells`). clear() between

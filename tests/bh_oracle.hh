@@ -6,8 +6,11 @@
  * child slot per quadrant, the opening test on the sqrt/divide chain
  * (`dist > eps && size / dist < theta`), a scalar evaluation per body,
  * and the far/near interaction lists flushed every 128 entries in walk
- * order. Build, grouping and arithmetic follow QuadTree's documented
- * contract, so any faster form of it must produce the same bits.
+ * order. Its walk is the plain stack walk (every non-empty child
+ * pushed, the last quadrant popped first, a cell tested as it pops),
+ * whose accepted cells groupWalk() lists in order. Build, grouping and
+ * arithmetic follow QuadTree's documented contract, so any faster form
+ * of it must produce the same bits.
  */
 
 #pragma once
@@ -96,7 +99,49 @@ class BhOracle
         std::vector<double> out;
         auto [lo, hi] = groupBox(g);
         walk(lo, hi, theta, [](std::size_t) {},
-             [&](double ratio) { out.push_back(ratio); });
+             [&](double d2, double size) {
+                 const double dist = std::sqrt(d2);
+                 if (dist > kEps)
+                     out.push_back(size / dist);
+             });
+        return out;
+    }
+
+    /** One group's walk, as QuadTree::debugGroupWalk reports it. */
+    struct Walk
+    {
+        std::vector<Vec2> barycentres;  ///< accepted internal cells
+        /**
+         * Opening tests QuadTree leaves to the sqrt/divide expression:
+         * theta not positive or theta^2 outside [1e-100, 1e100], d^2
+         * outside (4e-18, 1e180), or size^2 within a relative 1e-9 of
+         * theta^2 * d^2.
+         */
+        std::size_t exactTests = 0;
+    };
+
+    /** The internal cells group g's walk accepts, in walk order. */
+    Walk
+    groupWalk(std::size_t g, double theta) const
+    {
+        Walk out;
+        auto [lo, hi] = groupBox(g);
+        const double theta2 = theta * theta;
+        const bool ranged =
+            theta > 0.0 && theta2 >= 1e-100 && theta2 <= 1e100;
+        walk(lo, hi, theta,
+             [&](std::size_t index) {
+                 if (!cells[index].leaf)
+                     out.barycentres.push_back(cells[index].bary);
+             },
+             [&](double d2, double size) {
+                 const double t2 = theta2 * d2;
+                 const double s2 = size * size;
+                 const bool squared =
+                     ranged && d2 > 4e-18 && d2 < 1e180 &&
+                     (s2 < t2 * (1.0 - 1e-9) || s2 > t2 * (1.0 + 1e-9));
+                 out.exactTests += !squared;
+             });
         return out;
     }
 
@@ -220,16 +265,23 @@ class BhOracle
     }
 
     static double
-    boxDistance(Vec2 lo, Vec2 hi, Vec2 b)
+    boxDistance2(Vec2 lo, Vec2 hi, Vec2 b)
     {
         double dx = std::max(std::max(lo.x - b.x, b.x - hi.x), 0.0);
         double dy = std::max(std::max(lo.y - b.y, b.y - hi.y), 0.0);
-        return std::sqrt(dx * dx + dy * dy);
+        return dx * dx + dy * dy;
+    }
+
+    static double
+    boxDistance(Vec2 lo, Vec2 hi, Vec2 b)
+    {
+        return std::sqrt(boxDistance2(lo, hi, b));
     }
 
     /**
      * Visit, in walk order, the leaves and the internal cells passing
-     * the group test; `tested` sees each test's size / dist.
+     * the group test; `tested` sees each tested cell's squared
+     * distance and size.
      */
     template <typename Visit, typename Tested>
     void
@@ -247,10 +299,10 @@ class BhOracle
                 visit(index);
                 continue;
             }
-            double dist = boxDistance(lo, hi, c.bary);
+            double d2 = boxDistance2(lo, hi, c.bary);
+            double dist = std::sqrt(d2);
             double size = std::max(c.hi.x - c.lo.x, c.hi.y - c.lo.y);
-            if (dist > kEps)
-                tested(size / dist);
+            tested(d2, size);
             if (dist > kEps && size / dist < theta) {
                 visit(index);
                 continue;
@@ -299,7 +351,7 @@ class BhOracle
                 flush(list, points, close, f);
                 list = List{};
             },
-            [](double) {});
+            [](double, double) {});
         flush(far, points, false, f);
         flush(near, points, true, f);
         return f;

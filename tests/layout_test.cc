@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <string>
+#include <string_view>
 
 #include "app/session.hh"
 #include "layout/force.hh"
@@ -491,6 +492,31 @@ sameBits(const std::vector<vl::Vec2> &a, const std::vector<vl::Vec2> &b)
     return ::testing::AssertionSuccess();
 }
 
+/** The root box of the oracle comparison. */
+constexpr vl::Vec2 kOracleLo{-1.0, -1.0};
+constexpr vl::Vec2 kOracleHi{501.0, 501.0};
+
+/**
+ * A body at the centre of quadrants 0, 1 and 2 of each of the 21 cells
+ * [hi - s, hi] (s = 502 / 2^i), and one in quadrant 3 of the last:
+ * 85 cells, internal down to the grid's last level.
+ */
+std::vector<vl::QuadTree::Body>
+deepestChain()
+{
+    std::vector<vl::QuadTree::Body> chain;
+    double side = kOracleHi.x - kOracleLo.x;
+    for (int level = 0; level < 21; ++level, side /= 2.0) {
+        const vl::Vec2 lo = kOracleHi - vl::Vec2{side, side};
+        for (vl::Vec2 at : {vl::Vec2{0.25, 0.25}, vl::Vec2{0.75, 0.25},
+                            vl::Vec2{0.25, 0.75}})
+            chain.push_back({lo + at * side, 1.0 + 0.1 * level});
+    }
+    chain.push_back({kOracleHi - vl::Vec2{0.25, 0.25} * (2.0 * side),
+                     0.5});
+    return chain;
+}
+
 /** The input sets of the oracle comparison, by name. */
 std::vector<std::pair<const char *, std::vector<vl::QuadTree::Body>>>
 oracleInputs()
@@ -525,7 +551,52 @@ oracleInputs()
     for (int i = 0; i < 75; ++i)
         merged.push_back({{125.0, 375.0}, 0.5 + 0.01 * i});
     sets.emplace_back("merged-leaf", std::move(merged));
+
+    // A group of every size from 1 to 32, so every 8-lane block and
+    // 4-lane tail runs: s bodies inside one cell of the level-9 grid,
+    // and 40 in the next cell of the same parent, which therefore
+    // holds more than a group.
+    const double h = (kOracleHi.x - kOracleLo.x) / 512.0;
+    std::vector<vl::QuadTree::Body> sized;
+    for (int s = 1; s <= 32; ++s) {
+        const double x = kOracleLo.x + (16 * ((s - 1) % 8) + 0.5) * h;
+        const double y = kOracleLo.y + (16 * ((s - 1) / 8) + 4.5) * h;
+        for (int i = 0; i < s + 40; ++i) {
+            const double cx = i < s ? x : x + h;
+            sized.push_back({{cx + rng.uniform(-0.3, 0.3) * h,
+                              y + rng.uniform(-0.3, 0.3) * h},
+                             rng.uniform(0.5, 4.0)});
+        }
+    }
+    sets.emplace_back("group-sizes", std::move(sized));
+
+    // The deepest tree the 21-bit Morton grid allows: a geometric
+    // chain into the top-right corner, with one body in each of the
+    // other three quadrants of every level, so at theta 0 the walk
+    // leaves 3 siblings pending at each of the 20 levels it descends.
+    sets.emplace_back("deepest-chain", deepestChain());
     return sets;
+}
+
+/**
+ * The field kernels this CPU can run, from its features: a dispatch
+ * that left a compiled copy out would fail here, not skip it.
+ */
+std::vector<vl::QuadTree::Kernel>
+runnableKernels()
+{
+    using Kernel = vl::QuadTree::Kernel;
+    std::vector<Kernel> want{Kernel::Baseline};
+#if defined(__x86_64__) || defined(__i386__)
+    if (__builtin_cpu_supports("avx2"))
+        want.push_back(Kernel::Avx2);
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512vl"))
+        want.push_back(Kernel::Avx512);
+#endif
+    EXPECT_EQ(vl::QuadTree::kernels(), want);
+    EXPECT_EQ(vl::QuadTree::kernel(), want.back());
+    return want;
 }
 
 } // namespace
@@ -539,8 +610,9 @@ oracleInputs()
  */
 TEST(QuadTreeField, FieldEqualsTheOracleBitwise)
 {
-    const vl::Vec2 lo{-1.0, -1.0};
-    const vl::Vec2 hi{501.0, 501.0};
+    const vl::Vec2 lo = kOracleLo;
+    const vl::Vec2 hi = kOracleHi;
+    const std::vector<vl::QuadTree::Kernel> kernels = runnableKernels();
     for (const auto &[name, bodies] : oracleInputs()) {
         SCOPED_TRACE(name);
         vl::QuadTree tree;
@@ -551,11 +623,14 @@ TEST(QuadTreeField, FieldEqualsTheOracleBitwise)
             SCOPED_TRACE(theta);
             const std::vector<vl::Vec2> want_field = oracle.field(theta);
             ASSERT_TRUE(sameBits(groupedField(tree, theta), want_field));
-            // The baseline-ISA kernel too, where this CPU runs AVX2.
-            std::vector<vl::Vec2> baseline(bodies.size());
-            for (std::size_t g = 0; g < tree.groupCount(); ++g)
-                tree.debugBaselineGroupField(g, theta, baseline);
-            ASSERT_TRUE(sameBits(baseline, want_field));
+            // Every kernel this CPU runs, not only the one it picks.
+            for (vl::QuadTree::Kernel via : kernels) {
+                SCOPED_TRACE(int(via));
+                std::vector<vl::Vec2> field(bodies.size());
+                for (std::size_t g = 0; g < tree.groupCount(); ++g)
+                    tree.debugKernelGroupField(via, g, theta, field);
+                ASSERT_TRUE(sameBits(field, want_field));
+            }
             std::vector<vl::Vec2> at, want;
             for (std::size_t i = 0; i < bodies.size(); i += 7) {
                 at.push_back(tree.forceAt(bodies[i].position, theta));
@@ -617,6 +692,49 @@ TEST(QuadTreeField, FieldEqualsTheOracleBitwise)
         }
     }
     EXPECT_TRUE(sameBits(at, want));
+}
+
+/**
+ * The walk visits the reference stack walk's accepted cells in its
+ * order, and leaves as many opening tests to the exact expression, on
+ * every oracle input; the two extra inputs reach every group size and
+ * the deepest tree.
+ */
+TEST(QuadTreeField, WalkOrderIsTheOracles)
+{
+    for (const auto &[name, bodies] : oracleInputs()) {
+        SCOPED_TRACE(name);
+        vl::QuadTree tree;
+        tree.build(kOracleLo, kOracleHi, bodies);
+        vl::testing::BhOracle oracle(kOracleLo, kOracleHi, bodies);
+        ASSERT_EQ(tree.groupCount(), oracle.groupCount());
+        std::size_t accepted = 0;
+        for (double theta : {0.3, 0.8, 1.2}) {
+            SCOPED_TRACE(theta);
+            for (std::size_t g = 0; g < tree.groupCount(); ++g) {
+                const auto walk = tree.debugGroupWalk(g, theta);
+                const auto want = oracle.groupWalk(g, theta);
+                ASSERT_TRUE(sameBits(walk.barycentres, want.barycentres))
+                    << "group " << g;
+                ASSERT_EQ(walk.exactTests, want.exactTests)
+                    << "group " << g;
+                accepted += walk.barycentres.size();
+            }
+        }
+        EXPECT_GT(accepted, 0u);
+
+        if (std::string_view(name) == "deepest-chain") {
+            EXPECT_EQ(tree.cellCount(), 85u);
+        }
+        if (std::string_view(name) == "group-sizes") {
+            std::vector<bool> sizes(vl::QuadTree::kGroupSize + 1, false);
+            for (std::size_t g = 0; g < tree.groupCount(); ++g)
+                sizes[tree.debugGroupWalk(g, 0.8).bodies.size()] = true;
+            for (std::size_t n = 1; n < sizes.size(); ++n) {
+                EXPECT_TRUE(sizes[n]) << "no group of " << n << " bodies";
+            }
+        }
+    }
 }
 
 // --- ForceLayout ------------------------------------------------------------------
