@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <ostream>
 #include <span>
 
@@ -241,29 +242,42 @@ struct EdgeChain
     std::uint32_t degree = 0;    ///< edges chained here
 };
 
+/** Contracted edges, each with the relation it first came from. */
+struct Contraction
+{
+    std::vector<ViewEdge> edges;
+    std::vector<std::uint32_t> first;
+};
+
 /**
- * Contract the trace's relations onto a cut's `nodes`, given the slot
- * of each endpoint's representative: self-loops vanish, parallel edges
- * merge into the first occurrence with a multiplicity. Each edge is
- * chained at both endpoints' slots, and a relation seeks its pair
- * along the endpoint with fewer edges so far: a switch's hundred host
- * links each cost the link's one edge, not the switch's hundred.
+ * Contract relations onto a cut's `nodes`, given the slot of each
+ * endpoint's representative: for_each_relation(visit) visits the
+ * indices of the relations to contract, ascending. Self-loops vanish,
+ * parallel edges merge into the first occurrence with a multiplicity.
+ * Each edge is chained at both endpoints' slots, and a relation seeks
+ * its pair along the endpoint with fewer edges so far: a switch's
+ * hundred host links each cost the link's one edge, not the switch's
+ * hundred.
  */
-template <class SlotOf>
-std::vector<ViewEdge>
+template <class ForEachRelation, class SlotOf>
+Contraction
 contractRelations(const trace::Trace &trace,
-                  std::span<const ContainerId> nodes, SlotOf &&slot_of)
+                  std::span<const ContainerId> nodes,
+                  ForEachRelation &&for_each_relation, SlotOf &&slot_of)
 {
     std::vector<EdgeChain> chains(nodes.size());
-    std::vector<ViewEdge> edges;
+    Contraction out;
+    std::vector<ViewEdge> &edges = out.edges;
     std::vector<std::array<std::uint32_t, 2>> next;  // at a's, b's slot
-    for (const trace::Trace::Relation &r : trace.relations()) {
+    const std::vector<trace::Trace::Relation> &rels = trace.relations();
+    for_each_relation([&](std::uint32_t ri) {
+        const trace::Trace::Relation &r = rels[ri];
         std::uint32_t sa = slot_of(r.a);
         std::uint32_t sb = slot_of(r.b);
         VIVA_ASSERT(sa != kHidden && sb != kHidden, "relation ", r.a,
                     "--", r.b, " ends outside the cut's nodes");
         if (sa == sb)
-            continue;  // contracted inside one aggregated node
+            return;  // contracted inside one aggregated node
         if (nodes[sb] < nodes[sa])
             std::swap(sa, sb);
         const ContainerId lo = nodes[sa];
@@ -275,58 +289,172 @@ contractRelations(const trace::Trace &trace,
             e = next[e][edges[e].a == nodes[s] ? 0 : 1];
         if (e != kNone) {
             ++edges[e].multiplicity;
-            continue;
+            return;
         }
         e = std::uint32_t(edges.size());
         edges.push_back({lo, hi, 1});
+        out.first.push_back(ri);
         next.push_back({chains[sa].head, chains[sb].head});
         for (std::uint32_t end : {sa, sb})
             chains[end] = {e, chains[end].degree + 1};
-    }
-    return edges;
+    });
+    return out;
+}
+
+/** Visit every relation index of the trace, ascending. */
+auto
+allRelations(const trace::Trace &trace)
+{
+    return [n = std::uint32_t(trace.relations().size())](auto &&visit) {
+        for (std::uint32_t ri = 0; ri < n; ++ri)
+            visit(ri);
+    };
 }
 
 } // namespace
 
 CutProjection
-project(const trace::Trace &trace, const HierarchyCut &cut)
+project(const trace::Trace &trace, const HierarchyCut &cut,
+        const CutProjection &prev)
 {
     obs::Registry &reg = obs::Registry::global();
     static const obs::HistogramId phase = reg.histogram("agg.project");
+    static const obs::CounterId containers_counter =
+        reg.counter("agg.project.containers");
+    static const obs::CounterId relations_counter =
+        reg.counter("agg.project.relations");
     obs::ScopedPhase timer(phase);
 
-    CutProjection p;
-    p.nodes = cut.visibleNodes();
-    p.leafCounts.assign(p.nodes.size(), 0);
-
-    // rep[c] is HierarchyCut::representative(c): the topmost collapsed
-    // ancestor-or-self, else c. A parent's id is below its children's,
-    // so one ascending pass finds every parent's entry already set, and
-    // the parent's representative is a collapsed ancestor exactly when
-    // it is itself collapsed.
     const std::size_t count = trace.containerCount();
-    const std::vector<std::uint8_t> &collapsed = cut.collapsedFlags();
-    std::vector<ContainerId> rep(count);
-    std::vector<std::uint32_t> &slot = p.slotOf;
-    slot.assign(count, kHidden);
-    for (std::size_t i = 0; i < p.nodes.size(); ++i)
-        slot[p.nodes[i].index()] = std::uint32_t(i);
-    for (ContainerId id{0}; id.index() < count; ++id) {
-        const trace::Container &c = trace.container(id);
-        VIVA_ASSERT(id == trace.root() || c.parent < id,
-                    "container ", id, " precedes its parent");
-        ContainerId up = id == trace.root() ? id : rep[c.parent.index()];
-        rep[id.index()] = collapsed[up.index()] ? up : id;
-        if (c.leaf()) {
-            std::uint32_t s = slot[rep[id.index()].index()];
-            if (s != kHidden)  // only a childless root covers no node
-                ++p.leafCounts[s];
-        }
+    VIVA_ASSERT(prev.repOf.empty() || prev.repOf.size() == count,
+                "projection of ", prev.repOf.size(),
+                " containers for a trace of ", count);
+    CutProjection p;
+    // From nothing, the walk below writes every entry: each container
+    // is above the visible nodes or under one.
+    if (prev.repOf.empty()) {
+        p.repOf.assign(count, trace::kNoContainer);
+        p.slotOf.assign(count, kHidden);
+    } else {
+        p.repOf = prev.repOf;
+        p.slotOf = prev.slotOf;
     }
-    p.edges = contractRelations(trace, p.nodes, [&](ContainerId id) {
+
+    // One walk of the frozen preorder. A container is a visible node
+    // when collapsed, or when a leaf other than the root (as in
+    // HierarchyCut::visibleNodes), and the walk then skips the rest of
+    // its subtree. A container above the visible nodes represents
+    // itself and is not shown; only one that was shown or hidden before
+    // changes. A node entering the view represents its whole subtree
+    // and hides the rest of it; a node that stays keeps its subtree as
+    // it was.
+    const std::vector<std::uint8_t> &collapsed = cut.collapsedFlags();
+    const std::span<const ContainerId> order =
+        trace.cachedSubtree(trace.root());
+    std::uint64_t rewritten = 0;
+    // At most one node per container: growing the list would cost a
+    // full change more than the bound costs.
+    p.nodes.reserve(count);
+    for (std::size_t s = 0; s < order.size();) {
+        const ContainerId id = order[s];
+        const std::span<const ContainerId> below = trace.cachedSubtree(id);
+        if (!collapsed[id.index()] &&
+            (below.size() > 1 || id == trace.root())) {
+            if (p.repOf[id.index()] != id ||
+                p.slotOf[id.index()] != kHidden) {
+                p.repOf[id.index()] = id;
+                p.slotOf[id.index()] = kHidden;
+                ++rewritten;
+            }
+            ++s;
+            continue;
+        }
+        s += below.size();
+        const bool enters = prev.slot(id) == kHidden;
+        p.slotOf[id.index()] = std::uint32_t(p.nodes.size());
+        p.nodes.push_back(id);
+        if (!enters)
+            continue;
+        p.repOf[id.index()] = id;
+        for (ContainerId c : below.subspan(1)) {
+            p.repOf[c.index()] = id;
+            p.slotOf[c.index()] = kHidden;
+        }
+        rewritten += below.size();
+    }
+
+    p.leafCounts.resize(p.nodes.size());
+    for (std::size_t i = 0; i < p.nodes.size(); ++i)
+        p.leafCounts[i] = trace.leafCount(p.nodes[i]);
+
+    auto slot_of = [slot = p.slotOf.data(),
+                    rep = p.repOf.data()](ContainerId id) {
         return slot[rep[id.index()].index()];
-    });
+    };
+    const std::size_t relations = trace.relations().size();
+    if (rewritten * 2 >= count) {
+        // The entering subtrees hold most containers, and so most
+        // relations: contracting them all costs less than picking
+        // theirs out.
+        Contraction all =
+            contractRelations(trace, p.nodes, allRelations(trace), slot_of);
+        p.edges = std::move(all.edges);
+        p.firstRelation = std::move(all.first);
+        reg.add(containers_counter, rewritten);
+        reg.add(relations_counter, relations);
+        return p;
+    }
+
+    // The relations incident to the entering subtrees, each once, in
+    // relation order.
+    std::vector<std::uint64_t> marked((relations + 63) / 64, 0);
+    for (ContainerId id : p.nodes)
+        if (prev.slot(id) == kHidden)
+            for (std::uint32_t ri : trace.subtreeIncidence(id))
+                marked[ri >> 6] |= std::uint64_t(1) << (ri & 63);
+    std::uint64_t contracted = 0;
+    Contraction fresh = contractRelations(
+        trace, p.nodes,
+        [&](auto &&visit) {
+            for (std::size_t w = 0; w < marked.size(); ++w)
+                for (std::uint64_t bits = marked[w]; bits != 0;
+                     bits &= bits - 1) {
+                    ++contracted;
+                    visit(std::uint32_t(w * 64 + std::countr_zero(bits)));
+                }
+        },
+        slot_of);
+
+    // The edges of prev whose endpoints both stay, merged with the
+    // fresh ones by first relation.
+    p.edges.reserve(fresh.edges.size() + prev.edges.size());
+    p.firstRelation.reserve(p.edges.capacity());
+    std::size_t f = 0;
+    auto take_fresh_before = [&](std::uint32_t bound) {
+        for (; f < fresh.edges.size() && fresh.first[f] < bound; ++f) {
+            p.edges.push_back(fresh.edges[f]);
+            p.firstRelation.push_back(fresh.first[f]);
+        }
+    };
+    for (std::size_t k = 0; k < prev.edges.size(); ++k) {
+        const ViewEdge &e = prev.edges[k];
+        if (p.slotOf[e.a.index()] == kHidden ||
+            p.slotOf[e.b.index()] == kHidden)
+            continue;
+        take_fresh_before(prev.firstRelation[k]);
+        p.edges.push_back(e);
+        p.firstRelation.push_back(prev.firstRelation[k]);
+    }
+    take_fresh_before(kNone);
+    reg.add(containers_counter, rewritten);
+    reg.add(relations_counter, contracted);
     return p;
+}
+
+CutProjection
+project(const trace::Trace &trace, const HierarchyCut &cut)
+{
+    return project(trace, cut, CutProjection());
 }
 
 std::vector<std::uint32_t>
@@ -681,9 +809,12 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
     for (std::size_t i = 0; i < visible.size(); ++i)
         cut_slot[visible[i].index()] = std::uint32_t(i);
     std::vector<ViewEdge> expect_edges =
-        contractRelations(trace, visible, [&](ContainerId id) {
-            return cut_slot[cut.representative(id).index()];
-        });
+        contractRelations(trace, visible, allRelations(trace),
+                          [&](ContainerId id) {
+                              return cut_slot[cut.representative(id)
+                                                  .index()];
+                          })
+            .edges;
     if (view.edges.size() != expect_edges.size()) {
         auditFail(log, "view holds ", view.edges.size(), " edges, "
                   "re-projection yields ", expect_edges.size());

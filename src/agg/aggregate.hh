@@ -183,8 +183,18 @@ struct CutProjection
      * with a multiplicity, in order of first occurrence.
      */
     std::vector<ViewEdge> edges;
+    /**
+     * Per edge, the index in relations() of the first relation
+     * contracted into it (ascending: the edges' order).
+     */
+    std::vector<std::uint32_t> firstRelation;
     /** Per container, its index in `nodes`, or kHidden if not shown. */
     std::vector<std::uint32_t> slotOf;
+    /**
+     * Per container, HierarchyCut::representative: the visible node
+     * that covers it, or the container itself above the visible nodes.
+     */
+    std::vector<trace::ContainerId> repOf;
 
     /** Number of visible nodes. */
     std::size_t size() const { return nodes.size(); }
@@ -199,11 +209,25 @@ struct CutProjection
 };
 
 /**
- * Project a cut: one pass over the containers in id order (a parent
- * always precedes its children) builds the representative of every
- * container, from which leaf counts, edges and the slot map are plain
- * array lookups.
+ * Project `cut` from `prev`, the projection of an earlier cut of the
+ * same trace (an empty one for none); the result equals the projection
+ * from nothing. One walk of the frozen preorder lists the visible
+ * nodes, skipping their subtrees. Only the nodes entering the view
+ * change anything: each becomes the representative of its subtree, and
+ * the relations incident to that subtree are contracted again, in
+ * relation order. Every pair they form holds an entering node, so none
+ * meets an edge of `prev` whose endpoints both stay; those keep their
+ * multiplicity and first relation, and the two sequences merge by first
+ * relation. When the entering subtrees hold at least half the
+ * containers, every relation is contracted instead, with the same
+ * result. Adds the containers whose representative or slot was
+ * rewritten to agg.project.containers and the relations contracted to
+ * agg.project.relations. Requires a frozen trace.
  */
+CutProjection project(const trace::Trace &trace, const HierarchyCut &cut,
+                      const CutProjection &prev);
+
+/** The projection of a cut from nothing: project(trace, cut, {}). */
 CutProjection project(const trace::Trace &trace, const HierarchyCut &cut);
 
 /** cutDelta's mark for a node the previous projection does not show. */

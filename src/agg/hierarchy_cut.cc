@@ -120,6 +120,24 @@ HierarchyCut::representative(ContainerId id) const
     return top;
 }
 
+template <class Visit>
+void
+HierarchyCut::forEachVisible(Visit &&visit) const
+{
+    std::vector<ContainerId> stack{tr->root()};
+    while (!stack.empty()) {
+        ContainerId cur = stack.back();
+        stack.pop_back();
+        const trace::Container &c = tr->container(cur);
+        if (collapsed[cur.index()] || (c.leaf() && cur != tr->root())) {
+            visit(cur);
+            continue;
+        }
+        for (auto it = c.children.rbegin(); it != c.children.rend(); ++it)
+            stack.push_back(*it);
+    }
+}
+
 std::vector<ContainerId>
 HierarchyCut::visibleNodes() const
 {
@@ -131,25 +149,16 @@ HierarchyCut::visibleNodes() const
     reg.add(recomputations);
 
     std::vector<ContainerId> out;
-    std::vector<ContainerId> stack{tr->root()};
-    while (!stack.empty()) {
-        ContainerId cur = stack.back();
-        stack.pop_back();
-        const trace::Container &c = tr->container(cur);
-        if (collapsed[cur.index()] || (c.leaf() && cur != tr->root())) {
-            out.push_back(cur);
-            continue;
-        }
-        for (auto it = c.children.rbegin(); it != c.children.rend(); ++it)
-            stack.push_back(*it);
-    }
+    forEachVisible([&out](ContainerId id) { out.push_back(id); });
     return out;
 }
 
 std::size_t
 HierarchyCut::visibleCount() const
 {
-    return visibleNodes().size();
+    std::size_t n = 0;
+    forEachVisible([&n](ContainerId) { ++n; });
+    return n;
 }
 
 support::Expected<void>

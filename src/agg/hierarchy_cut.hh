@@ -88,7 +88,10 @@ class HierarchyCut
     /** All visible nodes, in preorder (stable across equal cuts). */
     std::vector<trace::ContainerId> visibleNodes() const;
 
-    /** Number of visible nodes (what layout scalability depends on). */
+    /**
+     * Number of visible nodes (what layout scalability depends on):
+     * the same walk as visibleNodes, without building the list.
+     */
     std::size_t visibleCount() const;
 
     /**
@@ -126,6 +129,10 @@ class HierarchyCut
     void debugSetCollapsed(trace::ContainerId id, bool value);
 
   private:
+    /** Walk the cut in preorder: visit(id) for every visible node. */
+    template <class Visit>
+    void forEachVisible(Visit &&visit) const;
+
     const trace::Trace *tr;
     std::vector<std::uint8_t> collapsed;  ///< per container
 };

@@ -324,7 +324,7 @@ Session::syncLayout()
         reg.histogram("session.sync_layout");
     obs::ScopedPhase timer(phase);
 
-    agg::CutProjection projected = agg::project(tr, hierCut);
+    agg::CutProjection projected = agg::project(tr, hierCut, cutProj);
     // The cut delta, computed once: survivors carry their layout state
     // and their stored Eq.-1 rows over by position in the old
     // projection, which the graph mirrors slot for slot.

@@ -412,9 +412,10 @@ class Session
 
   private:
     /**
-     * Project the current cut (the one update point of cutProj: every
-     * cut change calls this), take the delta against the previous
-     * projection (agg::cutDelta), and rebuild the layout graph densely
+     * Project the current cut from the previous projection (the one
+     * update point of cutProj: every cut change calls this, and after
+     * forgetCut the previous one is empty), take the delta against it
+     * (agg::cutDelta), and rebuild the layout graph densely
      * from it, in cut order: carry the state and the stored Eq.-1 rows
      * of surviving nodes over, place aggregates at absorbed centroids,
      * fan disaggregated children around their parent, then add the

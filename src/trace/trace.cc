@@ -402,20 +402,48 @@ Trace::freeze()
         obs::ScopedPhase timer(phase);
 
         // Preorder of the whole tree; every subtree is one contiguous
-        // slab of it. Sizes are filled right-to-left so children are
-        // done before their parent.
+        // slab of it. Sizes and leaf counts are filled right-to-left so
+        // children are done before their parent.
         closure.preorder = subtree(root());
         closure.preIndex.assign(nodes.size(), 0);
         closure.subtreeSize.assign(nodes.size(), 0);
+        closure.leafCount.assign(nodes.size(), 0);
         for (std::size_t slot = 0; slot < closure.preorder.size(); ++slot)
             closure.preIndex[closure.preorder[slot].index()] =
                 std::uint32_t(slot);
         for (std::size_t slot = closure.preorder.size(); slot-- > 0;) {
             ContainerId id = closure.preorder[slot];
+            const Container &c = nodes[id.index()];
             std::uint32_t size = 1;
-            for (ContainerId child : nodes[id.index()].children)
+            std::uint32_t leaves = c.leaf() ? 1 : 0;
+            for (ContainerId child : c.children) {
                 size += closure.subtreeSize[child.index()];
+                leaves += closure.leafCount[child.index()];
+            }
             closure.subtreeSize[id.index()] = size;
+            closure.leafCount[id.index()] = leaves;
+        }
+        // Incidence: count per slot, prefix-sum, then fill in relation
+        // order, so every row comes out ascending.
+        const std::size_t slots = closure.preorder.size();
+        closure.incidenceOff.assign(slots + 1, 0);
+        for (const Relation &r : rels) {
+            ++closure.incidenceOff[closure.preIndex[r.a.index()] + 1];
+            if (r.b != r.a)
+                ++closure.incidenceOff[closure.preIndex[r.b.index()] + 1];
+        }
+        for (std::size_t slot = 0; slot < slots; ++slot)
+            closure.incidenceOff[slot + 1] += closure.incidenceOff[slot];
+        closure.incidence.resize(closure.incidenceOff[slots]);
+        std::vector<std::uint32_t> fill(closure.incidenceOff.begin(),
+                                        closure.incidenceOff.end() - 1);
+        for (std::size_t ri = 0; ri < rels.size(); ++ri) {
+            const Relation &r = rels[ri];
+            closure.incidence[fill[closure.preIndex[r.a.index()]]++] =
+                std::uint32_t(ri);
+            if (r.b != r.a)
+                closure.incidence[fill[closure.preIndex[r.b.index()]]++] =
+                    std::uint32_t(ri);
         }
     }
 
@@ -469,15 +497,6 @@ Trace::freeze()
     }
     decltype(vars)().swap(vars);
     isFrozen = true;
-}
-
-std::span<const ContainerId>
-Trace::cachedSubtree(ContainerId id) const
-{
-    VIVA_ASSERT(isFrozen, "cachedSubtree() on an unfrozen trace");
-    VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
-    return {closure.preorder.data() + closure.preIndex[id.index()],
-            closure.subtreeSize[id.index()]};
 }
 
 const std::uint32_t *
@@ -644,7 +663,10 @@ Trace::auditInvariants() const
             closure.subtreeSize.size() != nodes.size() ||
             closure.preorder.size() != nodes.size() ||
             closure.carrierOff.size() !=
-                metricTable.size() * (nodes.size() + 1)) {
+                metricTable.size() * (nodes.size() + 1) ||
+            closure.leafCount.size() != nodes.size() ||
+            closure.incidenceOff.size() != nodes.size() + 1 ||
+            closure.incidenceOff.back() != closure.incidence.size()) {
             auditFail(log, "closure cache arrays are missized");
             return log;
         }
@@ -657,7 +679,31 @@ Trace::auditInvariants() const
                             expect.begin()))
                 auditFail(log, "cached subtree of container ", ni,
                           " disagrees with the hierarchy");
+            if (leafCount(id) != leavesUnder(id).size())
+                auditFail(log, "leaf count of container ", ni,
+                          " disagrees with the hierarchy");
         }
+        // Incidence: every relation listed at each distinct endpoint,
+        // rows ascending, nothing else.
+        std::vector<std::uint32_t> listed(rels.size(), 0);
+        for (std::size_t ni = 0; ni < nodes.size(); ++ni) {
+            ContainerId id = ContainerId::fromIndex(ni);
+            std::span<const std::uint32_t> row = incidentRelations(id);
+            for (std::size_t k = 0; k < row.size(); ++k) {
+                if (row[k] >= rels.size() ||
+                    (rels[row[k]].a != id && rels[row[k]].b != id) ||
+                    (k > 0 && row[k - 1] >= row[k])) {
+                    auditFail(log, "incidence row of container ", ni,
+                              " breaks at entry ", k);
+                    break;
+                }
+                ++listed[row[k]];
+            }
+        }
+        for (std::size_t ri = 0; ri < rels.size(); ++ri)
+            if (listed[ri] != (rels[ri].a == rels[ri].b ? 1u : 2u))
+                auditFail(log, "relation ", ri, " is listed ", listed[ri],
+                          " times in the incidence index");
         const std::size_t slots = closure.preorder.size();
         std::uint32_t carried = 0;
         for (std::size_t mi = 0; mi < metricTable.size(); ++mi) {

@@ -17,6 +17,7 @@
 
 #include "support/interval.hh"
 #include "support/invariant.hh"
+#include "support/logging.hh"
 #include "trace/container.hh"
 #include "trace/metric.hh"
 #include "trace/variable.hh"
@@ -190,7 +191,8 @@ class Trace
 
     /**
      * Make the trace immutable and queryable: build the hierarchy
-     * closure (the preorder subtree of every container), then move
+     * closure (the preorder subtree of every container, its leaf
+     * count and the relation incidence index), then move
      * every variable out of the hash map into `store` in fold order,
      * freezing each on the way (sort, one allocation for its points
      * and slice index; see Variable::freeze), so the carrier list of
@@ -211,6 +213,27 @@ class Trace
      * allocation.
      */
     std::span<const ContainerId> cachedSubtree(ContainerId id) const;
+
+    /**
+     * Leaves in the subtree of a container (1 for a leaf):
+     * leavesUnder(id).size() without the walk. Requires a frozen trace.
+     */
+    std::size_t leafCount(ContainerId id) const;
+
+    /**
+     * The relations incident to a container, as indices into
+     * relations(), in relation order; a relation joining a container to
+     * itself is listed once. Requires a frozen trace.
+     */
+    std::span<const std::uint32_t> incidentRelations(ContainerId id) const;
+
+    /**
+     * incidentRelations of every container of the subtree of id,
+     * concatenated in preorder (cachedSubtree order): one contiguous
+     * run of the incidence index. A relation with both endpoints in the
+     * subtree is listed twice. Requires a frozen trace.
+     */
+    std::span<const std::uint32_t> subtreeIncidence(ContainerId id) const;
 
     /**
      * The carrier list of (c, m): the non-empty variables carrying
@@ -282,6 +305,11 @@ class Trace
      * its own variable there. Indices only: a copy is a plain copy.
      * Built by freeze(), after which nothing can change what it
      * records.
+     *
+     * `leafCount` is per container id. The relation incidence index is
+     * a CSR over preorder slots: slot s's relations (indices into
+     * `rels`, ascending) are incidence[incidenceOff[s] ..
+     * incidenceOff[s + 1]), so a subtree's rows are one run of it.
      */
     struct Closure
     {
@@ -289,6 +317,9 @@ class Trace
         std::vector<std::uint32_t> preIndex;
         std::vector<std::uint32_t> subtreeSize;
         std::vector<std::uint32_t> carrierOff;
+        std::vector<std::uint32_t> leafCount;
+        std::vector<std::uint32_t> incidenceOff;
+        std::vector<std::uint32_t> incidence;
     };
 
     std::vector<Container> nodes;
@@ -310,6 +341,46 @@ class Trace
     Closure closure;
     bool isFrozen = false;
 };
+
+inline std::span<const ContainerId>
+Trace::cachedSubtree(ContainerId id) const
+{
+    VIVA_ASSERT(isFrozen, "cachedSubtree() on an unfrozen trace");
+    VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
+    return {closure.preorder.data() + closure.preIndex[id.index()],
+            closure.subtreeSize[id.index()]};
+}
+
+inline std::size_t
+Trace::leafCount(ContainerId id) const
+{
+    VIVA_ASSERT(isFrozen, "leafCount() on an unfrozen trace");
+    VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
+    return closure.leafCount[id.index()];
+}
+
+inline std::span<const std::uint32_t>
+Trace::incidentRelations(ContainerId id) const
+{
+    VIVA_ASSERT(isFrozen, "incidentRelations() on an unfrozen trace");
+    VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
+    const std::uint32_t slot = closure.preIndex[id.index()];
+    const std::uint32_t begin = closure.incidenceOff[slot];
+    return {closure.incidence.data() + begin,
+            closure.incidenceOff[slot + 1] - begin};
+}
+
+inline std::span<const std::uint32_t>
+Trace::subtreeIncidence(ContainerId id) const
+{
+    VIVA_ASSERT(isFrozen, "subtreeIncidence() on an unfrozen trace");
+    VIVA_ASSERT(id.index() < nodes.size(), "bad container id ", id);
+    const std::uint32_t slot = closure.preIndex[id.index()];
+    const std::uint32_t begin = closure.incidenceOff[slot];
+    return {closure.incidence.data() + begin,
+            closure.incidenceOff[slot + closure.subtreeSize[id.index()]] -
+                begin};
+}
 
 } // namespace viva::trace
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <filesystem>
 #include <sstream>
@@ -363,7 +364,185 @@ TEST_P(CutProjectionOracle, ProjectEqualsTheHashedContraction)
     EXPECT_TRUE(merged) << "no gesture merged parallel edges";
 }
 
+namespace
+{
+
+/** A random cut gesture through the session's entry points. */
+void
+randomSessionGesture(vap::Session &s, const std::vector<std::string> &groups,
+                     viva::support::Rng &rng)
+{
+    const std::string &group = groups[rng.index(groups.size())];
+    switch (rng.index(5)) {
+    case 0:
+        ASSERT_TRUE(s.aggregate(group));
+        break;
+    case 1:
+        ASSERT_TRUE(s.disaggregate(group));
+        break;
+    case 2:
+        ASSERT_TRUE(s.focus(group));
+        break;
+    case 3:
+        s.aggregateToDepth(std::uint16_t(rng.index(5)));
+        break;
+    default:
+        s.resetAggregation();
+        break;
+    }
+}
+
+} // namespace
+
+/**
+ * After each random gesture, the cut projected from the previous
+ * projection equals the session's (which syncLayout projects the same
+ * way), the hashed oracle and the projection from nothing, compared
+ * whole (representatives and first relations included); at least one
+ * gesture must contract only some relations. Three traces: a
+ * Grid'5000 mirror, a synthetic grid with extra host-to-host relations
+ * (so parallel edges merge, in both orientations) and the Figure 1
+ * trace. A checkpoint restored halfway restarts the session's chain
+ * from an empty projection.
+ */
+TEST_P(CutProjectionOracle, IncrementalEqualsTheHashedContraction)
+{
+    viva::support::Rng rng(500 + GetParam());
+    namespace obs = viva::support::obs;
+    obs::Registry &reg = obs::Registry::global();
+    const obs::CounterId contracted = reg.counter("agg.project.relations");
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("viva_incremental_projection_" + std::to_string(GetParam()) +
+          ".ckpt"))
+            .string();
+    bool merged = false;
+    bool partial = false;
+    for (int which = 0; which < 3; ++which) {
+        vt::Trace t;
+        if (which == 0) {
+            vp::mirrorPlatform(vp::makeGrid5000(), t);
+        } else if (which == 1) {
+            vp::TraceMirror mirror =
+                vp::mirrorPlatform(vp::makeSyntheticGrid(3, 3, 6, rng), t);
+            const std::vector<vt::ContainerId> &hosts = mirror.hostContainer;
+            for (int i = 0; i < 40; ++i)
+                t.addRelation(hosts[rng.index(hosts.size())],
+                              hosts[rng.index(hosts.size())]);
+        } else {
+            t = vt::makeFigure1Trace();
+        }
+        std::vector<std::string> groups;
+        for (vt::ContainerId id{0}; id.index() < t.containerCount(); ++id)
+            if (!t.container(id).leaf())
+                groups.push_back(t.fullName(id));
+        vap::Session s(std::move(t));
+        const std::size_t relations = s.trace().relations().size();
+        for (int op = 0; op < 40; ++op) {
+            if (op == 20) {
+                ASSERT_TRUE(s.checkpoint(path).ok());
+                ASSERT_TRUE(s.restore(path).ok());
+            }
+            const va::CutProjection prev = s.projection();
+            randomSessionGesture(s, groups, rng);
+            const std::uint64_t before = reg.counterValue(contracted);
+            const va::CutProjection p =
+                va::project(s.trace(), s.cut(), prev);
+            partial = partial || reg.counterValue(contracted) - before <
+                                     relations;
+            ASSERT_TRUE(p == s.projection())
+                << "trace " << which << " op " << op;
+            ASSERT_TRUE(p == va::testing::projectHashed(s.trace(), s.cut()))
+                << "trace " << which << " op " << op;
+            ASSERT_TRUE(p == va::project(s.trace(), s.cut()))
+                << "trace " << which << " op " << op;
+            for (const va::ViewEdge &e : p.edges)
+                merged = merged || e.multiplicity > 1;
+        }
+    }
+    std::filesystem::remove(path);
+    EXPECT_TRUE(merged) << "no gesture merged parallel edges";
+    EXPECT_TRUE(partial) << "no gesture contracted only some relations";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, CutProjectionOracle, ::testing::Range(1, 5));
+
+/**
+ * The work counters of a projection from the previous one: a site
+ * aggregated at cluster level rewrites exactly the site's subtree and
+ * contracts exactly the relations incident to it; a reset from a
+ * focus view contracts every relation.
+ */
+TEST(CutProjection, SiteAggregateCountsItsSubtree)
+{
+    namespace obs = viva::support::obs;
+    obs::Registry &reg = obs::Registry::global();
+    const obs::CounterId containers = reg.counter("agg.project.containers");
+    const obs::CounterId relations = reg.counter("agg.project.relations");
+    auto counted = [&](auto &&project) {
+        const std::uint64_t c0 = reg.counterValue(containers);
+        const std::uint64_t r0 = reg.counterValue(relations);
+        va::CutProjection p = project();
+        return std::array<std::uint64_t, 3>{
+            reg.counterValue(containers) - c0,
+            reg.counterValue(relations) - r0, p.size()};
+    };
+
+    viva::support::Rng rng(7);
+    vt::Trace t;
+    vp::TraceMirror mirror =
+        vp::mirrorPlatform(vp::makeSyntheticGrid(5, 3, 4, rng), t);
+    t.freeze();
+    std::vector<vt::ContainerId> sites;
+    std::uint16_t cluster_depth = 0;
+    for (vt::ContainerId g : mirror.groupContainer) {
+        if (t.container(g).kind == vt::ContainerKind::Site)
+            sites.push_back(g);
+        if (t.container(g).kind == vt::ContainerKind::Cluster)
+            cluster_depth = t.container(g).depth;
+    }
+    ASSERT_EQ(sites.size(), 5u);
+
+    va::HierarchyCut cut(t);
+    cut.aggregateToDepth(cluster_depth);
+    va::CutProjection prev = va::project(t, cut);
+    for (vt::ContainerId site : sites) {
+        va::HierarchyCut next = cut;
+        next.aggregate(site);
+        std::array<std::uint64_t, 3> work =
+            counted([&] { return va::project(t, next, prev); });
+        EXPECT_EQ(work[0], t.cachedSubtree(site).size()) << t.fullName(site);
+        std::uint64_t incident = 0;
+        for (const vt::Trace::Relation &r : t.relations())
+            incident += t.isAncestorOrSelf(site, r.a) ||
+                        t.isAncestorOrSelf(site, r.b);
+        EXPECT_EQ(work[1], incident) << t.fullName(site);
+        EXPECT_LT(work[1], t.relations().size());
+    }
+
+    cut.focus({mirror.hostContainer.front()});
+    prev = va::project(t, cut, prev);
+    cut.reset();
+    std::array<std::uint64_t, 3> work =
+        counted([&] { return va::project(t, cut, prev); });
+    EXPECT_EQ(work[1], t.relations().size());
+    EXPECT_EQ(work[2], cut.visibleCount());
+}
+
+TEST(HierarchyCut, VisibleCountEqualsTheVisibleNodes)
+{
+    viva::support::Rng rng(11);
+    vt::Trace t;
+    vp::TraceMirror mirror =
+        vp::mirrorPlatform(vp::makeSyntheticGrid(3, 3, 5, rng), t);
+    t.freeze();
+    va::HierarchyCut cut(t);
+    for (int op = 0; op < 60; ++op) {
+        randomCutGesture(cut, mirror.groupContainer, rng);
+        ASSERT_EQ(cut.visibleCount(), cut.visibleNodes().size())
+            << "op " << op;
+    }
+}
 
 // --- a cut change folds only what it brings in -------------------------------------
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -327,6 +328,8 @@ TEST(TraceDeath, UnfrozenQueriesAreFatal)
     t.variable(h, m).set(0.0, 1.0);
     EXPECT_DEATH((void)t.carriers(t.root(), m), "unfrozen trace");
     EXPECT_DEATH((void)t.cachedSubtree(t.root()), "unfrozen trace");
+    EXPECT_DEATH((void)t.leafCount(t.root()), "unfrozen trace");
+    EXPECT_DEATH((void)t.incidentRelations(t.root()), "unfrozen trace");
     t.freeze();
     EXPECT_EQ(t.carriers(t.root(), m).size(), 1u);
     EXPECT_EQ(t.cachedSubtree(t.root()).size(), 2u);
@@ -694,6 +697,56 @@ TEST(TraceClosure, CarriersEqualTheirRecomputation)
                     << "container " << c << ", metric " << m;
             }
     }
+}
+
+TEST(Trace, FrozenIncidenceAndLeafCounts)
+{
+    // A random tree, with relations between any two containers (a
+    // container-to-itself one is dropped by addRelation, so it must be
+    // listed nowhere).
+    vs::Rng rng(5);
+    vt::Trace copy;
+    {
+        vt::Trace t;
+        for (int i = 0; i < 60; ++i)
+            t.addContainer("c" + std::to_string(i), vt::ContainerKind::Custom,
+                           vt::ContainerId::fromIndex(
+                               rng.index(t.containerCount())));
+        for (int i = 0; i < 120; ++i) {
+            vt::ContainerId a =
+                vt::ContainerId::fromIndex(rng.index(t.containerCount()));
+            t.addRelation(a, i % 10 == 0 ? a
+                                         : vt::ContainerId::fromIndex(
+                                               rng.index(t.containerCount())));
+        }
+        t.freeze();
+        ASSERT_TRUE(t.auditInvariants().empty());
+        copy = t;
+    }
+    // The copy outlives the original and carries both indexes.
+    const vt::Trace &t = copy;
+    ASSERT_TRUE(t.frozen());
+    const std::vector<vt::Trace::Relation> &rels = t.relations();
+    for (vt::ContainerId c{0}; c.index() < t.containerCount(); ++c) {
+        std::vector<std::uint32_t> incident;
+        for (std::uint32_t ri = 0; ri < rels.size(); ++ri)
+            if (rels[ri].a == c || rels[ri].b == c)
+                incident.push_back(ri);
+        std::span<const std::uint32_t> row = t.incidentRelations(c);
+        EXPECT_TRUE(std::ranges::equal(row, incident)) << "container " << c;
+
+        std::vector<std::uint32_t> below;
+        std::size_t leaves = 0;
+        for (vt::ContainerId d : t.cachedSubtree(c)) {
+            std::span<const std::uint32_t> r = t.incidentRelations(d);
+            below.insert(below.end(), r.begin(), r.end());
+            leaves += t.container(d).leaf() ? 1 : 0;
+        }
+        EXPECT_TRUE(std::ranges::equal(t.subtreeIncidence(c), below))
+            << "container " << c;
+        EXPECT_EQ(t.leafCount(c), leaves) << "container " << c;
+    }
+    EXPECT_EQ(t.subtreeIncidence(t.root()).size(), 2 * rels.size());
 }
 
 // --- builder -------------------------------------------------------------------
