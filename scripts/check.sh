@@ -14,26 +14,21 @@
 #              paths, the corrupted-trace corpus), so every injected
 #              failure and every mutant rejection is proven clean of
 #              memory errors and UB
-#   lint       the viva-lint source scan alone (cheap; runs inside every
-#              stage's ctest as well)
 #   obs        RelWithDebInfo, -fsanitize=thread; only the observability
 #              suites (registry fold, FakeClock phases, the stats
 #              golden, perfdiff, fault counters), so the lock-free
 #              per-thread shards are proven race-free where they are
 #              hammered hardest
-#   analyze    semantic static analysis: the viva-deps layering check
-#              (always), plus clang-tidy over compile_commands.json and
-#              a clang -Wthread-safety build of the library -- both
-#              skipped with a notice when the clang toolchain is not
-#              installed (the default container is GCC-only)
-#   check      the viva-check flow rules (unchecked-expected,
-#              context-on-propagate, obs-phase-manifest,
-#              include-self-sufficiency) over the whole tree, plus the
-#              lexer/rule unit tests
-#   graph      the viva-graph transitive contract rules
-#              (fatal-reachable, clock-reachable, io-in-hot-path,
-#              dead-symbol) over the whole-program call graph, plus the
-#              extraction/cache unit tests
+#   analyze    static analysis: the viva-analyze whole-tree scan (every
+#              token, flow, include-graph and call-graph rule) with the
+#              analyzer's unit and compile-failure tests, and the
+#              library built with -Werror=conversion/sign-conversion
+#              plus one include-twice TU per src/ header (the scan and
+#              the TUs are part of every stage's build as well), plus
+#              clang-tidy over compile_commands.json and a clang
+#              -Wthread-safety build of the library -- both skipped
+#              with a notice when the clang toolchain is not installed
+#              (the default container is GCC-only)
 #   soak       RelWithDebInfo, -fsanitize=address,undefined; the
 #              kill/restart chaos soak alone: >= 200 seeded SIGKILL
 #              cycles against the checkpoint writer, the all-points
@@ -56,7 +51,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 GEN=""
 command -v ninja >/dev/null 2>&1 && GEN="-G Ninja"
 
-STAGES="${*:-release validate tsan asan fault lint obs analyze check graph soak bench}"
+STAGES="${*:-release validate tsan asan fault obs analyze soak bench}"
 
 configure_flags() {
     case "$1" in
@@ -72,7 +67,7 @@ configure_flags() {
     asan|fault|soak)
         echo "-DCMAKE_BUILD_TYPE=RelWithDebInfo -DVIVA_SANITIZE=address,undefined"
         ;;
-    lint|analyze|check|graph)
+    analyze)
         echo "-DCMAKE_BUILD_TYPE=Release"
         ;;
     bench)
@@ -81,7 +76,7 @@ configure_flags() {
         ;;
     *)
         echo "check.sh: unknown stage '$1'" >&2
-        echo "usage: $0 [release|validate|tsan|asan|fault|lint|obs|analyze|check|graph|soak|bench ...]" >&2
+        echo "usage: $0 [release|validate|tsan|asan|fault|obs|analyze|soak|bench ...]" >&2
         exit 2
         ;;
     esac
@@ -104,10 +99,7 @@ run_stage() {
     # shellcheck disable=SC2086
     cmake -B "$BUILD" -S "$ROOT" $GEN $FLAGS || return 1
 
-    if [ "$stage" = lint ]; then
-        cmake --build "$BUILD" -j --target viva-lint lint_test || return 1
-        ctest --test-dir "$BUILD" --output-on-failure -R lint || return 1
-    elif [ "$stage" = fault ]; then
+    if [ "$stage" = fault ]; then
         cmake --build "$BUILD" -j \
             --target fault_test io_error_test corpus_test || return 1
         ctest --test-dir "$BUILD" --output-on-failure \
@@ -120,31 +112,20 @@ run_stage() {
         ctest --test-dir "$BUILD" --output-on-failure \
             -R 'Obs|Clock|ScopedPhase|StatsCommand|PerfDiff|perfdiff|AggIndex|ClosureCache' \
             || return 1
-    elif [ "$stage" = check ]; then
-        cmake --build "$BUILD" -j --target viva-check check_test || return 1
-        "$BUILD/tools/viva-check" "$ROOT" \
-            src tests bench examples tools || return 1
-        # '^check($|\.)': the whole-tree scan plus the check. unit
-        # tests, without catching checkpoint_test (not built here).
-        ctest --test-dir "$BUILD" --output-on-failure -R '^check($|\.)' \
-            || return 1
-    elif [ "$stage" = graph ]; then
-        cmake --build "$BUILD" -j --target viva-graph graph_test || return 1
-        "$BUILD/tools/viva-graph" "$ROOT" "$ROOT/tools/layering.rules" \
-            --cache "$BUILD/viva-graph.cache" \
-            src tests bench examples tools || return 1
-        ctest --test-dir "$BUILD" --output-on-failure -R '^graph' \
-            || return 1
     elif [ "$stage" = soak ]; then
         cmake --build "$BUILD" -j --target soak_session || return 1
         ctest --test-dir "$BUILD" --output-on-failure -R '^soak' \
             || return 1
     elif [ "$stage" = analyze ]; then
-        cmake --build "$BUILD" -j --target viva-deps deps_test || return 1
-        "$BUILD/tools/viva-deps" "$ROOT" "$ROOT/tools/layering.rules" \
-            src tests bench examples tools || return 1
-        ctest --test-dir "$BUILD" --output-on-failure -R '^deps' \
-            || return 1
+        # The library with the narrowing errors (viva_app and
+        # viva_workload pull in every src/ library), and every src/
+        # header on its own, included twice (viva_headers).
+        cmake --build "$BUILD" -j --target viva-analyze analyze_test \
+            viva_app viva_workload viva_headers || return 1
+        "$BUILD/tools/viva-analyze" "$ROOT" || return 1
+        # The analyzer's tests keep their pass prefixes.
+        ctest --test-dir "$BUILD" --output-on-failure \
+            -R '^(analyze|lint|check|deps|graph)\.|^analyze$' || return 1
         if command -v clang-tidy >/dev/null 2>&1; then
             "$ROOT/scripts/run_clang_tidy.sh" "$BUILD" || return 1
         else

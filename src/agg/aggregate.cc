@@ -420,7 +420,9 @@ project(const trace::Trace &trace, const HierarchyCut &cut,
                 for (std::uint64_t bits = marked[w]; bits != 0;
                      bits &= bits - 1) {
                     ++contracted;
-                    visit(std::uint32_t(w * 64 + std::countr_zero(bits)));
+                    visit(std::uint32_t(
+                        w * 64 +
+                        static_cast<std::size_t>(std::countr_zero(bits))));
                 }
         },
         slot_of);

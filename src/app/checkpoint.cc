@@ -336,7 +336,7 @@ writeCheckpointFile(const CheckpointImage &image, const std::string &path,
         }
     }
 
-    // The only rename in the codebase (viva-lint raw-rename enforces
+    // The only rename in the codebase (viva-analyze raw-rename enforces
     // this): old-or-new atomicity lives entirely behind this call.
     support::Expected<void> swapped = support::atomicReplace(temp, path);
     if (!swapped) {

@@ -89,7 +89,7 @@ Session::load(const std::string &path, const trace::ParseBudget &budget)
     if (support::endsWith(path, ".paje")) {
         support::Expected<trace::PajeImport> import =
             support::retryWithBackoff(ioRetry, [&] {
-                // viva-check: allow(context-on-propagate): per-attempt pass-through; the caller stamps one frame after the retries
+                // viva-analyze: allow(context-on-propagate): per-attempt pass-through; the caller stamps one frame after the retries
                 return trace::readPajeTraceFile(path, budget);
             });
         if (!import) {
@@ -101,7 +101,7 @@ Session::load(const std::string &path, const trace::ParseBudget &budget)
     } else {
         support::Expected<trace::Trace> loaded =
             support::retryWithBackoff(ioRetry, [&] {
-                // viva-check: allow(context-on-propagate): per-attempt pass-through; the caller stamps one frame after the retries
+                // viva-analyze: allow(context-on-propagate): per-attempt pass-through; the caller stamps one frame after the retries
                 return trace::readTraceFile(path, budget);
             });
         if (!loaded) {
@@ -410,7 +410,9 @@ Session::syncLayout()
         double angle = 2.0 * M_PI * double(ring_index) /
                        std::max(n, 1.0);
         // Stagger radius a little so rings of equal size do not alias.
-        double r = radius * (0.8 + 0.2 * ((ring_index % 7) / 7.0));
+        double r =
+            radius *
+            (0.8 + 0.2 * (static_cast<double>(ring_index % 7) / 7.0));
         next.addNode(id.value(),
                      layout::Vec2{r * std::cos(angle), r * std::sin(angle)},
                      charge);
@@ -1056,7 +1058,7 @@ Session::checkpoint(const std::string &path) const
 
     support::Expected<void> written =
         support::retryWithBackoff(ioRetry, [&] {
-            // viva-check: allow(context-on-propagate): per-attempt pass-through; the caller stamps one frame after the retries
+            // viva-analyze: allow(context-on-propagate): per-attempt pass-through; the caller stamps one frame after the retries
             return writeCheckpointFile(image, path);
         });
     if (!written)
@@ -1090,7 +1092,7 @@ Session::restore(const std::string &path,
     // state; no member is touched until nothing can fail.
     support::Expected<CheckpointImage> image =
         support::retryWithBackoff(ioRetry, [&] {
-            // viva-check: allow(context-on-propagate): per-attempt pass-through; the caller stamps one frame after the retries
+            // viva-analyze: allow(context-on-propagate): per-attempt pass-through; the caller stamps one frame after the retries
             return readCheckpointFile(path, budget);
         });
     if (!image)

@@ -15,7 +15,7 @@ LayoutGraph::addNode(std::uint64_t key, Vec2 position, double charge)
 {
     VIVA_ASSERT(charge > 0, "node charge must be positive, got ", charge);
     Node n;
-    n.id = NodeId(nodes.size());
+    n.id = NodeId(static_cast<std::uint32_t>(nodes.size()));
     n.key = key;
     n.position = position;
     n.charge = charge;
@@ -75,7 +75,7 @@ LayoutGraph::auditInvariants() const
     support::AuditLog log;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         const Node &n = nodes[i];
-        if (n.id != NodeId(i))
+        if (n.id != NodeId(static_cast<std::uint32_t>(i)))
             auditFail(log, "node in slot ", i, " carries id ", n.id);
         if (n.charge <= 0.0)
             auditFail(log, "node ", i, " has non-positive charge ",

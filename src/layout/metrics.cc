@@ -30,7 +30,7 @@ displacement(const Snapshot &before, const Snapshot &after)
     // order-independent.
     std::vector<std::uint64_t> keys;
     keys.reserve(before.size());
-    for (const auto &entry : before)  // viva-lint: allow(unordered-iter)
+    for (const auto &entry : before)  // viva-analyze: allow(unordered-iter): the keys are sorted right below
         if (after.count(entry.first))
             keys.push_back(entry.first);
     std::sort(keys.begin(), keys.end());

@@ -234,7 +234,7 @@ Platform::vertexRouter(VertexId v) const
 }
 
 const Route &
-Platform::route(HostId src, HostId dst) const  // viva-graph: allow(fatal-reachable): disconnected hosts are a construction error; panic is documented
+Platform::route(HostId src, HostId dst) const  // viva-analyze: allow(fatal-reachable): disconnected hosts are a construction error; panic is documented
 {
     VIVA_ASSERT(src.index() < hosts.size() && dst.index() < hosts.size(),
                 "bad route endpoints ", src, ", ", dst);
@@ -275,7 +275,6 @@ Platform::route(HostId src, HostId dst) const  // viva-graph: allow(fatal-reacha
         // A precondition, not an input error: platforms are built
         // programmatically by the builders, which always produce
         // connected topologies, so a missing route is a library bug.
-        // viva-lint: allow(no-fatal-below-app)
         support::panic("Platform::route", "hosts '", hosts[src.index()].name,
                        "' and '", hosts[dst.index()].name, "' are disconnected");
     }

@@ -40,10 +40,10 @@ Expected<void>
 atomicReplace(const std::string &temp_path,
               const std::string &final_path)
 {
-    // The single sanctioned rename call (see raw-rename in viva-lint).
+    // The single sanctioned rename call (see raw-rename in viva-analyze).
     // std::rename maps to POSIX rename(2): atomic within a filesystem,
     // which is exactly the crash guarantee checkpointing needs.
-    // viva-lint: allow(raw-rename)
+    // viva-analyze: allow(raw-rename): this is the one sanctioned rename
     if (std::rename(temp_path.c_str(), final_path.c_str()) != 0) {
         return VIVA_ERROR(Errc::Io, "rename '", temp_path, "' -> '",
                           final_path, "' failed: ",

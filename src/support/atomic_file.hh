@@ -7,7 +7,7 @@
  * Durable writers follow write-temp -> flush -> atomic-rename so a
  * crash at any byte leaves either the old file or the new one, never
  * a torn hybrid. The rename step lives behind this shim (and only
- * here -- the viva-lint rule `raw-rename` rejects direct std::rename /
+ * here -- the viva-analyze rule `raw-rename` rejects direct std::rename /
  * std::filesystem::rename elsewhere) so the protocol cannot be
  * half-copied into a new writer without review.
  */

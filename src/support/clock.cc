@@ -25,7 +25,7 @@ std::atomic<Clock *> installed{nullptr};
 Clock &
 steadyInstance()
 {
-    // viva-lint: allow(raw-new-delete) -- immortal singleton, see above
+    // viva-analyze: allow(raw-new-delete): immortal singleton, see above
     static Clock *steady = new SteadyClock;
     return *steady;
 }
@@ -37,7 +37,6 @@ SteadyClock::nowNanos()
 {
     // The library's one wall-clock touchpoint: everything else measures
     // time through Clock so tests can substitute a FakeClock.
-    // viva-lint: allow(wall-clock)
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())

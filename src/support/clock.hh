@@ -2,13 +2,13 @@
  * @file
  * The injectable time source behind every self-observation timer.
  *
- * Production code never reads a chrono clock directly (the raw-chrono
- * lint rule enforces it); it asks the process-wide Clock returned by
- * clock(). In a shipping binary that is a SteadyClock -- the single
- * sanctioned wall-clock touchpoint of the library -- and in tests a
- * FakeClock, so every measured duration is an exact, deterministic
- * function of the test script rather than of the machine the test
- * happened to run on.
+ * Production code never reads a chrono clock directly (the viva-analyze
+ * rule clock-reachable enforces it); it asks the process-wide Clock
+ * returned by clock(). In a shipping binary that is a SteadyClock --
+ * the single sanctioned wall-clock touchpoint of the library -- and in
+ * tests a FakeClock, so every measured duration is an exact,
+ * deterministic function of the test script rather than of the machine
+ * the test happened to run on.
  */
 
 #pragma once

@@ -16,7 +16,7 @@
  *    VIVA_ERROR_CONTEXT(err, "what the caller was doing") so the final
  *    diagnostic reads as a chain from the failure point to the command;
  *  - fatal()/panic() remain legal only in src/app and at CLI mains
- *    (enforced by the viva-lint rule `no-fatal-below-app`).
+ *    (enforced by the viva-analyze rule `fatal-reachable`).
  */
 
 #pragma once
@@ -209,22 +209,22 @@ class [[nodiscard]] Expected<void>
  */
 template <typename T>
 T
-valueOrDie(Expected<T> result, const std::string &where)  // viva-graph: allow(fatal-reachable): the CLI boundary adapter; dying is its contract
+valueOrDie(Expected<T> result, const std::string &where)  // viva-analyze: allow(fatal-reachable): the CLI boundary adapter; dying is its contract
 {
     if (!result) {
         // The one sanctioned escape hatch to fatal(): this helper IS
         // the CLI boundary.
-        fatal(where, result.error().toString());  // viva-lint: allow(no-fatal-below-app)
+        fatal(where, result.error().toString());
     }
     return std::move(result).value();
 }
 
 /** okOrDie: the Expected<void> flavour of valueOrDie. */
 inline void
-okOrDie(const Expected<void> &result, const std::string &where)  // viva-graph: allow(fatal-reachable): the CLI boundary adapter; dying is its contract
+okOrDie(const Expected<void> &result, const std::string &where)  // viva-analyze: allow(fatal-reachable): the CLI boundary adapter; dying is its contract
 {
     if (!result) {
-        fatal(where, result.error().toString());  // viva-lint: allow(no-fatal-below-app)
+        fatal(where, result.error().toString());
     }
 }
 

@@ -64,7 +64,7 @@ nearlyEqual(double a, double b, double tol)
 
 /** Panic listing every violation when the log is non-empty. */
 inline void
-requireClean(const AuditLog &log, const std::string &where)  // viva-graph: allow(fatal-reachable): the audit harness; panicking on violations is its contract
+requireClean(const AuditLog &log, const std::string &where)  // viva-analyze: allow(fatal-reachable): the audit harness; panicking on violations is its contract
 {
     if (log.empty())
         return;

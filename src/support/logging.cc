@@ -79,7 +79,7 @@ logMessage(LogLevel level, const std::string &where,
 std::size_t
 warnCount()
 {
-    // viva-check: allow(context-on-propagate): atomic load, not Expected
+    // viva-analyze: allow(context-on-propagate): atomic load, not Expected
     return warnings.load(std::memory_order_relaxed);
 }
 

@@ -109,7 +109,7 @@ warn(const std::string &where, Args &&...args)
 /** Informational message. */
 template <typename... Args>
 void
-inform(const std::string &where, Args &&...args)  // viva-graph: allow(dead): the Info tier of the logging API, kept for parity with warn/fatal
+inform(const std::string &where, Args &&...args)  // viva-analyze: allow(dead-symbol): the Info tier of the logging API, kept for parity with warn/fatal
 {
     logMessage(LogLevel::Info, where,
                detail::concat(std::forward<Args>(args)...));

@@ -191,7 +191,7 @@ class Registry
     bool
     enabled() const
     {
-        // viva-check: allow(context-on-propagate): atomic load, not Expected
+        // viva-analyze: allow(context-on-propagate): atomic load, not Expected
         return armed.load(std::memory_order_relaxed);
     }
 

@@ -306,7 +306,7 @@ Trace::forEachVariable(Visit &&visit) const
 {
     for (const Variable &var : store)
         visit(var);
-    for (const auto &[key, var] : vars)  // viva-lint: allow(unordered-iter)
+    for (const auto &[key, var] : vars)  // viva-analyze: allow(unordered-iter): callers fold order-free (integer sum, min/max)
         visit(var);
 }
 
@@ -452,7 +452,7 @@ Trace::freeze()
 
     // The variables that never got a point go after the carriers, in
     // key order, so findVariable still tells them from never-set ones.
-    for (const auto &[key, var] : vars)  // viva-lint: allow(unordered-iter)
+    for (const auto &[key, var] : vars)  // viva-analyze: allow(unordered-iter): the keys are sorted right below
         if (var.empty())
             emptyKeys.push_back(key);
     std::sort(emptyKeys.begin(), emptyKeys.end());
@@ -620,7 +620,7 @@ Trace::auditInvariants() const
                   " trace");
     std::vector<std::uint64_t> var_keys;
     var_keys.reserve(vars.size());
-    for (const auto &entry : vars)  // viva-lint: allow(unordered-iter)
+    for (const auto &entry : vars)  // viva-analyze: allow(unordered-iter): the keys are sorted right below
         var_keys.push_back(entry.first);
     std::sort(var_keys.begin(), var_keys.end());
     for (std::uint64_t key : var_keys)

@@ -58,7 +58,7 @@ TypeScaling::touchedSliders() const
     out.reserve(sliders.size());
     // Sorted immediately below, so the unordered walk cannot leak
     // hash order into the serialized checkpoint bytes.
-    for (const auto &entry : sliders)  // viva-lint: allow(unordered-iter)
+    for (const auto &entry : sliders)  // viva-analyze: allow(unordered-iter): sorted right below
         out.emplace_back(entry.first, entry.second);
     std::sort(out.begin(), out.end(),
               [](const auto &a, const auto &b) {

@@ -76,7 +76,8 @@ sequentialDeployment(const Platform &platform, const DtParams &params)
     std::size_t total = params.processCount();
     Deployment dep(total);
     for (std::size_t r = 0; r < total; ++r)
-        dep[r] = HostId(r % platform.hostCount());
+        dep[r] = HostId(
+            static_cast<std::uint32_t>(r % platform.hostCount()));
     return dep;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the viva-check tokenizer (see check_lexer.hh for
+ * Implementation of the viva-analyze tokenizer (see check_lexer.hh for
  * the contract).
  */
 
@@ -303,41 +303,6 @@ lex(const std::string &s)
 
         t.end = i;
         out.push_back(std::move(t));
-    }
-    return out;
-}
-
-std::string
-stripCommentsAndStrings(const std::string &content)
-{
-    std::string out = content;
-    const std::size_t n = content.size();
-    auto blank = [&](std::size_t from, std::size_t to) {
-        for (std::size_t k = from; k < to && k < n; ++k)
-            if (out[k] != '\n')
-                out[k] = ' ';
-    };
-
-    for (const Token &t : lex(content)) {
-        switch (t.kind) {
-        case Tok::Comment:
-        case Tok::RawString:
-            blank(t.offset, t.end);
-            break;
-        case Tok::String:
-        case Tok::CharLit: {
-            // Keep the quote characters (and any encoding prefix) so
-            // offsets and simple "is there a literal here" checks on
-            // the stripped text still line up.
-            const char quote = t.kind == Tok::String ? '"' : '\'';
-            std::size_t q = content.find(quote, t.offset);
-            if (q != std::string::npos && q < t.end)
-                blank(q + 1, t.end > 0 ? t.end - 1 : 0);
-            break;
-        }
-        default:
-            break;
-        }
     }
     return out;
 }

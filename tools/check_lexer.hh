@@ -1,7 +1,7 @@
 /**
  * @file
- * The viva-check lexer: a dependency-free single-translation-unit C++
- * tokenizer. It is deliberately not a compiler frontend -- no
+ * The viva-analyze lexer: a dependency-free single-translation-unit
+ * C++ tokenizer. It is deliberately not a compiler frontend -- no
  * preprocessing, no name lookup -- but unlike the line/regex scanning
  * it replaces, it gets the lexical blind spots right:
  *
@@ -22,10 +22,8 @@
  * 1-based line of its first byte, so findings point at real source
  * coordinates even across splices and multi-line literals.
  *
- * The lexer is the shared lexical substrate of the project's static
- * analyzers: viva-check's flow-aware passes run on its token stream,
- * and viva-lint's comment/string stripper (tools/lint.cc) is built on
- * it too.
+ * viva-analyze lexes every file once with it, and every rule reads
+ * that one token stream.
  */
 
 #pragma once
@@ -77,15 +75,5 @@ struct Token
  * filter on kind for pure code passes.
  */
 std::vector<Token> lex(const std::string &content);
-
-/**
- * Replace comments and string/char literal contents with spaces,
- * preserving line structure (newlines kept) and the quote characters
- * of ordinary literals, so line/offset arithmetic on the result maps
- * 1:1 onto the original. Raw strings are blanked entirely. This is
- * the lexer-backed replacement for the hand-rolled scanner viva-lint
- * and viva-deps used to share.
- */
-std::string stripCommentsAndStrings(const std::string &content);
 
 } // namespace viva::check

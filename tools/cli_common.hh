@@ -1,7 +1,6 @@
 /**
  * @file
- * Shared command-line plumbing for the viva static-analysis tools
- * (viva-lint, viva-check). Centralises the one exit-code contract:
+ * Command-line plumbing of viva-analyze: the exit-code contract
  *
  *   0  clean -- the tool ran and found nothing
  *   1  findings -- the tool ran and reported at least one finding
@@ -10,7 +9,7 @@
  *
  * and the source-collection policy: .cc/.hh/.cpp/.hpp files under the
  * requested subdirectories, repo-relative paths with '/' separators,
- * sorted, with the deliberate-violation fixture trees skipped. A
+ * sorted, with the deliberate-violation fixture tree skipped. A
  * missing subdirectory or unreadable file is an error (exit 2), not a
  * silently-empty scan.
  */
@@ -25,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "support/threadpool.hh"
+#include "tools/analyze.hh"
 
 namespace viva::cli
 {
@@ -41,13 +40,6 @@ exitCodeForFindings(std::size_t count)
     return count == 0 ? kExitClean : kExitFindings;
 }
 
-/** One collected source file (repo-relative path + content). */
-struct Source
-{
-    std::string path;
-    std::string content;
-};
-
 namespace detail
 {
 
@@ -59,41 +51,22 @@ isSourcePath(const std::filesystem::path &p)
            ext == ".hpp";
 }
 
+/** The analyzer's fixtures violate rules on purpose. */
+inline constexpr char kFixtureRoot[] = "tests/analyze_fixtures/";
+
 inline bool
 isFixturePath(const std::string &rel)
 {
-    return rel.find("lint_fixtures/") != std::string::npos ||
-           rel.find("deps_fixtures/") != std::string::npos ||
-           rel.find("check_fixtures/") != std::string::npos ||
-           rel.find("graph_fixtures/") != std::string::npos;
+    return rel.compare(0, sizeof kFixtureRoot - 1, kFixtureRoot) == 0;
 }
 
 } // namespace detail
 
-/** The default subdirectory set every viva tool scans. */
+/** The subdirectories scanned when none are named. */
 inline std::vector<std::string>
 defaultSubdirs()
 {
     return {"src", "tests", "bench", "examples", "tools"};
-}
-
-/**
- * Parse a `--jobs` argument: a non-negative decimal, where 0 means
- * "use every hardware thread". Returns false on anything else.
- */
-inline bool
-parseJobs(const std::string &arg, std::size_t &jobs)
-{
-    if (arg.empty())
-        return false;
-    std::size_t value = 0;
-    for (const char c : arg) {
-        if (c < '0' || c > '9')
-            return false;
-        value = value * 10 + static_cast<std::size_t>(c - '0');
-    }
-    jobs = value == 0 ? viva::support::defaultThreadCount() : value;
-    return true;
 }
 
 /**
@@ -126,7 +99,7 @@ inline bool
 collectSources(const std::string &tool,
                const std::filesystem::path &root,
                const std::vector<std::string> &subdirs,
-               std::vector<Source> &out, std::ostream &err)
+               std::vector<analyze::FileInput> &out, std::ostream &err)
 {
     namespace fs = std::filesystem;
     for (const std::string &sub : subdirs) {
@@ -145,19 +118,14 @@ collectSources(const std::string &tool,
                 fs::relative(entry.path(), root).generic_string();
             if (detail::isFixturePath(rel))
                 continue;
-            std::ifstream in(entry.path(), std::ios::binary);
-            if (!in) {
-                err << tool << ": cannot read '"
-                    << entry.path().string() << "'\n";
+            std::string content;
+            if (!readFile(tool, entry.path(), content, err))
                 return false;
-            }
-            std::ostringstream buffer;
-            buffer << in.rdbuf();
-            out.push_back({rel, buffer.str()});
+            out.push_back({rel, std::move(content)});
         }
     }
     std::sort(out.begin(), out.end(),
-              [](const Source &a, const Source &b) {
+              [](const analyze::FileInput &a, const analyze::FileInput &b) {
                   return a.path < b.path;
               });
     return true;
