@@ -102,10 +102,10 @@ figure3()
             {trace.findMetric("power"), trace.findMetric("bandwidth")});
         std::printf("%-24s %zu nodes, %zu edges:", label,
                     v.nodes.size(), v.edges.size());
-        for (const auto &n : v.nodes)
+        for (std::size_t i = 0; i < v.nodes.size(); ++i)
             std::printf("  %s(p=%g,b=%g)",
-                        trace.container(n.id).name.c_str(), n.values[0],
-                        n.values[1]);
+                        trace.container(v.nodes[i].id).name.c_str(),
+                        v.value(i, 0), v.value(i, 1));
         std::printf("\n");
     };
     show("no aggregation");

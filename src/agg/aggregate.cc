@@ -491,8 +491,20 @@ View::valueOf(ContainerId id, MetricId m) const
         return 0.0;
     for (std::size_t k = 0; k < requests.size(); ++k)
         if (requests[k].metric == m)
-            return nodes[node].values[k];
+            return value(node, k);
     return 0.0;
+}
+
+void
+reshapeView(View &view, const trace::Trace &trace,
+            const CutProjection &projection)
+{
+    view.nodes.resize(projection.size());
+    for (std::size_t i = 0; i < view.nodes.size(); ++i)
+        view.nodes[i] = {projection.nodes[i],
+                         !trace.container(projection.nodes[i]).leaf(),
+                         projection.leafCounts[i]};
+    view.edges = projection.edges;
 }
 
 namespace
@@ -606,45 +618,23 @@ foldRows(const trace::Trace &trace, const CutProjection &projection,
                     threads, deadline);
 }
 
-View
-assembleView(const trace::Trace &trace, const CutProjection &projection,
-             const TimeSlice &slice,
-             const std::vector<MetricRequest> &requests,
-             std::span<const double> values)
-{
-    const std::size_t k = requests.size();
-    VIVA_ASSERT(values.size() == projection.size() * k, "view of ",
-                projection.size(), " nodes x ", k, " metrics given ",
-                values.size(), " values");
-    View view;
-    view.slice = slice;
-    view.requests = requests;
-    view.nodes.resize(projection.size());
-    for (std::size_t i = 0; i < view.nodes.size(); ++i) {
-        ViewNode &node = view.nodes[i];
-        node.id = projection.nodes[i];
-        node.aggregated = !trace.container(node.id).leaf();
-        node.leafCount = projection.leafCounts[i];
-        node.values.assign(values.begin() + std::ptrdiff_t(i * k),
-                           values.begin() + std::ptrdiff_t(i * k + k));
-    }
-    view.edges = projection.edges;
-    return view;
-}
-
 support::Expected<View>
 buildView(const trace::Trace &trace, const CutProjection &projection,
           const TimeSlice &slice,
           const std::vector<MetricRequest> &requests, bool with_stats,
           std::size_t threads, support::Deadline deadline)
 {
+    View view;
+    view.slice = slice;
+    view.requests = requests;
+    reshapeView(view, trace, projection);
     if (!with_stats) {
-        std::vector<double> values;
         support::Expected<void> folded = foldValues(
-            trace, projection, slice, requests, values, threads, deadline);
+            trace, projection, slice, requests, view.values, threads,
+            deadline);
         if (!folded)
             return VIVA_ERROR_CONTEXT(folded.error(), "plain view");
-        return assembleView(trace, projection, slice, requests, values);
+        return view;
     }
 
     obs::Registry &reg = obs::Registry::global();
@@ -652,8 +642,8 @@ buildView(const trace::Trace &trace, const CutProjection &projection,
     obs::ScopedPhase timer(phase);
 
     const std::size_t k = requests.size();
-    std::vector<double> values(projection.size() * k);
-    std::vector<ValueStats> stats(values.size());
+    view.values.resize(projection.size() * k);
+    view.stats.resize(view.values.size());
     Aggregator agg(trace);
     support::Expected<void> built = forEachNode(
         projection.size(), threads, deadline, [&](std::size_t i) {
@@ -663,18 +653,13 @@ buildView(const trace::Trace &trace, const CutProjection &projection,
                 // as value() folds the carriers.
                 support::Samples s = agg.distribution(
                     projection.nodes[i], r.metric, slice, r.temporal);
-                values[i * k + j] = spatialFold(s.data(), r.spatial, 1);
-                stats[i * k + j] = {s.variance(), s.median(), s.min(),
-                                    s.max()};
+                view.values[i * k + j] = spatialFold(s.data(), r.spatial, 1);
+                view.stats[i * k + j] = {s.variance(), s.median(), s.min(),
+                                         s.max()};
             }
         });
     if (!built)
         return VIVA_ERROR_CONTEXT(built.error(), "view with statistics");
-    View view = assembleView(trace, projection, slice, requests, values);
-    for (std::size_t i = 0; i < view.nodes.size(); ++i)
-        view.nodes[i].stats.assign(
-            stats.begin() + std::ptrdiff_t(i * k),
-            stats.begin() + std::ptrdiff_t(i * k + k));
     return view;
 }
 
@@ -712,8 +697,8 @@ writeViewCsv(const View &view, const trace::Trace &trace,
 {
     using support::formatDouble;
 
-    bool with_stats =
-        !view.nodes.empty() && !view.nodes[0].stats.empty();
+    const bool with_stats = !view.stats.empty();
+    const std::size_t columns = view.requests.size();
 
     out << "container,kind,aggregated,leaves,slice_begin,slice_end";
     for (const MetricRequest &r : view.requests) {
@@ -725,17 +710,18 @@ writeViewCsv(const View &view, const trace::Trace &trace,
     }
     out << '\n';
 
-    for (const ViewNode &node : view.nodes) {
+    for (std::size_t i = 0; i < view.nodes.size(); ++i) {
+        const ViewNode &node = view.nodes[i];
         const trace::Container &c = trace.container(node.id);
         out << '"' << trace.fullName(node.id) << "\","
             << containerKindName(c.kind) << ','
             << (node.aggregated ? 1 : 0) << ',' << node.leafCount << ','
             << formatDouble(view.slice.begin) << ','
             << formatDouble(view.slice.end);
-        for (std::size_t k = 0; k < node.values.size(); ++k) {
-            out << ',' << formatDouble(node.values[k]);
+        for (std::size_t k = 0; k < columns; ++k) {
+            out << ',' << formatDouble(view.value(i, k));
             if (with_stats) {
-                const ValueStats &s = node.stats[k];
+                const ValueStats &s = view.stats[i * columns + k];
                 out << ',' << formatDouble(s.variance) << ','
                     << formatDouble(s.median) << ','
                     << formatDouble(s.min) << ',' << formatDouble(s.max);
@@ -758,6 +744,16 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
                   " nodes for ", visible.size(), " visible containers");
         return log;
     }
+    const std::size_t cells = view.nodes.size() * view.requests.size();
+    const bool values_fit = view.values.size() == cells;
+    if (!values_fit)
+        auditFail(log, "view holds ", view.values.size(), " values for ",
+                  view.nodes.size(), " nodes x ", view.requests.size(),
+                  " requests");
+    if (!view.stats.empty() && view.stats.size() != cells)
+        auditFail(log, "view holds ", view.stats.size(),
+                  " stat blocks for ", view.nodes.size(), " nodes x ",
+                  view.requests.size(), " requests");
 
     Aggregator serial(trace);  // thread count 1: the reference fold
     for (std::size_t i = 0; i < view.nodes.size(); ++i) {
@@ -776,29 +772,22 @@ auditView(const trace::Trace &trace, const HierarchyCut &cut,
         if (node.leafCount != leaves)
             auditFail(log, "node ", i, " covers ", node.leafCount,
                       " leaves instead of ", leaves);
-        if (node.values.size() != view.requests.size()) {
-            auditFail(log, "node ", i, " carries ", node.values.size(),
-                      " values for ", view.requests.size(), " requests");
+        if (!values_fit)
             continue;
-        }
-        if (!node.stats.empty() &&
-            node.stats.size() != view.requests.size())
-            auditFail(log, "node ", i, " carries ", node.stats.size(),
-                      " stat blocks for ", view.requests.size(),
-                      " requests");
         for (std::size_t k = 0; k < view.requests.size(); ++k) {
             const MetricRequest &r = view.requests[k];
-            if (!std::isfinite(node.values[k])) {
+            const double value = view.value(i, k);
+            if (!std::isfinite(value)) {
                 auditFail(log, "node ", i, " metric ", k,
                           " is non-finite");
                 continue;
             }
             double expect = serial.value(node.id, r.metric, view.slice,
                                          r.spatial, r.temporal);
-            if (node.values[k] != expect)
+            if (value != expect)
                 auditFail(log, "node ", i, " ('",
                           trace.fullName(node.id), "') metric ", k,
-                          ": value ", support::formatDouble(node.values[k]),
+                          ": value ", support::formatDouble(value),
                           " != serial recomputation ",
                           support::formatDouble(expect),
                           " (Equation-1 conservation)");

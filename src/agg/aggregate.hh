@@ -71,6 +71,8 @@ struct MetricRequest
         : metric(m), spatial(s), temporal(t)
     {
     }
+
+    bool operator==(const MetricRequest &) const = default;
 };
 
 /**
@@ -254,16 +256,14 @@ struct ValueStats
     double max = 0.0;
 };
 
-/** One visible node with its aggregated values. */
+/** One visible node of a view; its values are row i of View::values. */
 struct ViewNode
 {
     trace::ContainerId id = trace::kNoContainer;
     bool aggregated = false;     ///< true when it stands for a subtree
     std::size_t leafCount = 0;   ///< leaves it covers (1 for a leaf)
-    /** Aggregated value per requested metric, metric order of the view. */
-    std::vector<double> values;
-    /** Indicators per requested metric (filled when requested). */
-    std::vector<ValueStats> stats;
+
+    bool operator==(const ViewNode &) const = default;
 };
 
 /**
@@ -277,6 +277,19 @@ struct View
     std::vector<MetricRequest> requests;
     std::vector<ViewNode> nodes;
     std::vector<ViewEdge> edges;
+    /**
+     * The Eq.-1 values, nodes.size() x requests.size(), node-major
+     * (foldValues' layout): values[i * k + j] is node i's request j.
+     */
+    std::vector<double> values;
+    /** Indicators in the layout of `values`; empty for a plain view. */
+    std::vector<ValueStats> stats;
+
+    /** Node i's value of request k. */
+    double value(std::size_t i, std::size_t k) const
+    {
+        return values[i * requests.size() + k];
+    }
 
     /** Index of a node in `nodes`, or npos. */
     std::size_t indexOf(trace::ContainerId id) const;
@@ -286,6 +299,14 @@ struct View
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 };
+
+/**
+ * Set a view's nodes (ids, aggregated flags, leaf counts) and edges to
+ * a projection's, reusing their capacity. The slice, requests, values
+ * and stats are left as they are.
+ */
+void reshapeView(View &view, const trace::Trace &trace,
+                 const CutProjection &projection);
 
 /**
  * The Eq.-1 values of a projected cut at a time slice, without the
@@ -321,20 +342,10 @@ support::Expected<void> foldRows(
     std::size_t threads = 1, support::Deadline deadline = {});
 
 /**
- * The plain view of a projected cut from its folded values
- * (foldValues' layout): nodes, leaf counts and edges copied from the
- * projection, node i's values from row i.
- */
-View assembleView(const trace::Trace &trace,
-                  const CutProjection &projection, const TimeSlice &slice,
-                  const std::vector<MetricRequest> &requests,
-                  std::span<const double> values);
-
-/**
  * Build the aggregated view for a projected cut and a time slice: the
  * nodes, leaf counts and edges are copied from the projection, and
- * only the Eq.-1 values are computed. A plain build is foldValues then
- * assembleView.
+ * only the Eq.-1 values are computed. A plain build is reshapeView plus
+ * foldValues into View::values.
  *
  * Visible nodes are aggregated in parallel when `threads > 1` (each
  * worker fills its own node slots, so the view is bitwise identical to
@@ -390,12 +401,12 @@ void writeViewCsv(const View &view, const trace::Trace &trace,
 /**
  * Deep audit of an aggregated view against the trace and cut it was
  * built from: the nodes are exactly the cut's visible nodes in order,
- * every value vector matches the requests, the edges equal an
- * independent re-projection of the relations (each endpoint walked up
- * to its representative, not read from project()) touching only view
- * nodes, and -- the Equation-1
- * conservation check -- every aggregated value is bitwise equal to a
- * serial recomputation (one fold, so there is no tolerance).
+ * the values (and any stats) hold nodes x requests entries, the edges
+ * equal an independent re-projection of the relations (each endpoint
+ * walked up to its representative, not read from project()) touching
+ * only view nodes, and -- the Equation-1 conservation check -- every
+ * aggregated value is bitwise equal to a serial recomputation (one
+ * fold, so there is no tolerance).
  * @return the violated invariants; empty when well-formed
  */
 support::AuditLog auditView(const trace::Trace &trace,

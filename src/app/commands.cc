@@ -486,12 +486,13 @@ CommandInterpreter::executeOne(const std::string &line, std::ostream &out)
     }
     if (cmd == "nodes") {
         agg::View v = sess.view();
-        for (const agg::ViewNode &n : v.nodes) {
+        for (std::size_t i = 0; i < v.nodes.size(); ++i) {
+            const agg::ViewNode &n = v.nodes[i];
             out << (n.aggregated ? "* " : "  ")
                 << sess.trace().fullName(n.id);
             for (std::size_t k = 0; k < v.requests.size(); ++k) {
                 out << ' ' << sess.trace().metric(v.requests[k].metric).name
-                    << '=' << n.values[k];
+                    << '=' << v.value(i, k);
             }
             out << "\n";
         }

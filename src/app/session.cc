@@ -11,8 +11,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <sstream>
-#include <unordered_set>
 #include <utility>
 
 #include "agg/anomaly.hh"
@@ -211,9 +211,7 @@ Session::setSliceOf(agg::SliceIndex i, std::size_t n)
 bool
 Session::aggregate(const std::string &path)
 {
-    ContainerId id = tr.findByPath(path);
-    if (id == trace::kNoContainer)
-        id = tr.findByName(path);
+    ContainerId id = findContainer(path);
     if (id == trace::kNoContainer)
         return false;
     hierCut.aggregate(id);
@@ -226,9 +224,7 @@ Session::aggregate(const std::string &path)
 bool
 Session::disaggregate(const std::string &path)
 {
-    ContainerId id = tr.findByPath(path);
-    if (id == trace::kNoContainer)
-        id = tr.findByName(path);
+    ContainerId id = findContainer(path);
     if (id == trace::kNoContainer)
         return false;
     hierCut.disaggregate(id);
@@ -250,9 +246,7 @@ Session::aggregateToDepth(std::uint16_t depth)
 bool
 Session::focus(const std::string &path)
 {
-    ContainerId id = tr.findByPath(path);
-    if (id == trace::kNoContainer)
-        id = tr.findByName(path);
+    ContainerId id = findContainer(path);
     if (id == trace::kNoContainer)
         return false;
     hierCut.focus({id});
@@ -276,31 +270,40 @@ Session::forgetCut()
 {
     cutProj = agg::CutProjection();
     graph = layout::LayoutGraph();
-    storedCut = 0;
+    stored = agg::View();
     pendingRows.clear();
 }
 
-bool
+void
+Session::waitForEveryRow() const
+{
+    stored.values.resize(cutProj.size() * stored.requests.size());
+    pendingRows.resize(cutProj.size());
+    std::iota(pendingRows.begin(), pendingRows.end(), 0u);
+}
+
+void
 Session::carryStoredRows(const std::vector<std::uint32_t> &from)
 {
     // Rows still waiting from an earlier cut change (no view came in
     // between), or none surviving (a depth walk, a reset from a coarse
-    // level): the next view folds plainly.
+    // level): every row waits.
     if (!pendingRows.empty() ||
         std::all_of(from.begin(), from.end(), [](std::uint32_t old) {
             return old == agg::kEntering;
         }))
-        return false;
+        return waitForEveryRow();
     // Survivors keep their order, so their rows move within the
     // vector's own capacity: rows moving to a lower index in ascending
     // order, rows moving to a higher one in descending order, and
     // neither pass overwrites a row the other still has to move.
     const std::size_t n = from.size();
-    const std::size_t k = storedMetrics.size();
-    storedValues.resize(std::max(storedValues.size(), n * k));
+    const std::size_t k = stored.requests.size();
+    std::vector<double> &values = stored.values;
+    values.resize(std::max(values.size(), n * k));
     auto move = [&](std::size_t i) {
-        std::copy_n(storedValues.begin() + std::ptrdiff_t(from[i] * k), k,
-                    storedValues.begin() + std::ptrdiff_t(i * k));
+        std::copy_n(values.begin() + std::ptrdiff_t(from[i] * k), k,
+                    values.begin() + std::ptrdiff_t(i * k));
     };
     for (std::size_t i = 0; i < n; ++i)
         if (from[i] != agg::kEntering && from[i] > i)
@@ -308,12 +311,11 @@ Session::carryStoredRows(const std::vector<std::uint32_t> &from)
     for (std::size_t i = n; i-- > 0;)
         if (from[i] != agg::kEntering && from[i] < i)
             move(i);
-    storedValues.resize(n * k);
+    values.resize(n * k);
     // The entering rows wait for the next view.
     for (std::size_t i = 0; i < n; ++i)
         if (from[i] == agg::kEntering)
             pendingRows.push_back(std::uint32_t(i));
-    return true;
 }
 
 void
@@ -333,13 +335,12 @@ Session::syncLayout()
     VIVA_ASSERT(graph.rawNodes().size() == cutProj.size(), "layout of ",
                 graph.rawNodes().size(), " nodes for a ", cutProj.size(),
                 "-node projection");
-    // Rows folded for the old cut are carried over; when none
-    // survives, nothing stays stored and the next view folds plainly.
-    const bool carried = storedCut == cutVersion && carryStoredRows(from);
     const agg::CutProjection prev =
         std::exchange(cutProj, std::move(projected));
-    ++cutVersion;
-    storedCut = carried ? cutVersion : 0;
+    // The stored view follows the cut: rows folded for the old one are
+    // carried over, the entering ones wait for the next view.
+    carryStoredRows(from);
+    agg::reshapeView(stored, tr, cutProj);
 
     // Rebuild the graph densely in cut order. Nodes already laid out
     // carry their state over; nodes entering the view are placed from
@@ -492,13 +493,17 @@ Session::stepLayout(std::size_t n)
         });
 }
 
+ContainerId
+Session::findContainer(const std::string &path) const
+{
+    ContainerId id = tr.findByPath(path);
+    return id != trace::kNoContainer ? id : tr.findByName(path);
+}
+
 layout::NodeId
 Session::nodeOf(const std::string &path) const
 {
-    ContainerId id = tr.findByPath(path);
-    if (id == trace::kNoContainer)
-        id = tr.findByName(path);
-    return layoutNode(id);
+    return layoutNode(findContainer(path));
 }
 
 layout::NodeId
@@ -569,62 +574,60 @@ sameSlice(const agg::TimeSlice &a, const agg::TimeSlice &b)
 } // namespace
 
 bool
-Session::storedValuesCurrent(
-    const std::vector<trace::MetricId> &metrics) const
+Session::storedKeyCurrent(
+    const std::vector<agg::MetricRequest> &requests) const
 {
-    return storedCut == cutVersion && sameSlice(storedSlice, slice) &&
-           storedMetrics == metrics;
+    return sameSlice(stored.slice, slice) && stored.requests == requests;
 }
 
-support::Expected<agg::View>
-Session::viewWithin(bool with_stats, support::Deadline deadline) const
+support::Expected<void>
+Session::foldStored(support::Deadline deadline) const
 {
-    std::vector<trace::MetricId> metrics = visMapping.referencedMetrics();
-    std::vector<agg::MetricRequest> requests = sumRequests(metrics);
-    if (with_stats) {
-        support::Expected<agg::View> v = agg::buildView(
-            tr, cutProj, slice, requests, true, nThreads, deadline);
-        if (!v)
-            return VIVA_ERROR_CONTEXT(v.error(), "Session view");
-        return v;
+    std::vector<agg::MetricRequest> requests =
+        sumRequests(visMapping.referencedMetrics());
+    if (!storedKeyCurrent(requests)) {
+        stored.slice = slice;
+        stored.requests = std::move(requests);
+        waitForEveryRow();
     }
-    const bool keyed = storedValuesCurrent(metrics);
-    if (!keyed || !pendingRows.empty()) {
-        storedCut = 0;  // a partial fold is never served
-        // Only the rows a cut change brought in, when the rest are
-        // current; else every row.
-        support::Expected<void> folded =
-            keyed ? agg::foldRows(tr, cutProj, slice, requests,
-                                  pendingRows, storedValues, nThreads,
-                                  deadline)
-                  : agg::foldValues(tr, cutProj, slice, requests,
-                                    storedValues, nThreads, deadline);
-        if (!folded)
-            return VIVA_ERROR_CONTEXT(folded.error(), "Session view");
-        storedCut = cutVersion;
-        storedSlice = slice;
-        storedMetrics = std::move(metrics);
-        pendingRows.clear();
+    if (pendingRows.empty())
+        return {};
+    support::Expected<void> folded =
+        agg::foldRows(tr, cutProj, slice, stored.requests, pendingRows,
+                      stored.values, nThreads, deadline);
+    if (!folded) {
+        waitForEveryRow();  // a partial fold is never served
+        return VIVA_ERROR_CONTEXT(folded.error(), "Session view");
     }
-    return agg::assembleView(tr, cutProj, slice, requests, storedValues);
+    pendingRows.clear();
+    return {};
 }
 
 agg::View
 Session::view(bool with_stats) const
 {
-    return viewWithin(with_stats, {}).value();
+    if (with_stats)
+        return agg::buildView(tr, cutProj, slice,
+                              sumRequests(visMapping.referencedMetrics()),
+                              true, nThreads)
+            .value();
+    foldStored({}).value();
+    return stored;
 }
 
 support::Expected<viz::Scene>
 Session::sceneWithin(const viz::SceneOptions &options, bool with_stats,
                      support::Deadline deadline)
 {
-    support::Expected<agg::View> v = viewWithin(with_stats, deadline);
-    if (!v)
-        return VIVA_ERROR_CONTEXT(v.error(), "Session scene");
+    agg::View with_stats_view;
+    if (with_stats)
+        with_stats_view = view(true);
+    else if (support::Expected<void> folded = foldStored(deadline);
+             !folded)
+        return VIVA_ERROR_CONTEXT(folded.error(), "Session scene");
     layout::Snapshot positions = layout::snapshotPositions(graph);
-    return viz::composeScene(*v, tr, positions, visMapping, typeScaling,
-                             options);
+    return viz::composeScene(with_stats ? with_stats_view : stored, tr,
+                             positions, visMapping, typeScaling, options);
 }
 
 viz::Scene
@@ -717,9 +720,7 @@ Session::renderChart(const std::string &path,
         nodes.push_back(tr.root());
     } else {
         for (const std::string &ref : containers) {
-            ContainerId id = tr.findByPath(ref);
-            if (id == trace::kNoContainer)
-                id = tr.findByName(ref);
+            ContainerId id = findContainer(ref);
             if (id == trace::kNoContainer)
                 return VIVA_ERROR(support::Errc::NotFound,
                                   "unknown container '", ref, "'");
@@ -834,38 +835,40 @@ Session::auditInvariants() const
     // The aggregated view of the current cut and slice, built fresh
     // (the audit stores nothing), including the Equation-1
     // conservation check against a serial recomputation.
-    std::vector<trace::MetricId> metrics = visMapping.referencedMetrics();
-    std::vector<agg::MetricRequest> requests = sumRequests(metrics);
-    std::vector<double> fresh;
-    agg::foldValues(tr, cutProj, slice, requests, fresh).value();
-    merge("view", agg::auditView(tr, hierCut,
-                                 agg::assembleView(tr, cutProj, slice,
-                                                   requests, fresh)));
+    std::vector<agg::MetricRequest> requests =
+        sumRequests(visMapping.referencedMetrics());
+    const agg::View fresh =
+        agg::buildView(tr, cutProj, slice, requests).value();
+    merge("view", agg::auditView(tr, hierCut, fresh));
 
-    // Views serve the stored values while their key is current: a
-    // change of the cut, slice or mapping that bypassed the key would
-    // leave them describing an older view. Rows still waiting for
-    // their fold are not served yet; every other row must be current,
-    // those a cut change carried over included.
-    if (storedValuesCurrent(metrics)) {
-        if (storedValues.size() != fresh.size())
-            support::auditFail(log, "stored view: ", storedValues.size(),
-                               " stored values for ", fresh.size(),
+    // The stored view must show the current cut whatever its key, and
+    // serves its values while the key is current: a change of the cut,
+    // slice or mapping that bypassed the key would leave them
+    // describing an older view. Rows still waiting for their fold are
+    // not served yet; every other row must be current, those a cut
+    // change carried over included.
+    if (stored.nodes != fresh.nodes || stored.edges != fresh.edges)
+        support::auditFail(log, "stored view: its nodes or edges are "
+                                "not the current cut's");
+    if (storedKeyCurrent(requests)) {
+        if (stored.values.size() != fresh.values.size())
+            support::auditFail(log, "stored view: ", stored.values.size(),
+                               " stored values for ", fresh.values.size(),
                                " in the current view");
-        for (std::size_t i = 0; i < storedValues.size() &&
-                                i < fresh.size();
+        for (std::size_t i = 0; i < stored.values.size() &&
+                                i < fresh.values.size();
              ++i) {
             if (std::binary_search(pendingRows.begin(), pendingRows.end(),
                                    i / requests.size()))
                 continue;
-            if (std::bit_cast<std::uint64_t>(storedValues[i]) ==
-                std::bit_cast<std::uint64_t>(fresh[i]))
+            if (std::bit_cast<std::uint64_t>(stored.values[i]) ==
+                std::bit_cast<std::uint64_t>(fresh.values[i]))
                 continue;
             support::auditFail(log, "stored view: value ", i, " (node ",
                                i / requests.size(), ") is ",
-                               support::formatDouble(storedValues[i]),
+                               support::formatDouble(stored.values[i]),
                                ", a fresh fold gives ",
-                               support::formatDouble(fresh[i]));
+                               support::formatDouble(fresh.values[i]));
             break;
         }
     }
@@ -1154,27 +1157,23 @@ Session::restore(const std::string &path,
 
     // The persisted nodes must be exactly the cut's visible set,
     // strictly sorted, with finite state.
-    std::vector<ContainerId> visible = staged_cut.visibleNodes();
-    if (image->nodes.size() != visible.size())
+    const std::size_t visible = staged_cut.visibleCount();
+    if (image->nodes.size() != visible)
         return fail(VIVA_ERROR(support::Errc::Parse, "checkpoint '",
                                path, "' carries ", image->nodes.size(),
                                " layout node(s) for a cut with ",
-                               visible.size(), " visible container(s)"));
-    std::unordered_set<std::uint64_t> visible_keys;
-    visible_keys.reserve(visible.size());
-    for (ContainerId id : visible)
-        visible_keys.insert(id.value());
-    std::uint64_t prev_key = 0;
-    bool first = true;
-    for (const CheckpointNode &n : image->nodes) {
-        if (!first && n.key <= prev_key)
+                               visible, " visible container(s)"));
+    for (std::size_t j = 0; j < image->nodes.size(); ++j) {
+        const CheckpointNode &n = image->nodes[j];
+        if (j > 0 && n.key <= image->nodes[j - 1].key)
             return fail(VIVA_ERROR(support::Errc::Parse, "checkpoint '",
                                    path,
                                    "' layout nodes are not strictly "
                                    "sorted by key"));
-        first = false;
-        prev_key = n.key;
-        if (!visible_keys.count(n.key))
+        // The range check first: isVisible asserts on an unknown id.
+        if (n.key >= staged.containerCount() ||
+            !staged_cut.isVisible(
+                ContainerId::fromIndex(std::size_t(n.key))))
             return fail(VIVA_ERROR(support::Errc::Parse, "checkpoint '",
                                    path, "' places container ", n.key,
                                    " which the cut does not make "

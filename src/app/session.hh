@@ -218,13 +218,13 @@ class Session
     // --- output -----------------------------------------------------------
 
     /**
-     * The aggregated view for the current cut and slice. The plain
-     * view's Eq.-1 values are folded once per (cut, slice, mapping)
-     * and stored, so a frame's view() and scene() fold once; after a
-     * cut change at the same slice and mapping only the nodes entering
-     * the view fold. A view with statistics is always built fresh.
-     * Storing them makes view() unsafe to call concurrently with any
-     * other call on the session.
+     * The aggregated view for the current cut and slice: a copy of the
+     * stored plain view, whose Eq.-1 values are folded once per (cut,
+     * slice, mapping), so a frame's view() and scene() fold once; after
+     * a cut change at the same slice and mapping only the nodes
+     * entering the view fold. A view with statistics is always built
+     * fresh. Storing it makes view() unsafe to call concurrently with
+     * any other call on the session.
      */
     agg::View view(bool with_stats = false) const;
 
@@ -408,7 +408,7 @@ class Session
      * current plain view, mutable, so a test can make them stale.
      * Never call outside tests.
      */
-    std::vector<double> &debugStoredValues() { return storedValues; }
+    std::vector<double> &debugStoredValues() { return stored.values; }
 
   private:
     /**
@@ -426,15 +426,18 @@ class Session
 
     /**
      * Re-key the stored rows, folded for the previous projection, to
-     * the next one, given the delta: survivors' rows move in place,
-     * the entering ones wait in pendingRows for the next view.
-     * @retval false when no row survives, or rows of an earlier cut
-     *         change still wait; nothing is changed then
+     * the current one, given the delta: survivors' rows move in place,
+     * the entering ones wait in pendingRows for the next view. When no
+     * row survives, or rows of an earlier cut change still wait, every
+     * row waits.
      */
-    bool carryStoredRows(const std::vector<std::uint32_t> &from);
+    void carryStoredRows(const std::vector<std::uint32_t> &from);
+
+    /** Size the stored values for the key and let every row wait. */
+    void waitForEveryRow() const;
 
     /**
-     * Drop the projection, the layout and the stored rows before a new
+     * Drop the projection, the layout and the stored view before a new
      * trace replaces the old one (load, restore): the old trace's
      * container indices must never key anything of the new one.
      */
@@ -449,17 +452,15 @@ class Session
     support::Expected<T> runLayout(const char *what, Run run);
 
     /**
-     * The current view; cancellable by `deadline`. A plain view is
-     * assembled from cutProj and the stored values: when their key is
-     * current only the pending rows fold, else every row; an aborted
-     * fold leaves nothing stored.
+     * Bring the stored view up to the current slice and mapping: a new
+     * key makes every row wait, and the waiting rows fold. Cancellable
+     * by `deadline`; after an aborted fold every row waits.
      */
-    support::Expected<agg::View>
-    viewWithin(bool with_stats, support::Deadline deadline) const;
+    support::Expected<void> foldStored(support::Deadline deadline) const;
 
-    /** Do the stored values belong to the current cut, slice and metrics? */
-    bool storedValuesCurrent(
-        const std::vector<trace::MetricId> &metrics) const;
+    /** Is the stored view keyed to the current slice and these requests? */
+    bool storedKeyCurrent(
+        const std::vector<agg::MetricRequest> &requests) const;
 
     /** view -> position snapshot -> scene; cancellable by `deadline`. */
     support::Expected<viz::Scene>
@@ -471,6 +472,9 @@ class Session
 
     /** Layout node of a container path; kNoNode when not visible. */
     layout::NodeId nodeOf(const std::string &path) const;
+
+    /** The container at a path, else of that unique simple name. */
+    trace::ContainerId findContainer(const std::string &path) const;
 
     /**
      * Degrade until the working set fits the memory budget (or the
@@ -489,23 +493,16 @@ class Session
     viz::TypeScaling typeScaling;
     layout::LayoutGraph graph;
     agg::CutProjection cutProj;
-    /** Bumped by syncLayout, the one point every cut change passes. */
-    std::uint64_t cutVersion = 0;
     /**
-     * The Eq.-1 values of the current plain view, cutProj.size() x
-     * metrics, node-major (agg::foldValues): a flat vector, so a refold
-     * reuses its capacity. Keyed by the cut version (0: nothing
-     * stored), the slice's bits and the mapping's metrics; mutable
-     * because view() is a read-only query whose result it caches. A
-     * cut change carries the rows of surviving nodes over
-     * (carryStoredRows), so the key stays current while the rows of
-     * nodes entering the view wait, in ascending order, in pendingRows
-     * (whose capacity, like storedValues', is reused).
+     * The plain view of the current cut: syncLayout keeps its nodes and
+     * edges those of cutProj. Its slice and requests key its values,
+     * node-major (agg::foldValues), so a refold reuses their capacity;
+     * mutable because view() is a read-only query whose result it
+     * caches. A cut change carries the rows of surviving nodes over
+     * (carryStoredRows); the rows still to fold for the key wait, in
+     * ascending order, in pendingRows (whose capacity is reused too).
      */
-    mutable std::vector<double> storedValues;
-    mutable std::uint64_t storedCut = 0;
-    mutable agg::TimeSlice storedSlice;
-    mutable std::vector<trace::MetricId> storedMetrics;
+    mutable agg::View stored;
     mutable std::vector<std::uint32_t> pendingRows;
     layout::ForceLayout force;
     std::size_t nThreads;

@@ -38,8 +38,8 @@ TypeScaling::autoScale(const agg::View &view)
     maxima.clear();
     for (std::size_t k = 0; k < view.requests.size(); ++k) {
         double best = 0.0;
-        for (const agg::ViewNode &node : view.nodes)
-            best = std::max(best, node.values[k]);
+        for (std::size_t i = 0; i < view.nodes.size(); ++i)
+            best = std::max(best, view.value(i, k));
         maxima[view.requests[k].metric] = best;
     }
 }

@@ -22,31 +22,30 @@ using trace::MetricId;
 namespace
 {
 
-/** Value of a metric on one view node (by metric id). */
+/** Value of a metric on view node i (by metric id). */
 double
-metricValue(const agg::View &view, const agg::ViewNode &node, MetricId m)
+metricValue(const agg::View &view, std::size_t i, MetricId m)
 {
     for (std::size_t k = 0; k < view.requests.size(); ++k)
         if (view.requests[k].metric == m)
-            return node.values[k];
+            return view.value(i, k);
     return 0.0;
 }
 
-/** Proportional fill: utilization over its capacity, clamped. */
+/** Proportional fill of view node i: utilization over its capacity. */
 double
 fillFraction(const trace::Trace &trace, const agg::View &view,
-             const agg::ViewNode &node, MetricId fill_metric,
-             MetricId size_metric)
+             std::size_t i, MetricId fill_metric, MetricId size_metric)
 {
     if (fill_metric == trace::kNoMetric)
         return 0.0;
-    double used = metricValue(view, node, fill_metric);
+    double used = metricValue(view, i, fill_metric);
     MetricId cap = trace.metric(fill_metric).capacityOf;
     if (cap == trace::kNoMetric)
         cap = size_metric;
     if (cap == trace::kNoMetric)
         return 0.0;
-    double capacity = metricValue(view, node, cap);
+    double capacity = metricValue(view, i, cap);
     if (capacity <= 0.0)
         return 0.0;
     return std::clamp(used / capacity, 0.0, 1.0);
@@ -94,7 +93,8 @@ composeScene(const agg::View &view, const trace::Trace &trace,
 
     std::unordered_map<ContainerId, std::size_t> index;
 
-    for (const agg::ViewNode &vnode : view.nodes) {
+    for (std::size_t i = 0; i < view.nodes.size(); ++i) {
+        const agg::ViewNode &vnode = view.nodes[i];
         auto it = positions.find(vnode.id.value());
         if (it == positions.end()) {
             support::warn("composeScene", "no position for '",
@@ -116,14 +116,14 @@ composeScene(const agg::View &view, const trace::Trace &trace,
             shape = rule.shape;
             color = rule.color;
             if (rule.sizeMetric != trace::kNoMetric) {
-                double v = metricValue(view, vnode, rule.sizeMetric);
+                double v = metricValue(view, i, rule.sizeMetric);
                 size = scaling.pixelSize(rule.sizeMetric, v);
                 if (v > 0.0)
                     size = std::max(size, options.minPixelSize);
             } else {
                 size = options.minPixelSize * 3.0;
             }
-            fill = fillFraction(trace, view, vnode, rule.fillMetric,
+            fill = fillFraction(trace, view, i, rule.fillMetric,
                                 rule.sizeMetric);
         };
 
@@ -172,11 +172,11 @@ composeScene(const agg::View &view, const trace::Trace &trace,
         if (node.segments.empty() && vnode.aggregated &&
             mapping.composition()) {
             const CompositionRule &comp = *mapping.composition();
-            double total = metricValue(view, vnode, comp.total);
+            double total = metricValue(view, i, comp.total);
             if (total > 0.0) {
                 for (std::size_t k = 0; k < comp.parts.size(); ++k) {
                     double part =
-                        metricValue(view, vnode, comp.parts[k]);
+                        metricValue(view, i, comp.parts[k]);
                     double frac =
                         std::clamp(part / total, 0.0, 1.0);
                     if (frac <= 0.0)
@@ -190,7 +190,7 @@ composeScene(const agg::View &view, const trace::Trace &trace,
 
         // Heterogeneity indicator from the size metric's distribution
         // (only present when the view was built with statistics).
-        if (vnode.aggregated && !vnode.stats.empty()) {
+        if (vnode.aggregated && !view.stats.empty()) {
             // Find the size metric's slot among the view's metrics.
             std::optional<MappingRule> host_rule =
                 mapping.rule(ContainerKind::Host);
@@ -201,13 +201,13 @@ composeScene(const agg::View &view, const trace::Trace &trace,
                 if (view.requests[k].metric != size_metric)
                     continue;
                 double mean = vnode.leafCount
-                                  ? vnode.values[k] /
+                                  ? view.value(i, k) /
                                         double(vnode.leafCount)
                                   : 0.0;
-                if (mean > 0.0) {
+                const std::size_t cell = i * view.requests.size() + k;
+                if (mean > 0.0)
                     node.heterogeneity =
-                        std::sqrt(vnode.stats[k].variance) / mean;
-                }
+                        std::sqrt(view.stats[cell].variance) / mean;
                 break;
             }
         }

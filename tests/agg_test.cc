@@ -391,11 +391,11 @@ TEST(BuildView, WithStats)
         va::buildView(f.trace, cut, {0.0, 10.0}, {f.power},
                       va::SpatialOp::Sum, /*with_stats=*/true);
     ASSERT_EQ(view.nodes.size(), 1u);
-    ASSERT_EQ(view.nodes[0].stats.size(), 1u);
-    EXPECT_DOUBLE_EQ(view.nodes[0].values[0], 45.0);
-    EXPECT_DOUBLE_EQ(view.nodes[0].stats[0].median, 10.0);
-    EXPECT_DOUBLE_EQ(view.nodes[0].stats[0].max, 30.0);
-    EXPECT_GT(view.nodes[0].stats[0].variance, 0.0);
+    ASSERT_EQ(view.stats.size(), 1u);
+    EXPECT_DOUBLE_EQ(view.value(0, 0), 45.0);
+    EXPECT_DOUBLE_EQ(view.stats[0].median, 10.0);
+    EXPECT_DOUBLE_EQ(view.stats[0].max, 30.0);
+    EXPECT_GT(view.stats[0].variance, 0.0);
 }
 
 TEST(BuildView, StatsAgreeWithValuesForEveryOp)
@@ -409,8 +409,7 @@ TEST(BuildView, StatsAgreeWithValuesForEveryOp)
             va::buildView(f.trace, cut, {0.0, 10.0}, {f.power}, op);
         va::View stats = va::buildView(f.trace, cut, {0.0, 10.0},
                                        {f.power}, op, true);
-        EXPECT_DOUBLE_EQ(plain.nodes[0].values[0],
-                         stats.nodes[0].values[0]);
+        EXPECT_DOUBLE_EQ(plain.value(0, 0), stats.value(0, 0));
     }
 }
 
@@ -540,11 +539,9 @@ TEST(ParallelStress, RandomCutsViewIdentically)
         ASSERT_EQ(v1.nodes.size(), v8.nodes.size()) << "seed " << seed;
         for (std::size_t i = 0; i < v1.nodes.size(); ++i) {
             ASSERT_EQ(v1.nodes[i].id, v8.nodes[i].id);
-            ASSERT_EQ(v1.nodes[i].values[0], v8.nodes[i].values[0]);
-            ASSERT_EQ(v1.nodes[i].stats[0].variance,
-                      v8.nodes[i].stats[0].variance);
-            ASSERT_EQ(v1.nodes[i].stats[0].median,
-                      v8.nodes[i].stats[0].median);
+            ASSERT_EQ(v1.value(i, 0), v8.value(i, 0));
+            ASSERT_EQ(v1.stats[i].variance, v8.stats[i].variance);
+            ASSERT_EQ(v1.stats[i].median, v8.stats[i].median);
         }
     }
 }

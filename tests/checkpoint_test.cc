@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -377,6 +378,84 @@ TEST(CheckpointRestore, FailedRestoreLeavesTheSessionUnchanged)
     vs::FaultInjector::global().disarmAll();
 
     // After the gauntlet the session still restores the good file.
+    ASSERT_TRUE(s.restore(good).ok());
+    EXPECT_EQ(s.stateDigest(), source.stateDigest());
+}
+
+TEST(CheckpointRestore, RejectsANodeSetTheCutDoesNotShow)
+{
+    // Each image below is well formed and freshly checksummed, so only
+    // the node-set validation can reject it.
+    viva::platform::Platform p =
+        viva::platform::makeTwoClusterPlatform();
+    vt::Trace t;
+    viva::platform::mirrorPlatform(p, t);
+    vap::Session source(std::move(t));
+    ASSERT_TRUE(source.aggregate("adonis"));
+    auto good = (tempDir() / "node_set_good.ckpt").string();
+    ASSERT_TRUE(source.checkpoint(good).ok());
+    auto read = vap::readCheckpointFile(good);
+    ASSERT_TRUE(read.ok()) << read.error().toString();
+    const vap::CheckpointImage image = *read;
+    ASSERT_GE(image.nodes.size(), 2u);
+
+    const viva::agg::HierarchyCut &cut = source.cut();
+    const std::size_t count = source.trace().containerCount();
+    std::uint64_t hidden = count;
+    for (std::size_t i = 0; i < count && hidden == count; ++i) {
+        const vt::ContainerId id = vt::ContainerId::fromIndex(i);
+        if (cut.representative(id) != id)
+            hidden = i;
+    }
+    ASSERT_LT(hidden, count) << "the cut hides nothing";
+
+    auto sorted = [](std::vector<vap::CheckpointNode> nodes) {
+        std::sort(nodes.begin(), nodes.end(),
+                  [](const vap::CheckpointNode &a,
+                     const vap::CheckpointNode &b) {
+                      return a.key < b.key;
+                  });
+        return nodes;
+    };
+    struct Fault
+    {
+        const char *what;
+        std::vector<vap::CheckpointNode> nodes;
+        const char *message;
+    };
+    std::vector<Fault> faults;
+    faults.push_back({"key past the container count", image.nodes,
+                      "which the cut does not make visible"});
+    faults.back().nodes.back().key = count;
+    faults.push_back({"key of a hidden container", image.nodes,
+                      "which the cut does not make visible"});
+    faults.back().nodes.front().key = hidden;
+    faults.back().nodes = sorted(faults.back().nodes);
+    faults.push_back({"keys out of order", image.nodes,
+                      "not strictly sorted"});
+    std::swap(faults.back().nodes[0], faults.back().nodes[1]);
+    faults.push_back({"one node too few", image.nodes,
+                      "layout node(s) for a cut with"});
+    faults.back().nodes.pop_back();
+
+    vap::Session s = makeBusySession();
+    const std::uint64_t digest = s.stateDigest();
+    for (const Fault &fault : faults) {
+        vap::CheckpointImage bad = image;
+        bad.nodes = fault.nodes;
+        auto path = (tempDir() / "node_set_bad.ckpt").string();
+        ASSERT_TRUE(vap::writeCheckpointFile(bad, path).ok())
+            << fault.what;
+        auto restored = s.restore(path);
+        ASSERT_FALSE(restored.ok()) << fault.what;
+        EXPECT_EQ(restored.error().code(), vs::Errc::Parse) << fault.what;
+        EXPECT_NE(restored.error().toString().find(fault.message),
+                  std::string::npos)
+            << fault.what << ": " << restored.error().toString();
+        EXPECT_EQ(s.stateDigest(), digest) << fault.what;
+    }
+
+    // The untouched image still restores.
     ASSERT_TRUE(s.restore(good).ok());
     EXPECT_EQ(s.stateDigest(), source.stateDigest());
 }

@@ -104,9 +104,9 @@ TEST(TemporalOps, MixedRequestsInOneView)
     va::View view =
         va::buildView(trace, cut, {0.0, 1.0}, requests).value();
     ASSERT_EQ(view.nodes.size(), 1u);
-    EXPECT_DOUBLE_EQ(view.nodes[0].values[0], 40.0);  // sum
-    EXPECT_DOUBLE_EQ(view.nodes[0].values[1], 30.0);  // max
-    EXPECT_DOUBLE_EQ(view.nodes[0].values[2], 5.0);   // average
+    EXPECT_DOUBLE_EQ(view.value(0, 0), 40.0);  // sum
+    EXPECT_DOUBLE_EQ(view.value(0, 1), 30.0);  // max
+    EXPECT_DOUBLE_EQ(view.value(0, 2), 5.0);   // average
     EXPECT_EQ(view.requests.size(), 3u);
 }
 

@@ -256,10 +256,9 @@ TEST(Governor, ExpiredDeadlineCancelsNothingReadOnly)
     ASSERT_EQ(v.nodes.size(), s.cut().visibleCount());
     ASSERT_EQ(v.nodes.size(), expected.nodes.size());
     EXPECT_EQ(v.edges.size(), expected.edges.size());
-    for (std::size_t i = 0; i < v.nodes.size(); ++i) {
+    for (std::size_t i = 0; i < v.nodes.size(); ++i)
         EXPECT_EQ(v.nodes[i].id, expected.nodes[i].id);
-        EXPECT_EQ(v.nodes[i].values, expected.nodes[i].values);
-    }
+    EXPECT_EQ(v.values, expected.values);
     EXPECT_EQ(s.scene().nodes.size(), expected_shapes);
     EXPECT_TRUE(s.auditInvariants().empty());
     EXPECT_EQ(s.deadlineAbortCount(), 0u);

@@ -315,7 +315,7 @@ TEST(ViewAudit, DetectsValueDrift)
     std::vector<vt::MetricId> metrics{trace.findMetric("power")};
     va::View view = va::buildView(trace, cut, {0.0, 10.0}, metrics);
     ASSERT_FALSE(view.nodes.empty());
-    view.nodes[0].values[0] += 1.0;
+    view.values[0] += 1.0;
     vs::AuditLog log = va::auditView(trace, cut, view);
     ASSERT_FALSE(log.empty());
     EXPECT_NE(log[0].find("conservation"), std::string::npos);
@@ -331,7 +331,7 @@ TEST(ViewAudit, DetectsOneUlpDrift)
     std::vector<vt::MetricId> metrics{trace.findMetric("power")};
     va::View view = va::buildView(trace, cut, {0.0, 10.0}, metrics);
     ASSERT_FALSE(view.nodes.empty());
-    double &value = view.nodes[0].values[0];
+    double &value = view.values[0];
     ASSERT_NE(value, 0.0);
     value = std::nextafter(value, std::numeric_limits<double>::infinity());
     vs::AuditLog log = va::auditView(trace, cut, view);
@@ -368,6 +368,48 @@ TEST(ViewAudit, DetectsAnEdgeOutsideTheView)
                                       std::string::npos;
                            }),
               log.end());
+}
+
+TEST(ViewAudit, DetectsValuesThatDoNotFitTheNodes)
+{
+    vt::Trace trace = makeTrace();
+    va::HierarchyCut cut(trace);
+    cut.aggregate(trace.findByName("cluster"));
+    std::vector<vt::MetricId> metrics{trace.findMetric("power")};
+    va::View view = va::buildView(trace, cut, {0.0, 10.0}, metrics);
+    ASSERT_TRUE(va::auditView(trace, cut, view).empty());
+    // The values are nodes x requests, node-major; one short is caught
+    // before any value is read.
+    view.values.pop_back();
+    vs::AuditLog log = va::auditView(trace, cut, view);
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_NE(log[0].find("values for"), std::string::npos) << log[0];
+}
+
+TEST(ViewAudit, DetectsStatsThatDoNotFitTheNodes)
+{
+    vt::Trace trace = makeTrace();
+    va::HierarchyCut cut(trace);
+    cut.aggregate(trace.findByName("cluster"));
+    std::vector<vt::MetricId> metrics{trace.findMetric("power")};
+    auto stat_blocks = [](const vs::AuditLog &log) {
+        return std::count_if(log.begin(), log.end(),
+                             [](const std::string &line) {
+                                 return line.find("stat blocks for") !=
+                                        std::string::npos;
+                             });
+    };
+    va::View stats = va::buildView(trace, cut, {0.0, 10.0}, metrics,
+                                   va::SpatialOp::Sum, true);
+    ASSERT_TRUE(va::auditView(trace, cut, stats).empty());
+    ASSERT_GT(stats.stats.size(), 1u);
+    stats.stats.pop_back();
+    EXPECT_EQ(stat_blocks(va::auditView(trace, cut, stats)), 1);
+
+    // Stats are either absent (a plain view) or one block per value.
+    va::View plain = va::buildView(trace, cut, {0.0, 10.0}, metrics);
+    plain.stats.resize(1);
+    EXPECT_EQ(stat_blocks(va::auditView(trace, cut, plain)), 1);
 }
 
 // --- Session --------------------------------------------------------------------

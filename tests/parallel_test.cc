@@ -365,25 +365,20 @@ TEST(ParallelAggregation, BuildViewIsBitwiseThreadCountInvariant)
                                     with_stats, 8)
                             .value();
         ASSERT_EQ(v1.nodes.size(), v8.nodes.size());
+        ASSERT_EQ(v1.values.size(), v8.values.size());
         for (std::size_t i = 0; i < v1.nodes.size(); ++i) {
             ASSERT_EQ(v1.nodes[i].id, v8.nodes[i].id);
             ASSERT_EQ(v1.nodes[i].leafCount, v8.nodes[i].leafCount);
-            ASSERT_EQ(v1.nodes[i].values.size(),
-                      v8.nodes[i].values.size());
-            for (std::size_t k = 0; k < v1.nodes[i].values.size(); ++k)
-                ASSERT_EQ(v1.nodes[i].values[k], v8.nodes[i].values[k])
+            for (std::size_t k = 0; k < requests.size(); ++k)
+                ASSERT_EQ(v1.value(i, k), v8.value(i, k))
                     << "node " << i << " metric " << k;
-            ASSERT_EQ(v1.nodes[i].stats.size(), v8.nodes[i].stats.size());
-            for (std::size_t k = 0; k < v1.nodes[i].stats.size(); ++k) {
-                ASSERT_EQ(v1.nodes[i].stats[k].variance,
-                          v8.nodes[i].stats[k].variance);
-                ASSERT_EQ(v1.nodes[i].stats[k].median,
-                          v8.nodes[i].stats[k].median);
-                ASSERT_EQ(v1.nodes[i].stats[k].min,
-                          v8.nodes[i].stats[k].min);
-                ASSERT_EQ(v1.nodes[i].stats[k].max,
-                          v8.nodes[i].stats[k].max);
-            }
+        }
+        ASSERT_EQ(v1.stats.size(), v8.stats.size());
+        for (std::size_t c = 0; c < v1.stats.size(); ++c) {
+            ASSERT_EQ(v1.stats[c].variance, v8.stats[c].variance);
+            ASSERT_EQ(v1.stats[c].median, v8.stats[c].median);
+            ASSERT_EQ(v1.stats[c].min, v8.stats[c].min);
+            ASSERT_EQ(v1.stats[c].max, v8.stats[c].max);
         }
         ASSERT_EQ(v1.edges.size(), v8.edges.size());
     }
@@ -425,8 +420,8 @@ TEST(ParallelAggregation, WithStatsValuesAreBitwisePlainValues)
                          ++i)
                         for (std::size_t k = 0; k < requests.size();
                              ++k)
-                            ASSERT_EQ(plain.nodes[i].values[k],
-                                      stats.nodes[i].values[k])
+                            ASSERT_EQ(plain.value(i, k),
+                                      stats.value(i, k))
                                 << "spatial " << int(sop)
                                 << " temporal " << int(top)
                                 << " threads " << threads << " node "
@@ -514,10 +509,7 @@ TEST(ParallelSession, ViewIdenticalAcrossThreadSettings)
         sess.setThreads(threads);
         sess.aggregateToDepth(2);
         va::View v = sess.view(/*with_stats=*/true);
-        std::vector<double> flat;
-        for (const va::ViewNode &n : v.nodes)
-            flat.insert(flat.end(), n.values.begin(), n.values.end());
-        return flat;
+        return v.values;
     };
     auto v1 = values_with(1);
     auto v8 = values_with(8);

@@ -641,9 +641,8 @@ TEST_P(IncrementalFold, ViewsEqualAFreshBuildAfterEveryGesture)
                 ASSERT_EQ(got.nodes[i].id, want.nodes[i].id);
                 for (std::size_t k = 0; k < got.requests.size(); ++k)
                     ASSERT_EQ(
-                        std::bit_cast<std::uint64_t>(got.nodes[i].values[k]),
-                        std::bit_cast<std::uint64_t>(
-                            want.nodes[i].values[k]))
+                        std::bit_cast<std::uint64_t>(got.value(i, k)),
+                        std::bit_cast<std::uint64_t>(want.value(i, k)))
                         << "gesture " << gesture << " node " << i
                         << " metric " << k;
             }
@@ -761,16 +760,17 @@ class GestureSequence : public ::testing::TestWithParam<int>
     expectBitwiseEqual(const va::View &got, const va::View &want)
     {
         ASSERT_EQ(got.nodes.size(), want.nodes.size());
+        ASSERT_EQ(got.requests.size(), want.requests.size());
+        ASSERT_EQ(got.values.size(), want.values.size());
         for (std::size_t i = 0; i < got.nodes.size(); ++i) {
             const va::ViewNode &a = got.nodes[i];
             const va::ViewNode &b = want.nodes[i];
             ASSERT_EQ(a.id, b.id) << "node " << i;
             ASSERT_EQ(a.aggregated, b.aggregated) << "node " << i;
             ASSERT_EQ(a.leafCount, b.leafCount) << "node " << i;
-            ASSERT_EQ(a.values.size(), b.values.size()) << "node " << i;
-            for (std::size_t k = 0; k < a.values.size(); ++k)
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(a.values[k]),
-                          std::bit_cast<std::uint64_t>(b.values[k]))
+            for (std::size_t k = 0; k < got.requests.size(); ++k)
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value(i, k)),
+                          std::bit_cast<std::uint64_t>(want.value(i, k)))
                     << "node " << i << " metric " << k;
         }
         ASSERT_EQ(got.edges, want.edges);
